@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -65,8 +64,10 @@ def _solver_config(args, snapshots=None, store_steps=False):
     )
 
 
-def _run_one(scenario, rho0, n, cfg):
-    p0 = quantile_init(rho0, n)
+def _run_one(scenario, rho0, n, cfg, p0=None):
+    """Integrate the quantile discretization of ``rho0`` (or the given ``p0``)."""
+    if p0 is None:
+        p0 = quantile_init(rho0, n)
     return integrate(p0, scenario, cfg)
 
 
@@ -122,12 +123,7 @@ def cmd_sweep(args):
     scenario, rho0 = _resolve_scenario(args.scenario, args.initial)
     ns = sorted(args.n)
     cfg = _solver_config(args)
-
-    def job(n):
-        return n, _run_one(scenario, rho0, n, cfg)
-
-    with ThreadPoolExecutor(max_workers=io.worker_count(len(ns))) as pool:
-        trajs = dict(pool.map(job, ns))
+    trajs = {n: _run_one(scenario, rho0, n, cfg) for n in ns}
 
     rows = []
     print(f"{'N':>6} {'||rho_2N - rho_N||_L1':>24} {'rate':>8}")
@@ -229,7 +225,7 @@ def cmd_validate(args):
 
     snaps = _snapshot_grid(args.t_end, args.snapshots)
     cfg = _solver_config(args, snapshots=snaps)
-    traj = _run_one(scenario, rho0, args.n, cfg)
+    traj = _run_one(scenario, rho0, args.n, cfg, p0=p0)
     gtraj = fv_run(rho0, scenario, grid, args.t_end, snapshot_times=snaps, flux=args.flux)
     table = reference.compare_l1(traj, gtraj, snaps)
 

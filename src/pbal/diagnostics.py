@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from . import dynamics
 from .density import (ParticleSystem, l1_distance, pushforward_affine,
                       to_density, total_variation, w1_distance)
+from .expressions import bump, bump_prime
 from .integrator import Trajectory, solve_scalar_ode
 from .scenario import Branch, Scenario
 
@@ -40,11 +41,8 @@ class Curve:
             out = np.interp(t, self.ts, self.ys)
         else:
             k = int(np.argmin(finite))  # first non-finite sample
-            out = np.where(
-                t >= self.ts[k],
-                np.inf,
-                np.interp(t, self.ts[:k], self.ys[:k]),
-            )
+            below = np.interp(t, self.ts[:k], self.ys[:k]) if k else np.inf
+            out = np.where(t >= self.ts[k], np.inf, below)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -239,21 +237,6 @@ def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario,
 # ---------------------------------------------------------------------------
 # entropy residual
 
-def _bump(u):
-    u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    uu = np.where(inside, u, 0.0)
-    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - uu * uu)), 0.0)
-
-
-def _bump_prime(u):
-    u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    uu = np.where(inside, u, 0.0)
-    one = 1.0 - uu * uu
-    return np.where(inside, np.exp(1.0 - 1.0 / one) * (-2.0 * uu / (one * one)), 0.0)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Tensor bump phi(t, x) = b((t - t0)/tau) b((x - x0)/ell)."""
@@ -264,13 +247,13 @@ class TestFunction:
     ell: float
 
     def phi(self, t, x):
-        return float(_bump((t - self.t0) / self.tau)) * _bump((x - self.x0) / self.ell)
+        return bump((t - self.t0) / self.tau) * bump((x - self.x0) / self.ell)
 
     def dt_phi(self, t, x):
-        return float(_bump_prime((t - self.t0) / self.tau)) / self.tau * _bump((x - self.x0) / self.ell)
+        return bump_prime((t - self.t0) / self.tau) / self.tau * bump((x - self.x0) / self.ell)
 
     def dx_phi(self, t, x):
-        return float(_bump((t - self.t0) / self.tau)) * _bump_prime((x - self.x0) / self.ell) / self.ell
+        return bump((t - self.t0) / self.tau) * bump_prime((x - self.x0) / self.ell) / self.ell
 
     @property
     def t_support(self):
@@ -299,9 +282,14 @@ def default_phi_grid(traj: Trajectory, n_time: int = 3, n_space: int = 5):
     ]
 
 
-def default_c_grid(traj: Trajectory):
-    r_max = max(float(np.max(p.heights)) for p in traj.snapshots)
+def _c_grid(states):
+    """Documented default constants: 0, quarters of the largest height, 1.1x it."""
+    r_max = max(float(np.max(p.heights)) for p in states)
     return [0.0, r_max / 4.0, r_max / 2.0, 3.0 * r_max / 4.0, r_max, 1.1 * r_max]
+
+
+def default_c_grid(traj: Trajectory):
+    return _c_grid(traj.snapshots)
 
 
 @dataclass
@@ -315,18 +303,22 @@ class EntropyResidualReport:
 
 def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     """Cell-exact Gauss nodes covering [x_lo, x_hi], panels split at the
-    reconstruction breakpoints and capped at width w_max outside/inside."""
-    pts = [x_lo, x_hi]
-    pts.extend(x for x in p.x if x_lo < x < x_hi)
-    pts = np.unique(np.asarray(pts, dtype=float))
-    panels_lo, panels_hi = [], []
-    for a, b in zip(pts[:-1], pts[1:]):
-        m = max(1, int(np.ceil((b - a) / w_max)))
-        edges = np.linspace(a, b, m + 1)
-        panels_lo.append(edges[:-1])
-        panels_hi.append(edges[1:])
-    lo = np.concatenate(panels_lo)
-    hi = np.concatenate(panels_hi)
+    reconstruction breakpoints and capped at width w_max outside/inside.
+
+    Gap [a, b] gets m equal panels with edges a + i (b - a)/m and the last
+    edge b, the same floats ``np.linspace(a, b, m + 1)`` gives.
+    """
+    inner = p.x[(p.x > x_lo) & (p.x < x_hi)]
+    pts = np.unique(np.concatenate(([x_lo, x_hi], inner)))
+    a, b = pts[:-1], pts[1:]
+    m = np.maximum(1, np.ceil((b - a) / w_max)).astype(np.intp)
+    gap = np.repeat(np.arange(a.size), m)
+    first = np.cumsum(m) - m
+    i = (np.arange(gap.size) - first[gap]).astype(float)
+    step = (b - a) / m
+    lo = i * step[gap] + a[gap]
+    hi = (i + 1.0) * step[gap] + a[gap]
+    hi[first + m - 1] = b
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * dynamics.GL_NODES[None, :]).ravel()
@@ -348,6 +340,13 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
 
     Space integrals are cell-exact 8-node Gauss per panel; the time integral
     is the trapezoid over the stored snapshots (at least 64 required).
+
+    With phi = b_t(t) b_x(x) the space integral at one snapshot is
+    b_t' (A_c . b_x) + b_t (B_c . b_x' + C_c . b_x), where the weighted node
+    vectors A_c = |rho - c|, B_c = sgn (m(rho) - m(c)) U and
+    C_c = sgn (f - m(c) dxU) carry all the dependence on c.  Test functions
+    sharing a spatial bump share its dot products, taken over the nodes of
+    the bump's support only.
     """
     times = traj.times
     if times.size < 64:
@@ -368,38 +367,55 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     x_hi = max(tf.x_support[1] for tf in phis)
     w_max = min(tf.ell for tf in phis) / 8.0
 
-    vfun = s.congestion.v
-    theta = {(j, float(c)): np.zeros(times.size) for j in range(len(phis)) for c in cs}
-    for k, p in enumerate(traj.snapshots):
-        nodes, wts, rho_at, U, dxU, fvals, mrho = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)
-        t = p.t
-        for j, tf in enumerate(phis):
-            bt = float(_bump((t - tf.t0) / tf.tau))
-            bt_p = float(_bump_prime((t - tf.t0) / tf.tau)) / tf.tau
-            if bt == 0.0 and bt_p == 0.0:
-                continue
-            bx = _bump((nodes - tf.x0) / tf.ell)
-            bx_p = _bump_prime((nodes - tf.x0) / tf.ell) / tf.ell
-            phi_v = bt * bx
-            dtphi = bt_p * bx
-            dxphi = bt * bx_p
-            for c in cs:
-                c = float(c)
-                mc = c * float(vfun(c))
-                sgn = np.sign(rho_at - c)
-                integrand = (
-                    np.abs(rho_at - c) * dtphi
-                    + sgn * ((mrho - mc) * U * dxphi - mc * dxU * phi_v + fvals * phi_v)
-                )
-                theta[(j, c)][k] = float(wts @ integrand)
+    cs = [float(c) for c in cs]
+    c_arr = np.array(cs)[:, None]
+    mc = c_arr * np.array([float(s.congestion.v(c)) for c in cs])[:, None]
+    # time factors of every test function at every snapshot
+    tau = np.array([tf.tau for tf in phis])
+    ut = (times[:, None] - np.array([tf.t0 for tf in phis])) / tau
+    bt = bump(ut)
+    bt_p = bump_prime(ut, bt) / tau
+    live = (bt != 0.0) | (bt_p != 0.0)
+    # distinct spatial bumps and the test functions that use each
+    groups = {}
+    for j, tf in enumerate(phis):
+        groups.setdefault((tf.x0, tf.ell), []).append(j)
+    x0 = np.array([key[0] for key in groups])
+    ell = np.array([key[1] for key in groups])
+    members = [np.array(js) for js in groups.values()]
 
-    residuals = {key: float(np.trapezoid(series, times)) for key, series in theta.items()}
+    theta = np.zeros((len(phis), c_arr.size, times.size))
+    for k, p in enumerate(traj.snapshots):
+        if not live[k].any():
+            continue
+        nodes, wts, rho_at, U, dxU, fvals, mrho = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)
+        sgn = np.sign(rho_at - c_arr)
+        A = np.abs(rho_at - c_arr) * wts
+        B = sgn * (mrho - mc) * U * wts
+        C = sgn * (fvals - mc * dxU) * wts
+        starts = np.searchsorted(nodes, x0 - ell, side="left")
+        stops = np.searchsorted(nodes, x0 + ell, side="right")
+        for g, js in enumerate(members):
+            if not live[k, js].any():
+                continue
+            sl = slice(starts[g], stops[g])
+            u = (nodes[sl] - x0[g]) / ell[g]
+            bx = bump(u)
+            bx_p = bump_prime(u, bx) / ell[g]
+            Abx = A[:, sl] @ bx
+            rest = B[:, sl] @ bx_p + C[:, sl] @ bx
+            theta[js, :, k] = bt_p[k, js, None] * Abx + bt[k, js, None] * rest
+
+    residuals = {}
+    for j in range(len(phis)):
+        for ci, c in enumerate(cs):
+            residuals[(j, c)] = float(np.trapezoid(theta[j, ci], times))
     res_neg = max(0.0, -min(residuals.values()))
     return EntropyResidualReport(
         residuals=residuals,
         res_neg=res_neg,
         phis=list(phis),
-        cs=[float(c) for c in cs],
+        cs=cs,
         metadata={
             "snapshots": int(times.size),
             "note": "weak-form error measure nu1 = 2 mu1; mu0 = 0 for the scheme",
@@ -491,8 +507,7 @@ def good_v_audit(traj: Trajectory, s: Scenario, c_grid=None, slack=1e-10):
     snapshots) against the four inequality families."""
     states = traj.steps if traj.steps else traj.snapshots
     if c_grid is None:
-        r_max = max(float(np.max(p.heights)) for p in states)
-        c_grid = [0.0, r_max / 4.0, r_max / 2.0, 3.0 * r_max / 4.0, r_max, 1.1 * r_max]
+        c_grid = _c_grid(states)
     violations = []
     for p in states:
         U = dynamics.free_velocity(p, s)

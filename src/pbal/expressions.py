@@ -19,9 +19,22 @@ def bump(s):
     """Smooth bump supported on (-1, 1), normalized so bump(0) = 1."""
     s = np.asarray(s, dtype=float)
     inside = np.abs(s) < 1.0
-    out = np.zeros_like(s)
     ss = np.where(inside, s, 0.0)
     out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - ss * ss)), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def bump_prime(s, b=None):
+    """Derivative of ``bump``; pass ``b = bump(s)`` to reuse its exponential."""
+    s = np.asarray(s, dtype=float)
+    inside = np.abs(s) < 1.0
+    ss = np.where(inside, s, 0.0)
+    one = 1.0 - ss * ss
+    if b is None:
+        b = np.exp(1.0 - 1.0 / one)
+    out = np.where(inside, b * (-2.0 * ss / (one * one)), 0.0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -124,21 +124,28 @@ class InitialDensity:
 
     def quantile(self, m: float) -> float:
         """Leftmost x with CDF(x) >= m, by bisection on [a, b]."""
+        return float(self.quantiles([m])[0])
+
+    def quantiles(self, levels) -> np.ndarray:
+        """``quantile`` of every mass level at once.
+
+        All levels bisect together, one vectorized CDF call per halving, and
+        each stops on its own under the ``BISECT_TOL`` width test.
+        """
         a, b = self.support
-        if m <= 0.0:
-            return a
-        if m >= self.total_mass:
-            m = self.total_mass
-        lo, hi = a, b
-        # invariant: cdf(lo) < m <= cdf(hi)
-        if self.cdf(lo) >= m:
-            return lo
-        while hi - lo > BISECT_TOL * max(1.0, abs(a), abs(b)):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= m:
-                hi = mid
-            else:
-                lo = mid
+        m = np.minimum(np.asarray(levels, dtype=float), self.total_mass)
+        lo = np.full(m.shape, a)
+        # invariant: cdf(lo) < m <= cdf(hi); a level already met at a is done
+        done = (m <= 0.0) | (np.asarray(self.cdf(lo)) >= m)
+        hi = np.where(done, a, b)
+        tol = BISECT_TOL * max(1.0, abs(a), abs(b))
+        todo = np.flatnonzero(hi - lo > tol)
+        while todo.size:
+            mid = 0.5 * (lo[todo] + hi[todo])
+            up = np.asarray(self.cdf(mid)) >= m[todo]
+            hi[todo[up]] = mid[up]
+            lo[todo[~up]] = mid[~up]
+            todo = todo[hi[todo] - lo[todo] > tol]
         return hi
 
 
@@ -150,8 +157,7 @@ def quantile_init(rho0: InitialDensity, n: int) -> ParticleSystem:
     mass = rho0.total_mass
     x = np.empty(n + 1)
     x[0], x[n] = a, b
-    for i in range(1, n):
-        x[i] = rho0.quantile(i * mass / n)
+    x[1:n] = rho0.quantiles(np.arange(1, n) * mass / n)
     gaps = np.diff(x)
     span = b - a
     if np.any(gaps <= 1e-12 * span):

@@ -7,7 +7,6 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -115,10 +114,3 @@ def write_density_svg(traj, path, width=720, height=360, margin=40):
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def worker_count(n_jobs):
-    """Worker cap from PBAL_THREADS (default: number of CPUs)."""
-    cap = os.environ.get("PBAL_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, limit))

@@ -4,7 +4,9 @@ import pytest
 from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
                   builtin_initial, integrate, quantile_init)
 from pbal import diagnostics as dg
-from pbal.dynamics import free_velocity, upwind_congestion
+from pbal.diagnostics import _snapshot_quadrature
+from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, free_velocity,
+                           u_field_arrays, upwind_congestion)
 from pbal.scenario import Branch, Source
 
 from conftest import catalog_run, const, make_scenario, zero_field_scenario
@@ -51,6 +53,20 @@ def test_envelope_S_affine_lambda():
     S0 = 0.5
     S = dg.envelope_S(s, S0, 1.0, q0=1.0)
     assert np.allclose(S.ys, (1.0 + S0) * np.exp(2.0 * S.ts) - 1.0, rtol=1e-6)
+
+
+def test_curve_all_nonfinite_is_inf():
+    # blow-up before the first sample: no finite part to interpolate
+    curve = dg.Curve(np.array([0.0, 1.0, 2.0]), np.full(3, np.inf))
+    assert curve(0.5) == np.inf
+    assert np.all(curve(np.array([-1.0, 0.0, 3.0])) == np.inf)
+
+
+def test_curve_inf_past_blowup():
+    curve = dg.Curve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, np.inf]))
+    assert curve(0.5) == 0.5
+    assert curve(2.0) == np.inf
+    assert curve.blowup_time == 2.0
 
 
 def test_envelope_R_repulsive_branch_linear():
@@ -220,6 +236,81 @@ def test_entropy_residual_shrinks_with_n():
     e100 = max(abs(v) for (_, c), v in r100.residuals.items() if c == 0.0)
     e200 = max(abs(v) for (_, c), v in r200.residuals.items() if c == 0.0)
     assert e200 <= 0.7 * e100 + 1e-6
+
+
+def _linspace_nodes(p, x_lo, x_hi, w_max):
+    """Gauss nodes and weights from per-gap ``np.linspace`` panels."""
+    pts = np.unique(np.asarray([x_lo, x_hi] + [x for x in p.x if x_lo < x < x_hi]))
+    lo, hi = [], []
+    for a, b in zip(pts[:-1], pts[1:]):
+        edges = np.linspace(a, b, max(1, int(np.ceil((b - a) / w_max))) + 1)
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
+    return nodes, (half[:, None] * GL_WEIGHTS[None, :]).ravel()
+
+
+def _loop_entropy_residual(traj, s, phis, cs):
+    """Reference: one integrand per (phi, c) pair and snapshot."""
+    x_lo = min(tf.x_support[0] for tf in phis)
+    x_hi = max(tf.x_support[1] for tf in phis)
+    w_max = min(tf.ell for tf in phis) / 8.0
+    out = {}
+    for j, tf in enumerate(phis):
+        for c in cs:
+            series = []
+            for p in traj.snapshots:
+                nodes, wts = _linspace_nodes(p, x_lo, x_hi, w_max)
+                rho = p.q / np.diff(p.x)
+                idx = np.searchsorted(p.x, nodes, side="right") - 1
+                inside = (idx >= 0) & (idx < rho.size)
+                rho_at = np.where(inside, rho[np.clip(idx, 0, rho.size - 1)], 0.0)
+                U = u_field_arrays(p.t, p.x, rho, s, nodes)
+                dxU = dxU_field_arrays(p.t, p.x, rho, s, nodes, rho_at)
+                f = np.asarray(s.source.f(p.t, nodes, rho_at), dtype=float)
+                mrho = rho_at * np.asarray(s.congestion.v(rho_at), dtype=float)
+                mc = c * float(s.congestion.v(c))
+                phi = tf.phi(p.t, nodes)
+                integrand = (
+                    np.abs(rho_at - c) * tf.dt_phi(p.t, nodes)
+                    + np.sign(rho_at - c) * ((mrho - mc) * U * tf.dx_phi(p.t, nodes)
+                                             - mc * dxU * phi + f * phi)
+                )
+                series.append(float(wts @ integrand))
+            out[(j, float(c))] = float(np.trapezoid(series, traj.times))
+    return out
+
+
+@pytest.mark.parametrize("name", ["attractive_congested", "repulsive_source"])
+def test_entropy_matches_loop_oracle(name):
+    s = builtin_catalog(name)
+    traj = catalog_run(name, 24, t_end=0.5, k_snapshots=65)
+    xs = traj.snapshots[0].x
+    # the default bumps plus one reaching far past every node on both sides
+    phis = dg.default_phi_grid(traj, n_time=2, n_space=2) + [
+        dg.TestFunction(t0=0.25, tau=0.2, x0=float(xs[-1]), ell=2.0 * float(xs[-1] - xs[0])),
+    ]
+    # 0.0 and a cell height of the initial state: the sign vanishes there
+    cs = [0.0, float(traj.snapshots[0].heights[5]), 0.3]
+    rep = dg.entropy_residual(traj, s, phis=phis, cs=cs)
+    ref = _loop_entropy_residual(traj, s, phis, cs)
+    assert list(rep.residuals) == list(ref)
+    for key, value in ref.items():
+        assert rep.residuals[key] == pytest.approx(value, rel=0, abs=1e-14)
+    assert rep.res_neg == max(0.0, -min(rep.residuals.values()))
+
+
+def test_quadrature_nodes_match_linspace_panels():
+    traj = catalog_run("attractive_congested", 24, t_end=0.5, k_snapshots=65)
+    s = builtin_catalog("attractive_congested")
+    for p in traj.snapshots[::16]:
+        for x_lo, x_hi, w_max in ((-1.3, 1.1, 0.037), (-0.2, 0.3, 0.011), (-3.0, 3.0, 5.0)):
+            nodes, wts = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)[:2]
+            ref_nodes, ref_wts = _linspace_nodes(p, x_lo, x_hi, w_max)
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(wts, ref_wts)
 
 
 # --------------------------------------------------------------- equicontinuity

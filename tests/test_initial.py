@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pbal import InitialDensity, builtin_initial, quantile_init, to_density, total_variation
 from pbal.errors import InitCollisionError, ScenarioFormatError
+from pbal.initial import BISECT_TOL
 
 
 def test_uniform_quantiles():
@@ -82,6 +85,7 @@ def test_spike_raises_collision_error():
     spike = InitialDensity.from_blocks([(0.0, 1e-13, 1e13), (1.0, 2.0, 1.0)])
     with pytest.raises(InitCollisionError):
         quantile_init(spike, 8)
+    _assert_matches_scalar(spike, 8)
 
 
 def test_bad_n():
@@ -101,3 +105,98 @@ def test_from_samples_matches_blocks():
 def test_unknown_builtin():
     with pytest.raises(ScenarioFormatError):
         builtin_initial("nope")
+
+
+# ------------------------------------------- vectorized bisection vs scalar loop
+
+def _scalar_quantile(rho0, m):
+    """Reference: the one-level bisection, one scalar CDF call per halving."""
+    a, b = rho0.support
+    if m <= 0.0:
+        return a
+    m = min(m, rho0.total_mass)
+    lo, hi = a, b
+    if rho0.cdf(lo) >= m:
+        return lo
+    while hi - lo > BISECT_TOL * max(1.0, abs(a), abs(b)):
+        mid = 0.5 * (lo + hi)
+        if rho0.cdf(mid) >= m:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _assert_matches_scalar(rho0, n):
+    a, b = rho0.support
+    mass = rho0.total_mass
+    ref = np.array([a] + [_scalar_quantile(rho0, i * mass / n) for i in range(1, n)] + [b])
+    if np.any(np.diff(ref) <= 1e-12 * (b - a)):
+        with pytest.raises(InitCollisionError):
+            quantile_init(rho0, n)
+        return
+    assert np.array_equal(quantile_init(rho0, n).x, ref)
+    for m in (-0.5, 0.0, 0.3 * mass, mass, 2.0 * mass):
+        assert rho0.quantile(m) == _scalar_quantile(rho0, m)
+
+
+_settings = settings(max_examples=40, deadline=None)
+_n = st.integers(min_value=1, max_value=60)
+
+
+@_settings
+@given(
+    start=st.floats(-3.0, 3.0),
+    blocks=st.lists(
+        st.tuples(st.floats(0.0, 1.0),      # vacuum gap before the block (0: adjacent)
+                  st.floats(1e-3, 2.0),     # width
+                  st.floats(1e-3, 3.0)),    # height
+        min_size=1, max_size=4),
+    n=_n,
+)
+def test_quantile_init_blocks_match_scalar_bisection(start, blocks, n):
+    triples, x = [], start
+    for gap, width, height in blocks:
+        x += gap
+        triples.append((x, x + width, height))
+        x += width
+    _assert_matches_scalar(InitialDensity.from_blocks(triples), n)
+
+
+@_settings
+@given(
+    start=st.floats(-3.0, 3.0),
+    steps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+    values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=31, max_size=31),
+    n=_n,
+)
+def test_quantile_init_samples_match_scalar_bisection(start, steps, values, n):
+    xs = start + np.concatenate(([0.0], np.cumsum(steps)))
+    ys = np.array(values[:xs.size])
+    assume(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)) > 1e-6)
+    _assert_matches_scalar(InitialDensity.from_samples(xs, ys), n)
+
+
+@_settings
+@given(
+    a=st.floats(-3.0, 0.0),
+    width=st.floats(0.1, 4.0),
+    k=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    n=_n,
+)
+def test_quantile_init_antiderivative_matches_scalar_bisection(a, width, k, n):
+    # pdf e^{kx}, exact antiderivative e^{kx}/k
+    rho0 = InitialDensity.from_callable(
+        lambda x: np.exp(k * np.asarray(x, dtype=float)),
+        support=(a, a + width),
+        antiderivative=lambda x: np.exp(k * np.asarray(x, dtype=float)) / k,
+    )
+    _assert_matches_scalar(rho0, n)
+
+
+def test_quantile_init_sampled_callable_matches_scalar_bisection():
+    hat = InitialDensity.from_callable(
+        lambda x: np.maximum(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0),
+        support=(-1.0, 1.0),
+    )
+    _assert_matches_scalar(hat, 37)
