@@ -10,8 +10,10 @@ integral over the cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .density import ParticleSystem
 from .errors import DegenerateStateError
@@ -55,15 +57,58 @@ def step_cdf_arrays(x, rho, y):
     return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner))
 
 
+def _prefix_moment(x, rho, y, m, shift):
+    """Integral of (z - shift)^m against the step density over z < y (m >= 1)."""
+    X = x - shift
+    cell = rho * (X[1:] ** (m + 1) - X[:-1] ** (m + 1)) / (m + 1)
+    cum = np.concatenate(([0.0], np.cumsum(cell)))
+    idx = np.clip(np.searchsorted(x, y, side="right") - 1, 0, rho.size - 1)
+    Yc = np.clip(y, x[0], x[-1]) - shift
+    inner = cum[idx] + rho[idx] * (Yc ** (m + 1) - X[idx] ** (m + 1)) / (m + 1)
+    return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner)), cum[-1]
+
+
+def _derivative(coef, scale=1):
+    """Ascending coefficients of the derivative of ``coef``, divided by ``scale``."""
+    return [k * coef[k] / scale for k in range(1, len(coef))] or [0.0]
+
+
+def _poly(coef, Y):
+    return coef[0] if len(coef) == 1 else P.polyval(Y, coef)
+
+
+def _moment_convolution(x, rho, pieces, y):
+    """Prefix-moment form of the W-primitive differences for a W whose pieces
+    on each side of 0 are the polynomials ``pieces = (W_neg, W_pos)``.
+
+    With g+ and g- the gradient pieces, Taylor expansion of g(Y - Z) about the
+    support centre gives, with L_m(y) = int_{z<y} Z^m rho and T_m its total,
+    sum_m (-1)^m / m! [(g+ - g-)^(m)(Y) L_m(y) + g-^(m)(Y) T_m], O(N) per moment.
+    """
+    g_neg = _derivative(pieces[0])
+    g_jump = [p - n for p, n in zip_longest(_derivative(pieces[1]), g_neg, fillvalue=0.0)]
+    C = step_cdf_arrays(x, rho, y)
+    M = float(np.sum(rho * np.diff(x)))
+    shift = 0.5 * (x[0] + x[-1])
+    Y = y - shift
+    out = _poly(g_jump, Y) * C + _poly(g_neg, Y) * M
+    for m in range(1, len(g_jump)):
+        g_jump, g_neg = _derivative(g_jump, m), _derivative(g_neg, m)
+        L, T = _prefix_moment(x, rho, y, m, shift)
+        out = out + (-1) ** m * (_poly(g_jump, Y) * L + _poly(g_neg, Y) * T)
+    return out
+
+
 def convolve_dxW_arrays(t, x, rho, s: Scenario, y):
-    """(dxW * rhobar)(y) via W-primitive differences; exact for step densities."""
+    """(dxW * rhobar)(y) = sum_j rho_j [W(y - x_j) - W(y - x_{j+1})], exact for
+    step densities: by prefix moments when the potential declares polynomial
+    pieces, by the (len(y), N+1) difference matrix otherwise."""
     pot = s.potential
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if pot.is_zero:
         return np.zeros_like(y)
-    if pot.grad_conv is not None:
-        mass = float(np.sum(rho * np.diff(x)))
-        out = np.asarray(pot.grad_conv(y, step_cdf_arrays(x, rho, y), mass), dtype=float)
+    if pot.pieces is not None:
+        out = _moment_convolution(x, rho, pot.pieces, y)
     else:
         wd = pot.W(y[:, None] - x[None, :])
         out = (wd[:, :-1] - wd[:, 1:]) @ rho

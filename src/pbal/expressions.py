@@ -4,6 +4,8 @@ Supported: numbers, the declared variable names, ``+ - * / **``, unary minus,
 and the calls ``abs``, ``min``, ``max``, ``exp``, ``bump``.  ``bump(s)`` is the
 standard mollifier ``exp(1 - 1/(1 - s^2))`` on ``|s| < 1``, zero outside.
 All functions are numpy-vectorized so compiled expressions accept arrays.
+``piecewise_polynomial`` reads the one-sided polynomial pieces of an
+expression, when it has them, as coefficient data.
 """
 
 from __future__ import annotations
@@ -38,6 +40,20 @@ def bump_prime(s, b=None):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _broadcast(value, args):
+    """``value`` as is when every argument is a scalar, else a float array of
+    the broadcast shape of all the arguments."""
+    if all(np.isscalar(a) for a in args):
+        return value
+    return np.full(np.broadcast_shapes(*(np.shape(a) for a in args)), float(value))
+
+
+def constant(value):
+    """Callable of any arguments returning ``value``, broadcast against them."""
+    v = float(value)
+    return lambda *args: _broadcast(v, args)
 
 
 def _minimum(*args):
@@ -101,10 +117,7 @@ def compile_expression(text, variables):
     The returned callable takes the variables positionally, in the order given.
     """
     if isinstance(text, (int, float)):
-        value = float(text)
-        return lambda *args, _v=value: (
-            np.full_like(np.asarray(args[0], dtype=float), _v) if args else _v
-        )
+        return constant(text)
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -120,11 +133,119 @@ def compile_expression(text, variables):
         env.update(_FUNCTIONS)
         result = eval(code, {"__builtins__": {}}, env)  # noqa: S307 - AST whitelisted
         # Constant expressions must still broadcast against array arguments.
-        if np.isscalar(result) and args and not np.isscalar(args[0]):
-            first = np.asarray(args[0], dtype=float)
-            if first.ndim > 0:
-                return np.full(first.shape, float(result))
-        return result
+        return _broadcast(result, args) if np.isscalar(result) else result
 
     evaluate.source = str(text)
     return evaluate
+
+
+# ---------------------------------------------------------------------------
+# one-sided polynomial pieces
+
+MAX_DEGREE = 8  # higher degrees are left to the generic evaluation
+
+
+class _NotPolynomial(Exception):
+    pass
+
+
+def _trim(c):
+    c = list(c)
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    return c
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[k] if k < len(a) else 0.0) + (b[k] if k < len(b) else 0.0)
+                  for k in range(n)])
+
+
+def _mul(a, b):
+    if len(a) + len(b) - 2 > MAX_DEGREE:
+        raise _NotPolynomial
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _constant_value(pieces):
+    neg, pos = pieces
+    if len(neg) == 1 and neg == pos:
+        return neg[0]
+    raise _NotPolynomial
+
+
+def _pieces(node, var):
+    """(neg, pos) ascending coefficient lists of ``node`` on var <= 0 / >= 0."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        c = [float(node.value)]
+        return c, c
+    if isinstance(node, ast.Name) and node.id == var:
+        return [0.0, 1.0], [0.0, 1.0]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
+        neg, pos = _pieces(node.operand, var)
+        if isinstance(node.op, ast.USub):
+            return [-c for c in neg], [-c for c in pos]
+        return neg, pos
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
+        left = _pieces(node.left, var)
+        right = _pieces(node.right, var)
+        if isinstance(node.op, ast.Add):
+            return tuple(_add(a, b) for a, b in zip(left, right))
+        if isinstance(node.op, ast.Sub):
+            return tuple(_add(a, [-c for c in b]) for a, b in zip(left, right))
+        if isinstance(node.op, ast.Mult):
+            return tuple(_mul(a, b) for a, b in zip(left, right))
+        if isinstance(node.op, ast.Div):
+            d = _constant_value(right)
+            return tuple(_trim([c / d for c in a]) for a in left)
+        n = _constant_value(right)
+        if n < 0 or n != int(n):
+            raise _NotPolynomial
+        n = int(n)
+        if max(len(a) for a in left) == 1:
+            return tuple([a[0] ** n] for a in left)
+        if n > MAX_DEGREE:
+            raise _NotPolynomial
+        out = []
+        for a in left:
+            p = [1.0]
+            for _ in range(n):
+                p = _mul(p, a)
+            out.append(p)
+        return tuple(out)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "abs" and len(node.args) == 1 and not node.keywords):
+        neg, pos = _pieces(node.args[0], var)
+        if len(neg) == 1 and neg == pos:
+            return [abs(neg[0])], [abs(pos[0])]
+        # |a x| is -|a| x on the left and |b x| = |b| x on the right
+        if len(neg) == 2 and len(pos) == 2 and neg[0] == 0.0 and pos[0] == 0.0:
+            return [0.0, -abs(neg[1])], [0.0, abs(pos[1])]
+    raise _NotPolynomial
+
+
+def piecewise_polynomial(text, var):
+    """The one-sided polynomial pieces ``(W_neg, W_pos)`` of ``text`` in ``var``.
+
+    Each piece is the tuple of ascending coefficients of the expression on
+    ``var <= 0`` and on ``var >= 0``.  Recognised: numbers, ``var``,
+    ``+ - *``, division by a constant, ``**`` with a non-negative integer
+    exponent, unary ``-``/``+`` and ``abs`` of ``a*var`` (``abs(x)`` is ``-x``
+    on the left and ``x`` on the right).  Anything else, a degree above
+    ``MAX_DEGREE`` or a non-finite coefficient gives ``None``.
+    """
+    if isinstance(text, (int, float)):
+        c = (float(text),)
+        return c, c
+    try:
+        neg, pos = _pieces(ast.parse(str(text), mode="eval").body, var)
+    except (SyntaxError, _NotPolynomial, ArithmeticError, ValueError):
+        return None
+    if not np.all(np.isfinite(neg + pos)):
+        return None
+    return tuple(neg), tuple(pos)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import expressions
 from .errors import ScenarioFormatError, UnknownScenarioError
@@ -48,6 +49,11 @@ class Advection:
     growth_lambda: Callable  # non-decreasing, 1/lambda non-integrable at infinity
 
 
+def _degree(coef):
+    nonzero = [k for k, c in enumerate(coef) if c != 0.0]
+    return nonzero[-1] if nonzero else 0
+
+
 @dataclass(frozen=True)
 class Potential:
     """Interaction potential W with BV gradient split into one-sided branches.
@@ -65,13 +71,20 @@ class Potential:
     dx2W: Callable  # absolutely continuous part of D dxW
     atom_w: Callable  # t -> weight of the Dirac at 0
     time_factor: Optional[Callable] = None
-    is_zero: bool = False
-    dx2W_zero: bool = False  # lets convolution kernels skip the a.c. part
-    # Optional closed form of (dxW * rho)(y) as a function of (y, CDF(y), mass),
-    # algebraically identical to the W-primitive differences (e.g. for
-    # W = s|x| the convolution is s (2 CDF(y) - mass)).  Exact shortcut only;
-    # the generic difference form remains the contract and the default.
-    grad_conv: Optional[Callable] = None
+    # Ascending coefficients (W_neg, W_pos) of W on (-inf, 0] and [0, inf)
+    # when W is a polynomial on each side (equal constant terms: W is
+    # continuous at 0); None for any other W.  Convolutions with such a W are
+    # exact prefix-moment sums instead of O(N^2) W-primitive differences.
+    pieces: Optional[tuple] = None
+
+    @property
+    def is_zero(self):
+        return self.pieces is not None and all(_degree(c) == 0 for c in self.pieces)
+
+    @property
+    def dx2W_zero(self):
+        """True when D dxW is the atom alone (both pieces of degree <= 1)."""
+        return self.pieces is not None and all(_degree(c) <= 1 for c in self.pieces)
 
     def factor(self, t):
         return 1.0 if self.time_factor is None else float(self.time_factor(t))
@@ -205,22 +218,17 @@ def default_sample_grid(t_max=2.0, x_max=5.0, r_max=5.0, n=10):
 # ---------------------------------------------------------------------------
 # builtin catalog
 
-def _const(value):
-    return lambda *args, _v=float(value): (
-        _v if all(np.isscalar(a) for a in args) or not args
-        else np.full(np.broadcast(*[np.asarray(a, dtype=float) for a in args]).shape, _v)
-    )
+_const = expressions.constant
 
 
 def _zero_potential():
     z = _const(0.0)
-    return Potential(W=z, dxW_neg=z, dxW_pos=z, dx2W=z, atom_w=_const(0.0),
-                     is_zero=True, dx2W_zero=True)
+    return Potential(W=z, dxW_neg=z, dxW_pos=z, dx2W=z, atom_w=z,
+                     pieces=((0.0,), (0.0,)))
 
 
 def _abs_potential(sign=1.0):
-    # W(x) = sign * |x|: gradient is sign * sgn(x), atom 2 * sign, no a.c. part;
-    # the gradient convolution collapses to sign * (2 CDF - mass).
+    # W(x) = sign * |x|: gradient is sign * sgn(x), atom 2 * sign, no a.c. part.
     s = float(sign)
     return Potential(
         W=lambda x, _s=s: _s * np.abs(x),
@@ -228,8 +236,7 @@ def _abs_potential(sign=1.0):
         dxW_pos=_const(s),
         dx2W=_const(0.0),
         atom_w=_const(2.0 * s),
-        dx2W_zero=True,
-        grad_conv=lambda y, cdf_y, mass, _s=s: _s * (2.0 * cdf_y - mass),
+        pieces=((0.0, -s), (0.0, s)),
     )
 
 
@@ -340,6 +347,40 @@ def _expr(section, key, variables, default=None, required=False):
     return expressions.compile_expression(section[key], variables)
 
 
+# Points (mirrored for dxW_neg) and times at which declared gradient branches
+# and atoms are checked against the polynomial pieces of W.
+_CHECK_X = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+_CHECK_T = (0.0, 0.5, 1.0, 2.0)
+_CHECK_TOL = 1e-9
+
+
+def _mismatch(got, want):
+    """Elementwise: ``got`` is not within the check tolerance of ``want`` (NaN included)."""
+    return ~(np.abs(got - want) <= _CHECK_TOL * np.maximum(1.0, np.abs(want)))
+
+
+def _check_against_pieces(pot: Potential, path):
+    """Reject declared gradient branches or an atom that contradict W."""
+    grads = [P.polyder(np.asarray(c, dtype=float)) for c in pot.pieces]
+    for name, branch, grad, xs in (("dxW_neg", pot.dxW_neg, grads[0], -_CHECK_X),
+                                   ("dxW_pos", pot.dxW_pos, grads[1], _CHECK_X)):
+        got = np.broadcast_to(np.asarray(branch(xs), dtype=float), xs.shape)
+        want = P.polyval(xs, grad)
+        bad = _mismatch(got, want)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ScenarioFormatError(
+                f"{path}: {name}({xs[k]:g}) = {got[k]:g} contradicts W, whose gradient there is {want[k]:g}"
+            )
+    jump = float(grads[1][0] - grads[0][0])
+    for t in _CHECK_T:
+        got, want = float(pot.atom_w(t)), jump * pot.factor(t)
+        if _mismatch(got, want):
+            raise ScenarioFormatError(
+                f"{path}: atom_w({t:g}) = {got:g} contradicts the gradient jump of W at 0, {want:g}"
+            )
+
+
 def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     """Load a scenario document; returns the scenario and its inline initial
     density, when one is given under ``metadata.initial``.
@@ -379,24 +420,26 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         growth_lambda=_expr(adv_d, "lambda", ("r",), default="1"),
     )
     w_expr = pot_d.get("W", "0")
-    is_zero = str(w_expr).strip() == "0"
+    dxn = _expr(pot_d, "dxW_neg", ("x",), default="0")
+    dxp = _expr(pot_d, "dxW_pos", ("x",), default="0")
+    time_factor = _expr(pot_d, "time_factor", ("t",))
     atom = pot_d.get("atom_w", None)
     if atom is None:
-        dxn = _expr(pot_d, "dxW_neg", ("x",), default="0")
-        dxp = _expr(pot_d, "dxW_pos", ("x",), default="0")
         jump = float(dxp(0.0)) - float(dxn(0.0))
-        atom_fn = _const(jump)
+        atom_fn = _const(jump) if time_factor is None else (lambda t: jump * time_factor(t))
     else:
         atom_fn = _const(atom) if isinstance(atom, (int, float)) else expressions.compile_expression(atom, ("t",))
     potential = Potential(
         W=expressions.compile_expression(w_expr, ("x",)),
-        dxW_neg=_expr(pot_d, "dxW_neg", ("x",), default="0"),
-        dxW_pos=_expr(pot_d, "dxW_pos", ("x",), default="0"),
+        dxW_neg=dxn,
+        dxW_pos=dxp,
         dx2W=_expr(pot_d, "dx2W", ("x",), default="0"),
         atom_w=atom_fn,
-        time_factor=_expr(pot_d, "time_factor", ("t",)),
-        is_zero=is_zero,
+        time_factor=time_factor,
+        pieces=expressions.piecewise_polynomial(w_expr, "x"),
     )
+    if potential.pieces is not None:
+        _check_against_pieces(potential, path)
     source = Source(
         f=_expr(src_d, "f", ("t", "x", "rho"), default="0"),
         c_f=float(src_d.get("c_f", 0.0)),

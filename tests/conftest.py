@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
+from pbal.expressions import constant as const
 from pbal.scenario import Advection, Branch, Congestion, Potential, Scenario, Source
-
-
-def const(value):
-    v = float(value)
-    return lambda *args: v if not args or np.isscalar(args[0]) else np.full(np.asarray(args[0], dtype=float).shape, v)
 
 
 def ones_like_v(r):
@@ -31,8 +27,8 @@ def zero_source():
 
 def zero_potential():
     z = const(0.0)
-    return Potential(W=z, dxW_neg=z, dxW_pos=z, dx2W=z, atom_w=const(0.0),
-                     is_zero=True, dx2W_zero=True)
+    return Potential(W=z, dxW_neg=z, dxW_pos=z, dx2W=z, atom_w=z,
+                     pieces=((0.0,), (0.0,)))
 
 
 def make_scenario(v=None, v_sup=1.0, vprime=0.0, decay_g=None, V=None, dxV=None,
@@ -63,7 +59,8 @@ def quadratic_potential():
     return Potential(W=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
                      dxW_neg=ident, dxW_pos=ident,
                      dx2W=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                     atom_w=const(0.0))
+                     atom_w=const(0.0),
+                     pieces=((0.0, 0.0, 0.5), (0.0, 0.0, 0.5)))
 
 
 def random_particles(rng, n, lo=-2.0, hi=2.0, t=0.0):

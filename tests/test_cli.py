@@ -166,6 +166,41 @@ def test_audit_malformed_scenario(tmp_path):
                  "--out", str(tmp_path / "a")]) == 2
 
 
+def test_audit_scenario_file_constant_dxV(tmp_path):
+    doc = {
+        "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+        "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+        "potential": {"W": "-abs(x)", "dxW_neg": "1", "dxW_pos": "-1", "atom_w": -2.0},
+        "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1"},
+        "metadata": {"name": "file_audit", "branch": "w_repulsive",
+                     "initial": {"blocks": [[-0.6, 0.6, 0.8]]}},
+    }
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "audit"
+    assert main(["audit", "--scenario", str(path), "--n", "20", "--t-end", "0.5",
+                 "--snapshots", "9", "--out", str(out)]) == 0
+    assert (out / "entropy.json").exists()
+
+
+def test_inconsistent_potential_exit_2(tmp_path, capsys):
+    base = {"W": "abs(x)", "dxW_neg": "-1", "dxW_pos": "1", "atom_w": 2.0}
+    for bad, field in (({"dxW_neg": "1"}, "dxW_neg"), ({"atom_w": 1.0}, "atom_w")):
+        doc = {
+            "congestion": {"v": "max(1 - r, 0)", "v_sup": 1.0, "vprime_bound": "1",
+                           "decay_g": "2*r"},
+            "advection": {},
+            "potential": dict(base, **bad),
+            "source": {},
+            "metadata": {"branch": "v_decays", "initial": {"blocks": [[0.0, 1.0, 0.5]]}},
+        }
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--n", "10",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
+
 def test_validate_grid_too_small(tmp_path, capsys):
     code = main(["validate", "--scenario", "repulsive_source", "--n", "50",
                  "--j", "100", "--x-max", "1.0"])

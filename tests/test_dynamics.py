@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from pbal import (ParticleSystem, builtin_catalog, convolve_dxW, dxU_field,
                   free_velocity, rhs, source_rate, upwind_congestion)
 from pbal.dynamics import convolve_dxW_generic
 from pbal.diagnostics import good_v_violations_state
 from pbal import dynamics
-from pbal.scenario import Branch, Source
+from pbal.scenario import Branch, Potential, Source
 
 from conftest import (catalog_run, make_scenario, quadratic_potential,
                       random_particles, zero_field_scenario)
@@ -55,7 +58,7 @@ def test_convolve_exactness_random(rng):
 def test_convolve_fast_path_matches_generic(rng):
     for name in ("attractive_congested", "repulsive_source"):
         s = builtin_catalog(name)
-        assert s.potential.grad_conv is not None
+        assert s.potential.pieces is not None
         for _ in range(10):
             p = random_particles(rng, 12)
             rho = p.q / np.diff(p.x)
@@ -63,6 +66,40 @@ def test_convolve_fast_path_matches_generic(rng):
             fast = dynamics.convolve_dxW_arrays(0.0, p.x, rho, s, y)
             generic = convolve_dxW_generic(0.0, p.x, rho, s, y)
             assert np.allclose(fast, generic, rtol=1e-12, atol=1e-12)
+
+
+_coef = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c0=_coef,
+    w_neg=st.lists(_coef, min_size=0, max_size=3),
+    w_pos=st.lists(_coef, min_size=0, max_size=3),
+    x=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=31, unique=True),
+    heights=st.lists(st.floats(0.05, 2.0), min_size=30, max_size=30),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    outside=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4),
+)
+def test_convolve_polynomial_pieces_match_generic(c0, w_neg, w_pos, x, heights,
+                                                  fractions, outside):
+    # random W, polynomial of degree <= 3 on each side and continuous at 0
+    neg, pos = (c0, *w_neg), (c0, *w_pos)
+    pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
+                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
+                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
+                    dx2W=lambda u: 0.0 * u, atom_w=lambda t: 0.0, pieces=(neg, pos))
+    s = make_scenario(potential=pot)
+    x = np.sort(np.asarray(x))
+    assume(np.min(np.diff(x)) > 1e-9)
+    rho = np.asarray(heights[: x.size - 1])
+    cells = np.arange(len(fractions)) % rho.size
+    y = np.concatenate((x,
+                        x[cells] + np.asarray(fractions) * np.diff(x)[cells],
+                        x[0] - np.asarray(outside), x[-1] + np.asarray(outside)))
+    fast = dynamics.convolve_dxW_arrays(0.0, x, rho, s, y)
+    generic = convolve_dxW_generic(0.0, x, rho, s, y)
+    assert np.all(np.abs(fast - generic) <= 1e-12 * np.maximum(1.0, np.abs(generic)))
 
 
 def test_convolve_mass_homogeneity(rng):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from pbal import builtin_catalog, load_scenario, scenario_validate
+from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate,
+                  load_scenario, quantile_init, scenario_validate)
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
-from pbal.expressions import bump, compile_expression
+from pbal.expressions import bump, compile_expression, piecewise_polynomial
 from pbal.scenario import Branch, CATALOG_NAMES, default_sample_grid
 
 from conftest import make_scenario
@@ -41,6 +42,29 @@ def test_expression_rejects_names_and_calls():
         compile_expression("y + 1", ("x",))
     with pytest.raises(ScenarioFormatError):
         compile_expression("open(x)", ("x",))
+
+
+def test_constant_broadcasts_against_every_argument():
+    y = np.linspace(-1.0, 1.0, 5)
+    assert compile_expression("0", ("t", "x"))(0.5, y).shape == (5,)
+    assert compile_expression(2.0, ("t", "x"))(0.5, y).shape == (5,)
+    assert compile_expression("t", ("t", "x"))(0.5, y).tolist() == [0.5] * 5
+
+
+@pytest.mark.parametrize("text, pieces", [
+    ("-abs(x)", ((0.0, 1.0), (0.0, -1.0))),
+    ("0.5*x**2", ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5))),
+    ("abs(x)**3", ((0.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 1.0))),
+    ("x*abs(x)", ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))),
+    ("(1 + abs(x)/2)**2 - x", ((1.0, -2.0, 0.25), (1.0, 0.0, 0.25))),
+    ("exp(-abs(x))", None),
+    ("abs(x-1)", None),
+    ("min(x,1)", None),
+    ("x**0.5", None),
+    ("x**2**20", None),
+])
+def test_piecewise_polynomial_table(text, pieces):
+    assert piecewise_polynomial(text, "x") == pieces
 
 
 def test_bump_shape():
@@ -171,6 +195,39 @@ def test_load_scenario_round_trip(tmp_path):
     assert rho0 is not None
     assert rho0.total_mass == pytest.approx(0.5)
     assert scenario_validate(s, default_sample_grid()) == []
+
+
+def test_load_scenario_zero_potential_spellings(tmp_path):
+    for w in ("0", "0.0", "0*x", 0):
+        doc = dict(SCENARIO_DOC, potential={"W": w})
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        s, _ = load_scenario(path)
+        assert s.potential.is_zero, w
+
+
+REPULSIVE_SOURCE_DOC = {
+    "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+    "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+    "potential": {"W": "-abs(x)", "dxW_neg": "1", "dxW_pos": "-1", "atom_w": -2.0},
+    "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1"},
+    "metadata": {"name": "repulsive_source_file", "branch": "w_repulsive"},
+}
+
+
+def test_scenario_file_matches_catalog_bitwise(tmp_path):
+    path = tmp_path / "repulsive.json"
+    path.write_text(json.dumps(REPULSIVE_SOURCE_DOC))
+    from_file, _ = load_scenario(path)
+    p0 = quantile_init(builtin_initial("repulsive_source"), 200)
+    cfg = SolverConfig(t_end=1.0, snapshot_times=np.linspace(0.0, 1.0, 9))
+    a = integrate(p0, from_file, cfg)
+    b = integrate(p0, builtin_catalog("repulsive_source"), cfg)
+    assert a.step_stats == b.step_stats
+    assert len(a.snapshots) == len(b.snapshots) == 9
+    for pa, pb in zip(a.snapshots, b.snapshots):
+        assert pa.t == pb.t
+        assert np.array_equal(pa.x, pb.x) and np.array_equal(pa.q, pb.q)
 
 
 def test_load_scenario_malformed(tmp_path):
