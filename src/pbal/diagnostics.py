@@ -9,12 +9,12 @@ functions and constants; its negative part must shrink like max q_i(0) ~ 1/N.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import dynamics
 from .density import (ParticleSystem, l1_distance, pushforward_affine,
@@ -65,13 +65,56 @@ class EnvelopeCurves:
     B0: float
 
 
+# Gauss-Kronrod (7, 15) rule on [-1, 1] (QUADPACK qk15): the 15 Kronrod
+# nodes, their weights, and the 7-point Gauss weights on every other node.
+_GK_X = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245, 0.0])
+_GK_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                   0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                   0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                   0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GK_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                   0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_GK_X = np.concatenate((-_GK_X, _GK_X[-2::-1]))
+_GK_WK = np.concatenate((_GK_WK, _GK_WK[-2::-1]))
+_GK_WG = np.concatenate((_GK_WG, _GK_WG[-2::-1]))
+
+
+def _gk15(F, a, b):
+    """Kronrod estimate of int_a^b F and its distance to the Gauss estimate."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fx = np.broadcast_to(np.asarray(F(c + h * _GK_X), dtype=float), _GK_X.shape)
+    k, g = h * float(fx @ _GK_WK), h * float(fx @ _GK_WG)
+    return k, abs(k - g)
+
+
+def _integrate_gk(F, a, b, tol=1e-10, limit=50):
+    """Globally adaptive Gauss-Kronrod (7, 15) quadrature of a vectorized F.
+
+    Bisects the panel with the largest error estimate until the summed
+    estimate is below ``tol`` absolute or relative, or ``limit`` panels.
+    """
+    val, err = _gk15(F, a, b)
+    panels = [(-err, a, b, val)]
+    total, total_err = val, err
+    while total_err > tol * max(1.0, abs(total)) and len(panels) < limit:
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        for x0, x1 in ((lo, mid), (mid, hi)):
+            v, e = _gk15(F, x0, x1)
+            heapq.heappush(panels, (-e, x0, x1, v))
+        total = math.fsum(p[3] for p in panels)
+        total_err = -math.fsum(p[0] for p in panels)
+    return total
+
+
 def envelope_Q(s: Scenario, t: float) -> float:
     """Mass amplification exp(c_f * int_0^t F)."""
     if s.source.c_f == 0.0 or t == 0.0:
         return 1.0
-    F = s.advection.growth_F
-    integral, _ = quad(lambda tau: float(F(tau)), 0.0, t, epsabs=1e-10, epsrel=1e-10)
-    return math.exp(s.source.c_f * integral)
+    return math.exp(s.source.c_f * _integrate_gk(s.advection.growth_F, 0.0, t))
 
 
 def envelope_S(s: Scenario, S0: float, t_end: float, q0: float, n_grid: int = 257) -> Curve:

@@ -37,15 +37,20 @@ class RhsEvaluation:
 
 
 class StageFailure(Exception):
-    """Internal: an integrator stage produced an unusable intermediate state."""
+    """Internal: an integrator stage produced an unusable intermediate state;
+    ``index`` is the offending gap or cell."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 def _gaps_heights(x, q):
     gaps = np.diff(x)
     if not np.all(gaps > 0.0):
-        raise StageFailure("non-increasing particle positions")
+        raise StageFailure("non-increasing particle positions", int(np.argmin(gaps)))
     if not np.all(q > 0.0):
-        raise StageFailure("non-positive cell mass")
+        raise StageFailure("non-positive cell mass", int(np.argmin(q)))
     return gaps, q / gaps
 
 

@@ -4,6 +4,9 @@ Supported: numbers, the declared variable names, ``+ - * / **``, unary minus,
 and the calls ``abs``, ``min``, ``max``, ``exp``, ``bump``.  ``bump(s)`` is the
 standard mollifier ``exp(1 - 1/(1 - s^2))`` on ``|s| < 1``, zero outside.
 All functions are numpy-vectorized so compiled expressions accept arrays.
+Numbers are compiled as floats and constant subexpressions are folded at
+compile time, so evaluation never does big-int arithmetic and a constant
+that overflows (``9**9**9``) is a format error, not a hang.
 ``piecewise_polynomial`` reads the one-sided polynomial pieces of an
 expression, when it has them, as coefficient data.
 """
@@ -11,6 +14,7 @@ expression, when it has them, as coefficient data.
 from __future__ import annotations
 
 import ast
+import operator
 
 import numpy as np
 
@@ -111,6 +115,43 @@ def _check_node(node, variables):
         raise ScenarioFormatError(f"syntax not allowed: {type(node).__name__}")
 
 
+_FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+         ast.Div: operator.truediv, ast.Pow: operator.pow,
+         ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+class _FloatConstants(ast.NodeTransformer):
+    """Numbers as floats, and operators on constants folded into constants."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def visit_Constant(self, node):
+        return self._constant(node, float, node.value)
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.operand, ast.Constant):
+            return self._constant(node, _FOLD[type(node.op)], node.operand.value)
+        return node
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
+            return self._constant(node, _FOLD[type(node.op)], node.left.value, node.right.value)
+        return node
+
+    def _constant(self, node, op, *values):
+        try:
+            value = float(op(*values))
+        except (ArithmeticError, TypeError) as exc:
+            # TypeError: a negative number to a fractional power is complex
+            raise ScenarioFormatError(
+                f"expression {self.text!r} has a constant part with no float value: {exc}"
+            ) from None
+        return ast.copy_location(ast.Constant(value), node)
+
+
 def compile_expression(text, variables):
     """Compile ``text`` into a vectorized callable of the named ``variables``.
 
@@ -123,6 +164,7 @@ def compile_expression(text, variables):
     except SyntaxError as exc:
         raise ScenarioFormatError(f"cannot parse expression {text!r}: {exc}") from exc
     _check_node(tree, set(variables))
+    tree = ast.fix_missing_locations(_FloatConstants(text).visit(tree))
     code = compile(tree, filename="<scenario>", mode="eval")
     names = tuple(variables)
 

@@ -104,17 +104,21 @@ class Trajectory:
         raise KeyError(f"no snapshot at t = {t}")
 
 
-def step_guard(p_prev: ParticleSystem, x_next, q_next, cfg: SolverConfig):
-    """Accept/reject a candidate state on ordering and mass positivity."""
+def step_guard(x_next, q_next, cfg: SolverConfig):
+    """Check a candidate state for ordering and mass positivity.
+
+    Returns ``(ok, reason, index)``: the index of the offending gap or cell
+    mass, None when the state is accepted.
+    """
     gaps = np.diff(x_next)
     span = x_next[-1] - x_next[0]
     if span <= 0 or np.any(gaps < cfg.guard_gap * span):
         i = int(np.argmin(gaps))
-        return False, f"ordering: gap {gaps[i]:.3e} at index {i}"
+        return False, f"ordering: gap {gaps[i]:.3e} at index {i}", i
     if np.any(q_next <= 0.0):
         i = int(np.argmin(q_next))
-        return False, f"mass: q[{i}] = {q_next[i]:.3e} <= 0"
-    return True, ""
+        return False, f"mass: q[{i}] = {q_next[i]:.3e} <= 0", i
+    return True, "", None
 
 
 def _sign_pattern(U, scale):
@@ -160,21 +164,23 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
         hit_stop = h >= next_stop - t - 1e-14 * max(1.0, next_stop)
 
         k[0] = k1
-        failed_stage = False
+        failed_stage = None
         try:
             for i in range(1, 6):
                 yi = y + h * (k[:i].T @ _A[i])
                 k[i], _ = f_eval(t + _C[i] * h, yi)
             y5 = y + h * (k[:6].T @ _A[6])
             k[6], U7 = f_eval(t + h, y5)
-        except dynamics.StageFailure:
-            failed_stage = True
+        except dynamics.StageFailure as exc:
+            failed_stage = exc
 
-        if failed_stage:
+        if failed_stage is not None:
             stats.rejected_guard += 1
             if h <= min_step * (1 + 1e-9):
                 raise CollisionExtinctionError(
-                    f"step underflow at t = {t:.6g}: intermediate state degenerate", t=t
+                    f"step underflow at t = {t:.6g}: intermediate state degenerate "
+                    f"({failed_stage} at index {failed_stage.index})",
+                    t=t, index=failed_stage.index,
                 )
             h = max(0.5 * h, min_step)
             continue
@@ -192,11 +198,10 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
             h = max(h * max(MIN_SHRINK, SAFETY * err ** -0.2), min_step)
             continue
 
-        ok, reason = step_guard(None, y5[: n + 1], y5[n + 1:], cfg)
+        ok, reason, bad = step_guard(y5[: n + 1], y5[n + 1:], cfg)
         if not ok:
             stats.rejected_guard += 1
             if h <= min_step * (1 + 1e-9):
-                bad = int(reason.split("index")[-1].strip()) if "index" in reason else None
                 raise CollisionExtinctionError(
                     f"collision/extinction at t = {t:.6g} ({reason})", t=t, index=bad
                 )

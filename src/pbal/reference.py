@@ -4,7 +4,8 @@ Forward-Euler upwind scheme whose interface flux mirrors the particle
 scheme's downstream congestion: the transported density comes from the upwind
 cell, the congestion factor from the cell the velocity points toward.
 Interface velocities use the same exact W-primitive convolution contract as
-the particle dynamics (with an FFT fast path on the uniform lattice).
+the particle dynamics (with an FFT fast path on the uniform lattice, whose
+kernel spectrum ``fv_run`` builds once per run).
 A Rusanov flux is available as a sanity alternative.
 """
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .density import PiecewiseDensity
 from .errors import CFLError, GridEscapeError
@@ -82,23 +82,52 @@ class GridTrajectory:
         raise KeyError(f"no grid snapshot at t = {t}")
 
 
-def interface_velocity(g: GridState, s: Scenario) -> np.ndarray:
+def _fast_length(n):
+    """Smallest 2-3-5-smooth integer >= n: a fast real FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def kernel_spectrum(s: Scenario, dx: float, j: int):
+    """``(n, rfft(kernel, n))`` of the lattice kernel W((d+1)dx) - W(d dx),
+    d = -J..J-1, or None when the potential is zero or the grid empty.
+
+    It depends only on W, dx and J, so a run builds it once.  The transform
+    length ``n`` is the smallest fast length holding the full linear
+    convolution (3J - 1 terms).
+    """
+    pot = s.potential
+    if pot.is_zero or j == 0:
+        return None
+    d = np.arange(-j, j)  # kernel index i - j for cells j = 1..J
+    kernel = pot.W((d + 1) * dx) - pot.W(d * dx)
+    n = _fast_length(3 * j - 1)
+    return n, np.fft.rfft(kernel, n)
+
+
+def interface_velocity(g: GridState, s: Scenario, spectrum=None) -> np.ndarray:
     """U = V - dxW * rho at the J+1 interfaces, exact for the step density.
 
     On the uniform lattice the W-primitive differences form a discrete
     convolution, evaluated by FFT; identical (to roundoff) to the direct sum.
+    ``spectrum`` is ``kernel_spectrum(s, g.dx, g.j)``, built here when omitted.
     """
     ifaces = g.interfaces
     V = np.asarray(s.advection.V(g.t, ifaces), dtype=float)
-    pot = s.potential
-    if pot.is_zero or g.j == 0:
+    if spectrum is None:
+        spectrum = kernel_spectrum(s, g.dx, g.j)
+    if spectrum is None:
         return V
+    n, kernel_hat = spectrum
     jj = g.j
-    d = np.arange(-jj, jj)  # kernel index i - j for cells j = 1..J
-    wk = pot.W(d * g.dx)
-    kernel = pot.W((d + 1) * g.dx) - wk
-    conv = fftconvolve(g.cells, kernel)[jj - 1: 2 * jj]
-    return V - conv * pot.factor(g.t)
+    conv = np.fft.irfft(np.fft.rfft(g.cells, n) * kernel_hat, n)[jj - 1: 2 * jj]
+    return V - conv * s.potential.factor(g.t)
 
 
 def _flux_mirrored(U, rho_l, rho_r, v):
@@ -170,12 +199,13 @@ def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
         snapshot_times = np.linspace(0.0, t_end, 11)
     targets = list(np.sort(np.asarray(snapshot_times, dtype=float)))
     state = initial_grid(rho0, grid)
+    spectrum = kernel_spectrum(s, state.dx, state.j)
     traj = GridTrajectory()
     while targets and abs(targets[0] - state.t) <= 1e-14:
         traj.snapshots.append(state)
         targets.pop(0)
     while state.t < t_end * (1 - 1e-15):
-        U_if = interface_velocity(state, s)
+        U_if = interface_velocity(state, s, spectrum)
         speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
         dt = t_end - state.t if speed == 0.0 else cfl * state.dx / speed
         next_stop = targets[0] if targets else t_end

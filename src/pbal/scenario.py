@@ -381,12 +381,34 @@ def _check_against_pieces(pot: Potential, path):
             )
 
 
+# The keys each section of a scenario document may hold; ``metadata`` is the
+# one optional section.
+SCHEMA = {
+    "congestion": ("v", "v_sup", "vprime_bound", "decay_g"),
+    "advection": ("V", "dxV", "F", "G", "lambda"),
+    "potential": ("W", "dxW_neg", "dxW_pos", "dx2W", "atom_w", "time_factor"),
+    "source": ("f", "c_f", "drho_f_bound"),
+    "metadata": ("name", "branch", "initial"),
+}
+
+
+def _reject_unknown(path, where, body, allowed):
+    unknown = sorted(set(body) - set(allowed))
+    if unknown:
+        raise ScenarioFormatError(
+            f"{path}: unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+
+
 def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     """Load a scenario document; returns the scenario and its inline initial
     density, when one is given under ``metadata.initial``.
 
     Document shape: top-level objects ``congestion``, ``advection``,
-    ``potential``, ``source``, ``metadata``; model functions are expression
+    ``potential``, ``source`` and optionally ``metadata``, holding only the
+    keys listed in ``SCHEMA`` (anything else is a format error, so a typo is
+    never silently defaulted); model functions are expression
     strings in the documented grammar (variables: r for congestion and the
     radial envelopes, t/x for advection, x for the potential, t/x/rho for the
     source).
@@ -399,12 +421,16 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
-    for section in ("congestion", "advection", "potential", "source"):
-        if section not in doc or not isinstance(doc[section], dict):
+    _reject_unknown(path, "top level", doc, SCHEMA)
+    doc.setdefault("metadata", {})
+    for section, keys in SCHEMA.items():
+        if section not in doc:
             raise ScenarioFormatError(f"{path}: missing section {section!r}")
+        if not isinstance(doc[section], dict):
+            raise ScenarioFormatError(f"{path}: section {section!r} must be an object")
+        _reject_unknown(path, f"section {section!r}", doc[section], keys)
 
-    con_d, adv_d, pot_d, src_d = (doc[k] for k in ("congestion", "advection", "potential", "source"))
-    meta = doc.get("metadata", {})
+    con_d, adv_d, pot_d, src_d, meta = (doc[k] for k in SCHEMA)
 
     congestion = Congestion(
         v=_expr(con_d, "v", ("r",), required=True),

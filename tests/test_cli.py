@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pbal.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv_rows(path):
@@ -251,3 +258,52 @@ def test_initial_csv_override(tmp_path):
     code = main(["run", "--scenario", "transport", "--n", "30",
                  "--initial", str(csv), "--out", str(out)])
     assert code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI pulls in no scipy
+    code = "import sys, pbal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+    mentions = [str(p) for p in (SRC / "pbal").rglob("*.py") if "scipy" in p.read_text()]
+    assert mentions == []
+
+
+def _file_scenario(tmp_path, **sections):
+    doc = {
+        "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+        "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+        "potential": {"W": "-abs(x)", "dxW_neg": "1", "dxW_pos": "-1", "atom_w": -2.0},
+        "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1"},
+        "metadata": {"name": "file_run", "branch": "w_repulsive",
+                     "initial": {"blocks": [[-0.6, 0.6, 0.8]]}},
+    }
+    for section, body in sections.items():
+        doc[section] = dict(doc[section], **body)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("section, typo", [
+    ("potential", {"dxw_neg": "1"}),
+    ("advection", {"lamda": "1"}),
+    ("metadata", {"brnach": "v_decays"}),
+])
+def test_unknown_scenario_key_exit_2(tmp_path, capsys, section, typo):
+    path = _file_scenario(tmp_path, **{section: typo})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert repr(next(iter(typo))) in err and section in err
+
+
+def test_overflowing_constant_exit_2(tmp_path, capsys):
+    # the constant folds to a float overflow when the file is loaded; no
+    # integer tower is ever built
+    path = _file_scenario(tmp_path, advection={"V": "x + 9**9**9"})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "9**9**9" in capsys.readouterr().err

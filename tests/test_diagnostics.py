@@ -31,6 +31,32 @@ def test_envelope_Q_time_dependent_F():
     assert dg.envelope_Q(s, 1.0) == pytest.approx(np.e, rel=1e-9)
 
 
+@pytest.mark.parametrize("F, integral", [
+    (2.0, lambda t: 2.0 * t),
+    (lambda t: np.asarray(t, dtype=float), lambda t: 0.5 * t * t),
+    (np.exp, np.expm1),
+    (lambda t: 1.0 + np.maximum(np.asarray(t, dtype=float) - 0.3, 0.0),
+     lambda t: t + 0.5 * max(t - 0.3, 0.0) ** 2),
+])
+@pytest.mark.parametrize("t", [0.2, 1.0, 2.5])
+def test_envelope_Q_closed_forms(F, integral, t):
+    # Q = exp(c_f int_0^t F) for constant, linear, exponential and kinked F.
+    # The quadrature tolerance is 1e-10 relative on the integral, so Q itself
+    # is within 1e-10 relative per unit of its exponent c_f int F.
+    src = Source(f=lambda t, x, rho: 0.0 * rho, c_f=0.7, drho_f_bound=const(0.0))
+    s = make_scenario(F=F, source=src)
+    exponent = 0.7 * integral(t)
+    assert dg.envelope_Q(s, t) == pytest.approx(
+        np.exp(exponent), rel=1e-10 * max(1.0, exponent), abs=0.0)
+
+
+def test_envelope_Q_scalar_F():
+    # an F that ignores its argument's shape still integrates
+    src = Source(f=lambda t, x, rho: 0.0 * rho, c_f=1.0, drho_f_bound=const(0.0))
+    s = make_scenario(F=lambda t: 3.0, source=src)
+    assert dg.envelope_Q(s, 0.5) == pytest.approx(np.exp(1.5), rel=1e-14)
+
+
 def test_envelope_S_zero_field():
     s = zero_field_scenario()
     S = dg.envelope_S(s, 1.5, 2.0, q0=1.0)

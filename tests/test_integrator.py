@@ -4,9 +4,9 @@ import pytest
 from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
                   builtin_initial, integrate, quantile_init, step_guard)
 from pbal.errors import CollisionExtinctionError
-from pbal.scenario import Branch, _abs_potential
+from pbal.scenario import Branch, Source, _abs_potential
 
-from conftest import make_scenario, zero_field_scenario
+from conftest import const, make_scenario, zero_field_scenario
 
 
 def test_transport_exact_translation():
@@ -41,22 +41,22 @@ def test_zero_field_constant():
 def test_guard_accepts_unchanged():
     p = ParticleSystem(0.0, [0.0, 0.5, 1.0], [0.5, 0.5])
     cfg = SolverConfig(t_end=1.0)
-    ok, _ = step_guard(p, p.x.copy(), p.q.copy(), cfg)
-    assert ok
+    ok, _, index = step_guard(p.x.copy(), p.q.copy(), cfg)
+    assert ok and index is None
 
 
 def test_guard_rejects_swap():
     p = ParticleSystem(0.0, [0.0, 0.5, 1.0], [0.5, 0.5])
     cfg = SolverConfig(t_end=1.0)
-    ok, reason = step_guard(p, np.array([0.5, 0.0, 1.0]), p.q.copy(), cfg)
-    assert not ok and "ordering" in reason
+    ok, reason, index = step_guard(np.array([0.5, 0.0, 1.0]), p.q.copy(), cfg)
+    assert not ok and "ordering" in reason and index == 0
 
 
 def test_guard_rejects_negative_mass():
     p = ParticleSystem(0.0, [0.0, 0.5, 1.0], [0.5, 0.5])
     cfg = SolverConfig(t_end=1.0)
-    ok, reason = step_guard(p, p.x.copy(), np.array([0.5, -1e-9]), cfg)
-    assert not ok and "mass" in reason
+    ok, reason, index = step_guard(p.x.copy(), np.array([0.5, -1e-9]), cfg)
+    assert not ok and "mass" in reason and index == 1
 
 
 # ----------------------------------------------------------------- invariants
@@ -141,6 +141,18 @@ def test_collision_raises_with_location():
     with pytest.raises(CollisionExtinctionError) as exc:
         integrate(p0, s, SolverConfig(t_end=1.0))
     assert 0.4 <= exc.value.t <= 0.6
+
+
+def test_mass_extinction_raises_with_index():
+    # constant drain f = -1 on a static state: cell i empties at t = rho_i,
+    # so the lightest cell, index 2, goes extinct first, at t = 0.3
+    drain = Source(f=lambda t, x, rho: -1.0 + 0.0 * x, c_f=1.0, drho_f_bound=const(0.0))
+    s = make_scenario(source=drain, name="draining")
+    p0 = ParticleSystem(0.0, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 0.3, 1.0])
+    with pytest.raises(CollisionExtinctionError) as exc:
+        integrate(p0, s, SolverConfig(t_end=1.0))
+    assert exc.value.index == 2
+    assert exc.value.t == pytest.approx(0.3, abs=1e-6)
 
 
 def test_snapshots_exact_times_and_valid():

@@ -6,9 +6,10 @@ from pbal import (InitialDensity, ParticleSystem, builtin_catalog,
                   to_density)
 from pbal.errors import CFLError, GridEscapeError
 from pbal.integrator import Trajectory
+from pbal import reference
 from pbal.reference import (GridConfig, GridState, grid_to_density,
-                            initial_grid, interface_velocity)
-from pbal.scenario import Source
+                            initial_grid, interface_velocity, kernel_spectrum)
+from pbal.scenario import Potential, Source
 
 from conftest import const, make_scenario, zero_field_scenario
 
@@ -85,19 +86,61 @@ def test_symmetry_preserved_repulsive():
     assert float(np.max(np.abs(cells - cells[::-1]))) <= 1e-10
 
 
+def _time_factor_potential():
+    # W = |x| scaled by 1 + t
+    return Potential(W=lambda x: np.abs(x), dxW_neg=const(-1.0), dxW_pos=const(1.0),
+                     dx2W=const(0.0), atom_w=lambda t: 2.0 * (1.0 + t),
+                     time_factor=lambda t: 1.0 + t, pieces=((0.0, -1.0), (0.0, 1.0)))
+
+
+def _exponential_potential():
+    # W = exp(-|x|): no polynomial pieces
+    return Potential(W=lambda x: np.exp(-np.abs(x)),
+                     dxW_neg=lambda x: np.exp(x), dxW_pos=lambda x: -np.exp(-x),
+                     dx2W=lambda x: np.exp(-np.abs(x)), atom_w=const(-2.0))
+
+
 def test_fft_convolution_matches_direct():
-    s = builtin_catalog("attractive_congested")
     rng = np.random.default_rng(7)
-    g = GridState(-2.0, 0.05, rng.uniform(0.0, 1.0, 80), 0.0)
-    fast = interface_velocity(g, s)
-    # direct primitive-difference sum
-    ifaces = g.interfaces
-    W = s.potential.W
-    direct = np.empty(ifaces.size)
-    for i, y in enumerate(ifaces):
-        wd = W(y - ifaces)
-        direct[i] = -np.sum(g.cells * (wd[:-1] - wd[1:]))
-    assert np.allclose(fast, direct, atol=1e-10)
+    cells = rng.uniform(0.0, 1.0, 80)
+    for s, t in ((builtin_catalog("attractive_congested"), 0.0),
+                 (make_scenario(potential=_time_factor_potential()), 0.7),
+                 (make_scenario(potential=_exponential_potential()), 0.3)):
+        g = GridState(-2.0, 0.05, cells, t)
+        fast = interface_velocity(g, s)
+        # direct primitive-difference sum
+        ifaces = g.interfaces
+        W = s.potential.W
+        direct = np.empty(ifaces.size)
+        for i, y in enumerate(ifaces):
+            wd = W(y - ifaces)
+            direct[i] = -np.sum(g.cells * (wd[:-1] - wd[1:]))
+        assert np.allclose(fast, direct * s.potential.factor(t), atol=1e-10)
+        spectrum = kernel_spectrum(s, g.dx, g.j)
+        assert np.array_equal(interface_velocity(g, s, spectrum), fast)
+
+
+def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
+    s = builtin_catalog("repulsive_source")
+    rho0 = builtin_initial("repulsive_source")
+    grid = GridConfig(x_left=-4.0, x_right=4.0, j=300)
+    times = np.linspace(0.0, 0.5, 5)
+    built = []
+    original = reference.kernel_spectrum
+    monkeypatch.setattr(reference, "kernel_spectrum",
+                        lambda *a: built.append(a) or original(*a))
+    cached = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
+    assert len(built) == 1  # once per run
+
+    velocity = reference.interface_velocity
+    monkeypatch.setattr(reference, "interface_velocity",
+                        lambda g, s, spectrum=None: velocity(g, s))
+    per_step = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
+    assert len(built) == 2 + per_step.steps  # fv_run's unused one, then one per step
+    assert cached.steps == per_step.steps
+    assert len(cached.snapshots) == len(per_step.snapshots) == 5
+    for a, b in zip(cached.snapshots, per_step.snapshots):
+        assert a.t == b.t and np.array_equal(a.cells, b.cells)
 
 
 def test_rusanov_flux_runs_and_conserves():

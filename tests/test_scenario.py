@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate,
                   load_scenario, quantile_init, scenario_validate)
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
 from pbal.expressions import bump, compile_expression, piecewise_polynomial
-from pbal.scenario import Branch, CATALOG_NAMES, default_sample_grid
+from pbal.scenario import SCHEMA, Branch, CATALOG_NAMES, default_sample_grid
 
 from conftest import make_scenario
 from pbal.scenario import Source
@@ -42,6 +43,22 @@ def test_expression_rejects_names_and_calls():
         compile_expression("y + 1", ("x",))
     with pytest.raises(ScenarioFormatError):
         compile_expression("open(x)", ("x",))
+
+
+def test_expression_numbers_are_floats():
+    assert type(compile_expression("3", ("x",))(1.0)) is float
+    assert compile_expression("2**100 + x", ("x",))(0.0) == 2.0 ** 100
+    assert compile_expression("-2**2 + x", ("x",))(0.0) == -4.0
+
+
+@pytest.mark.parametrize("text", ["x + 9**9**9", "x + 2**2**20", "x + 1/(1 - 1)", "(-8)**(1/3) + x"])
+def test_expression_constant_without_float_value_rejected(text):
+    # folded at compile time in float arithmetic: an error within a second,
+    # never a big-int evaluation
+    start = time.perf_counter()
+    with pytest.raises(ScenarioFormatError, match="constant"):
+        compile_expression(text, ("x",))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_constant_broadcasts_against_every_argument():
@@ -228,6 +245,35 @@ def test_scenario_file_matches_catalog_bitwise(tmp_path):
     for pa, pb in zip(a.snapshots, b.snapshots):
         assert pa.t == pb.t
         assert np.array_equal(pa.x, pb.x) and np.array_equal(pa.q, pb.q)
+
+
+def test_load_scenario_accepts_every_schema_key(tmp_path):
+    doc = {
+        "congestion": {"v": "max(1 - r, 0)", "v_sup": 1.0, "vprime_bound": "1",
+                       "decay_g": "2*r"},
+        "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+        "potential": {"W": "abs(x)", "dxW_neg": "-1", "dxW_pos": "1", "dx2W": "0",
+                      "atom_w": "2*(1 + t)", "time_factor": "1 + t"},
+        "source": {"f": "0", "c_f": 0.0, "drho_f_bound": "0"},
+        "metadata": {"name": "every_key", "branch": "v_decays",
+                     "initial": {"blocks": [[0.0, 1.0, 0.5]]}},
+    }
+    assert {k: tuple(v) for k, v in doc.items() if k != "metadata"} == {
+        k: v for k, v in SCHEMA.items() if k != "metadata"}
+    path = tmp_path / "every.json"
+    path.write_text(json.dumps(doc))
+    s, rho0 = load_scenario(path)
+    assert s.name == "every_key" and rho0 is not None
+    assert s.potential.factor(1.0) == 2.0
+
+
+def test_load_scenario_rejects_unknown_keys(tmp_path):
+    for bad in ({"potential": dict(SCENARIO_DOC["potential"], dxw_neg="1")},
+                {"metdata": {}}):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(dict(SCENARIO_DOC, **bad)))
+        with pytest.raises(ScenarioFormatError, match="unknown key"):
+            load_scenario(path)
 
 
 def test_load_scenario_malformed(tmp_path):
