@@ -123,17 +123,23 @@ def total_variation(d: PiecewiseDensity) -> float:
     return float(np.sum(np.abs(np.diff(ext))))
 
 
+def step_cdf_arrays(x, rho, y, cum=None):
+    """Cumulative mass of the step density (breakpoints x, heights rho) at y;
+    ``cum`` is its value ``[0, cumsum(rho * diff(x))]`` at x, if already built."""
+    if cum is None:
+        cum = np.concatenate(([0.0], np.cumsum(rho * np.diff(x))))
+    idx = np.clip(np.searchsorted(x, y, side="right") - 1, 0, rho.size - 1)
+    inner = cum[idx] + rho[idx] * (np.clip(y, x[0], x[-1]) - x[idx])
+    return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner))
+
+
 def cdf(d: PiecewiseDensity, y):
     """Cumulative mass to the left of ``y`` (piecewise linear, non-decreasing)."""
     y = np.asarray(y, dtype=float)
     if d.heights.size == 0:
         out = np.zeros_like(y)
-        return float(out) if out.ndim == 0 else out
-    bp = d.breakpoints
-    cum = np.concatenate(([0.0], np.cumsum(d.heights * np.diff(bp))))
-    idx = np.clip(np.searchsorted(bp, y, side="right") - 1, 0, d.heights.size - 1)
-    inner = cum[idx] + d.heights[idx] * (np.clip(y, bp[0], bp[-1]) - bp[idx])
-    out = np.where(y <= bp[0], 0.0, np.where(y >= bp[-1], cum[-1], inner))
+    else:
+        out = step_cdf_arrays(d.breakpoints, d.heights, y)
     return float(out) if out.ndim == 0 else out
 
 

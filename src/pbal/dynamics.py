@@ -15,7 +15,7 @@ from itertools import zip_longest
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .density import ParticleSystem
+from .density import ParticleSystem, step_cdf_arrays
 from .errors import DegenerateStateError
 from .scenario import Scenario
 
@@ -54,23 +54,25 @@ def _gaps_heights(x, q):
     return gaps, q / gaps
 
 
-def step_cdf_arrays(x, rho, y):
-    """Cumulative mass of the step density (breakpoints x, heights rho) at y."""
-    cum = np.concatenate(([0.0], np.cumsum(rho * np.diff(x))))
-    idx = np.clip(np.searchsorted(x, y, side="right") - 1, 0, rho.size - 1)
-    inner = cum[idx] + rho[idx] * (np.clip(y, x[0], x[-1]) - x[idx])
-    return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner))
+def _prefix_sums(x, rho, m, shift):
+    """Per-cell integrals of (z - shift)^m against the step density, and their
+    prefix sums [0, cumsum]: the integrals over z < x_i at every particle x_i
+    (m = 0 unshifted: the cell masses and the CDF at the particles)."""
+    if m == 0:
+        cell = rho * np.diff(x)
+    else:
+        X = x - shift
+        cell = rho * (X[1:] ** (m + 1) - X[:-1] ** (m + 1)) / (m + 1)
+    return cell, np.concatenate(([0.0], np.cumsum(cell)))
 
 
-def _prefix_moment(x, rho, y, m, shift):
-    """Integral of (z - shift)^m against the step density over z < y (m >= 1)."""
-    X = x - shift
-    cell = rho * (X[1:] ** (m + 1) - X[:-1] ** (m + 1)) / (m + 1)
-    cum = np.concatenate(([0.0], np.cumsum(cell)))
+def _prefix_moment(x, rho, y, m, shift, cum):
+    """Integral of (z - shift)^m against the step density over z < y (m >= 1),
+    from its prefix sums ``cum`` at the particles plus the partial cell."""
     idx = np.clip(np.searchsorted(x, y, side="right") - 1, 0, rho.size - 1)
     Yc = np.clip(y, x[0], x[-1]) - shift
-    inner = cum[idx] + rho[idx] * (Yc ** (m + 1) - X[idx] ** (m + 1)) / (m + 1)
-    return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner)), cum[-1]
+    inner = cum[idx] + rho[idx] * (Yc ** (m + 1) - (x[idx] - shift) ** (m + 1)) / (m + 1)
+    return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner))
 
 
 def _derivative(coef, scale=1):
@@ -89,33 +91,40 @@ def _moment_convolution(x, rho, pieces, y):
     With g+ and g- the gradient pieces, Taylor expansion of g(Y - Z) about the
     support centre gives, with L_m(y) = int_{z<y} Z^m rho and T_m its total,
     sum_m (-1)^m / m! [(g+ - g-)^(m)(Y) L_m(y) + g-^(m)(Y) T_m], O(N) per moment.
+    ``y = None`` evaluates at the particles, where L_m is the prefix sum itself
+    (the partial-cell term is exactly 0.0), so no point is searched for.
     """
     g_neg = _derivative(pieces[0])
     g_jump = [p - n for p, n in zip_longest(_derivative(pieces[1]), g_neg, fillvalue=0.0)]
-    C = step_cdf_arrays(x, rho, y)
-    M = float(np.sum(rho * np.diff(x)))
     shift = 0.5 * (x[0] + x[-1])
-    Y = y - shift
+    Y = (x if y is None else y) - shift
+    mass, cum = _prefix_sums(x, rho, 0, shift)
+    C = cum if y is None else step_cdf_arrays(x, rho, y, cum)
+    M = float(np.sum(mass))
     out = _poly(g_jump, Y) * C + _poly(g_neg, Y) * M
     for m in range(1, len(g_jump)):
         g_jump, g_neg = _derivative(g_jump, m), _derivative(g_neg, m)
-        L, T = _prefix_moment(x, rho, y, m, shift)
-        out = out + (-1) ** m * (_poly(g_jump, Y) * L + _poly(g_neg, Y) * T)
+        _, cum = _prefix_sums(x, rho, m, shift)
+        L = cum if y is None else _prefix_moment(x, rho, y, m, shift, cum)
+        out = out + (-1) ** m * (_poly(g_jump, Y) * L + _poly(g_neg, Y) * cum[-1])
     return out
 
 
-def convolve_dxW_arrays(t, x, rho, s: Scenario, y):
+def convolve_dxW_arrays(t, x, rho, s: Scenario, y=None):
     """(dxW * rhobar)(y) = sum_j rho_j [W(y - x_j) - W(y - x_{j+1})], exact for
     step densities: by prefix moments when the potential declares polynomial
-    pieces, by the (len(y), N+1) difference matrix otherwise."""
+    pieces, by the (len(y), N+1) difference matrix otherwise.  ``y = None``
+    means at the particles ``x``."""
     pot = s.potential
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y is not None:
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+    at = x if y is None else y
     if pot.is_zero:
-        return np.zeros_like(y)
+        return np.zeros_like(at)
     if pot.pieces is not None:
         out = _moment_convolution(x, rho, pot.pieces, y)
     else:
-        wd = pot.W(y[:, None] - x[None, :])
+        wd = pot.W(at[:, None] - x[None, :])
         out = (wd[:, :-1] - wd[:, 1:]) @ rho
     return out * pot.factor(t)
 
@@ -137,22 +146,18 @@ def convolve_dxW(p: ParticleSystem, s: Scenario, y):
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
 
-def u_field_arrays(t, x, rho, s: Scenario, y):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return np.asarray(s.advection.V(t, y), dtype=float) - convolve_dxW_arrays(t, x, rho, s, y)
+def u_field_arrays(t, x, rho, s: Scenario, y=None):
+    """U = V - dxW * rhobar at ``y``; ``y = None`` means at the particles ``x``."""
+    if y is not None:
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+    V = s.advection.V(t, x if y is None else y)
+    return np.asarray(V, dtype=float) - convolve_dxW_arrays(t, x, rho, s, y)
 
 
 def free_velocity(p: ParticleSystem, s: Scenario) -> np.ndarray:
     """U_i = V(t, x_i) - (dxW * rhobar)(t, x_i) for i = 0..N."""
     rho = p.q / np.diff(p.x)
-    return u_field_arrays(p.t, p.x, rho, s, p.x)
-
-
-def u_field(p: ParticleSystem, s: Scenario, y):
-    """Free velocity field evaluated off-particle (residual quadrature)."""
-    rho = p.q / np.diff(p.x)
-    out = u_field_arrays(p.t, p.x, rho, s, y)
-    return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
+    return u_field_arrays(p.t, p.x, rho, s)
 
 
 def upwind_congestion(p: ParticleSystem, s: Scenario, U: np.ndarray) -> np.ndarray:
@@ -167,8 +172,10 @@ def upwind_congestion(p: ParticleSystem, s: Scenario, U: np.ndarray) -> np.ndarr
 
 def _upwind_arrays(rho, s: Scenario, U):
     rho_ext = np.concatenate(([0.0], rho, [0.0]))
-    v = s.congestion.v
-    return np.where(U >= 0.0, v(rho_ext[1:]), v(rho_ext[:-1]))
+    vr = np.asarray(s.congestion.v(rho_ext), dtype=float)
+    if vr.ndim == 0:  # a constant v may return a scalar
+        vr = np.full(rho_ext.shape, vr)
+    return np.where(U >= 0.0, vr[1:], vr[:-1])
 
 
 def source_rate_arrays(t, x, rho, s: Scenario):
@@ -192,7 +199,7 @@ def rhs_arrays(t, x, q, s: Scenario):
     """Array-level RHS used by the integrator hot loop; raises StageFailure on
     transiently invalid intermediate states."""
     gaps, rho = _gaps_heights(x, q)
-    U = u_field_arrays(t, x, rho, s, x)
+    U = u_field_arrays(t, x, rho, s)
     v_sel = _upwind_arrays(rho, s, U)
     xdot = v_sel * U
     qdot = source_rate_arrays(t, x, rho, s)

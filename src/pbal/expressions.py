@@ -54,6 +54,20 @@ def _broadcast(value, args):
     return np.full(np.broadcast_shapes(*(np.shape(a) for a in args)), float(value))
 
 
+def finite_float(value, what):
+    """``value`` as a float; a value that is not a number, is too large for a
+    float, or is NaN or infinite is a format error naming ``what``."""
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{what} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ScenarioFormatError(f"{what} is not a real number: {value!r}") from None
+    if not np.isfinite(out):
+        raise ScenarioFormatError(f"{what} is not finite: {out}")
+    return out
+
+
 def constant(value):
     """Callable of any arguments returning ``value``, broadcast against them."""
     v = float(value)
@@ -143,12 +157,13 @@ class _FloatConstants(ast.NodeTransformer):
 
     def _constant(self, node, op, *values):
         try:
-            value = float(op(*values))
-        except (ArithmeticError, TypeError) as exc:
-            # TypeError: a negative number to a fractional power is complex
+            value = op(*values)
+        except ArithmeticError as exc:
             raise ScenarioFormatError(
                 f"expression {self.text!r} has a constant part with no float value: {exc}"
             ) from None
+        # a negative number to a fractional power is complex: not a real number
+        value = finite_float(value, f"a constant part of expression {self.text!r}")
         return ast.copy_location(ast.Constant(value), node)
 
 
@@ -158,7 +173,7 @@ def compile_expression(text, variables):
     The returned callable takes the variables positionally, in the order given.
     """
     if isinstance(text, (int, float)):
-        return constant(text)
+        return constant(finite_float(text, "a numeric expression"))
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:

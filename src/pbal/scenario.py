@@ -337,6 +337,15 @@ def builtin_catalog(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # scenario files (JSON with expression strings)
 
+def _rows(path, where, rows, width):
+    """``rows``, a list of ``width``-number lists, as a (len, width) float array."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == width for r in rows):
+        raise ScenarioFormatError(f"{path}: {where} must be a list of rows of {width} numbers")
+    values = [expressions.finite_float(v, f"{path}: {where}[{i}]")
+              for i, row in enumerate(rows) for v in row]
+    return np.array(values).reshape(len(rows), width)
+
+
 def _expr(section, key, variables, default=None, required=False):
     if key not in section:
         if required:
@@ -434,7 +443,7 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
 
     congestion = Congestion(
         v=_expr(con_d, "v", ("r",), required=True),
-        v_sup=float(con_d.get("v_sup", 1.0)),
+        v_sup=expressions.finite_float(con_d.get("v_sup", 1.0), f"{path}: congestion.v_sup"),
         vprime_bound=_expr(con_d, "vprime_bound", ("r",), default="0"),
         decay_g=_expr(con_d, "decay_g", ("r",)),
     )
@@ -454,7 +463,8 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         jump = float(dxp(0.0)) - float(dxn(0.0))
         atom_fn = _const(jump) if time_factor is None else (lambda t: jump * time_factor(t))
     else:
-        atom_fn = _const(atom) if isinstance(atom, (int, float)) else expressions.compile_expression(atom, ("t",))
+        atom_fn = (_const(expressions.finite_float(atom, f"{path}: potential.atom_w"))
+                   if isinstance(atom, (int, float)) else expressions.compile_expression(atom, ("t",)))
     potential = Potential(
         W=expressions.compile_expression(w_expr, ("x",)),
         dxW_neg=dxn,
@@ -468,7 +478,7 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         _check_against_pieces(potential, path)
     source = Source(
         f=_expr(src_d, "f", ("t", "x", "rho"), default="0"),
-        c_f=float(src_d.get("c_f", 0.0)),
+        c_f=expressions.finite_float(src_d.get("c_f", 0.0), f"{path}: source.c_f"),
         drho_f_bound=_expr(src_d, "drho_f_bound", ("r",), default="0"),
     )
     branch_txt = str(meta.get("branch", "w_repulsive")).lower()
@@ -494,10 +504,11 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     rho0 = None
     init_cfg = meta.get("initial")
     if init_cfg is not None:
-        if "blocks" in init_cfg:
-            rho0 = InitialDensity.from_blocks(init_cfg["blocks"])
-        elif "samples" in init_cfg:
-            pts = np.asarray(init_cfg["samples"], dtype=float)
+        if isinstance(init_cfg, dict) and "blocks" in init_cfg:
+            rho0 = InitialDensity.from_blocks(
+                _rows(path, "metadata.initial.blocks", init_cfg["blocks"], 3))
+        elif isinstance(init_cfg, dict) and "samples" in init_cfg:
+            pts = _rows(path, "metadata.initial.samples", init_cfg["samples"], 2)
             rho0 = InitialDensity.from_samples(pts[:, 0], pts[:, 1])
         else:
             raise ScenarioFormatError(f"{path}: metadata.initial needs 'blocks' or 'samples'")

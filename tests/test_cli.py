@@ -300,6 +300,28 @@ def test_unknown_scenario_key_exit_2(tmp_path, capsys, section, typo):
     assert repr(next(iter(typo))) in err and section in err
 
 
+@pytest.mark.parametrize("section, body", [
+    ("congestion", {"v_sup": 10**400}),
+    ("advection", {"V": 10**400}),
+    ("potential", {"atom_w": -(10**400)}),
+    ("metadata", {"initial": {"blocks": [[-0.6, 0.6, 10**400]]}}),
+    ("congestion", {"v_sup": float("nan")}),
+    ("source", {"c_f": float("nan")}),
+    ("metadata", {"initial": {"samples": [[0.0, 1.0], [float("nan"), 0.0]]}}),
+    ("congestion", {"v_sup": float("inf")}),
+    ("source", {"c_f": float("inf")}),
+    ("potential", {"atom_w": float("-inf")}),
+], ids=["v_sup-huge", "V-huge", "atom_w-huge", "blocks-huge", "v_sup-NaN", "c_f-NaN",
+        "samples-NaN", "v_sup-Infinity", "c_f-Infinity", "atom_w-Infinity"])
+def test_non_finite_scenario_number_exit_2(tmp_path, capsys, section, body):
+    # json writes these as a 401-digit integer, NaN and Infinity
+    path = _file_scenario(tmp_path, **{section: body})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "too large for a float" in err or "not finite" in err
+
+
 def test_overflowing_constant_exit_2(tmp_path, capsys):
     # the constant folds to a float overflow when the file is loaded; no
     # integer tower is ever built

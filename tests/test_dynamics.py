@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,9 +9,10 @@ from numpy.polynomial import polynomial as P
 from pbal import (ParticleSystem, builtin_catalog, convolve_dxW, dxU_field,
                   free_velocity, rhs, source_rate, upwind_congestion)
 from pbal.dynamics import convolve_dxW_generic
+from pbal.expressions import compile_expression
 from pbal.diagnostics import good_v_violations_state
 from pbal import dynamics
-from pbal.scenario import Branch, Potential, Source
+from pbal.scenario import Branch, Potential, Source, load_scenario
 
 from conftest import (catalog_run, make_scenario, quadratic_potential,
                       random_particles, zero_field_scenario)
@@ -102,6 +105,46 @@ def test_convolve_polynomial_pieces_match_generic(c0, w_neg, w_pos, x, heights,
     assert np.all(np.abs(fast - generic) <= 1e-12 * np.maximum(1.0, np.abs(generic)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=_coef,
+    w_neg=st.lists(_coef, min_size=0, max_size=4),
+    w_pos=st.lists(_coef, min_size=0, max_size=4),
+    x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=41, unique=True),
+    heights=st.lists(st.floats(1e-3, 5.0), min_size=40, max_size=40),
+    factor=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+)
+def test_particle_path_equals_search_path(c0, w_neg, w_pos, x, heights, factor):
+    # at the particles the prefix sums are read directly; the searched path
+    # adds a partial-cell term that is exactly 0.0 there, so the bits agree
+    neg, pos = (c0, *w_neg), (c0, *w_pos)
+    pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
+                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
+                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
+                    dx2W=lambda u: 0.0 * u, atom_w=lambda t: 0.0, pieces=(neg, pos),
+                    time_factor=None if factor is None else (lambda t: factor * (1.0 + t)))
+    s = make_scenario(potential=pot)
+    x = np.sort(np.asarray(x))
+    assume(np.min(np.diff(x)) > 1e-9)
+    rho = np.asarray(heights[: x.size - 1])
+    at_particles = dynamics.convolve_dxW_arrays(0.7, x, rho, s)
+    searched = dynamics.convolve_dxW_arrays(0.7, x, rho, s, x)
+    assert np.array_equal(at_particles, searched)
+
+
+def test_rhs_does_not_search_for_the_particles(monkeypatch, rng):
+    # the hot loop must read the prefix sums, never fall back to the search
+    def searched(*args, **kwargs):
+        raise AssertionError("rhs_arrays located the particles by search")
+
+    monkeypatch.setattr(dynamics, "step_cdf_arrays", searched)
+    monkeypatch.setattr(dynamics, "_prefix_moment", searched)
+    p = random_particles(rng, 20)
+    for s in (quad_scenario(), builtin_catalog("attractive_congested")):
+        xdot, _, U, _ = dynamics.rhs_arrays(0.0, p.x, p.q, s)
+        assert np.all(np.isfinite(xdot)) and np.all(np.isfinite(U))
+
+
 def test_convolve_mass_homogeneity(rng):
     s = quad_scenario()
     p = random_particles(rng, 10)
@@ -165,6 +208,38 @@ def test_upwind_tie_goes_downstream():
     assert v_sel[2] == pytest.approx(1.0)  # v(rho_3 = 0) at the right boundary
 
 
+def _upwind_two_calls(rho, v, U):
+    # the congestion factor looked up with one v call per side
+    rho_ext = np.concatenate(([0.0], rho, [0.0]))
+    return np.where(U >= 0.0, v(rho_ext[1:]), v(rho_ext[:-1]))
+
+
+@pytest.mark.parametrize("v", [
+    builtin_catalog("attractive_congested").congestion.v,
+    builtin_catalog("repulsive_source").congestion.v,
+    builtin_catalog("transport").congestion.v,
+    compile_expression("max(1 - r, 0)", ("r",)),
+    compile_expression("1/(1 + r)**2", ("r",)),
+    compile_expression("0.5", ("r",)),
+    compile_expression(2.0, ("r",)),
+], ids=["attractive", "repulsive", "transport", "expr_linear", "expr_rational",
+        "expr_const_text", "expr_const_number"])
+def test_upwind_one_call_matches_two_calls(rng, v):
+    s = make_scenario(v=v)
+    for n in (1, 2, 17):
+        rho = rng.uniform(0.0, 2.0, n)
+        U = rng.choice([-1.0, 0.0, 1.0], n + 1) * rng.uniform(0.1, 1.0, n + 1)
+        got = dynamics._upwind_arrays(rho, s, U)
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got, _upwind_two_calls(rho, v, U))
+
+
+def test_upwind_scalar_valued_v():
+    s = make_scenario(v=lambda r: 0.25)
+    U = np.array([-1.0, 0.0, 1.0])
+    assert np.array_equal(dynamics._upwind_arrays(np.array([0.5, 1.5]), s, U), np.full(3, 0.25))
+
+
 # ------------------------------------------------------------------- source
 
 def test_source_linear_in_rho():
@@ -212,6 +287,42 @@ def test_rhs_repulsive_spreads():
     p = ParticleSystem(0.0, [-1.0, 0.0, 1.0], [0.5, 0.5])
     ev = rhs(p, s)
     assert ev.xdot[0] < 0 < ev.xdot[-1]
+
+
+def _file_scenarios(tmp_path):
+    base = {
+        "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+        "advection": {"V": "0.3*x", "dxV": "0.3", "F": "2", "G": "1 + r", "lambda": "1 + r"},
+        "potential": {"W": "-abs(x)", "dxW_neg": "1", "dxW_pos": "-1", "atom_w": -2.0},
+        "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1"},
+    }
+    quadratic = dict(base, potential={"W": "0.5*x**2 - abs(x)", "dxW_neg": "x + 1",
+                                      "dxW_pos": "x - 1", "time_factor": "1 + t"})
+    generic = dict(base, potential={"W": "exp(-abs(x))", "dxW_neg": "exp(x)",
+                                    "dxW_pos": "-exp(-x)", "atom_w": -2.0})
+    out = []
+    for k, doc in enumerate((base, quadratic, generic)):
+        path = tmp_path / f"scenario{k}.json"
+        path.write_text(json.dumps(doc))
+        out.append(load_scenario(path)[0])
+    return out
+
+
+def test_rhs_matches_searched_field_and_two_call_upwind(tmp_path, rng):
+    scenarios = [builtin_catalog("attractive_congested"), builtin_catalog("repulsive_source"),
+                 *_file_scenarios(tmp_path)]
+    assert scenarios[-1].potential.pieces is None
+    for s in scenarios:
+        for n in (1, 7, 40):
+            p = random_particles(rng, n)
+            rho = p.q / np.diff(p.x)
+            xdot, qdot, U, v_sel = dynamics.rhs_arrays(0.4, p.x, p.q, s)
+            U_ref = dynamics.u_field_arrays(0.4, p.x, rho, s, p.x)
+            v_ref = _upwind_two_calls(rho, s.congestion.v, U_ref)
+            assert np.array_equal(U, U_ref), s.name
+            assert np.array_equal(v_sel, v_ref), s.name
+            assert np.array_equal(xdot, v_ref * U_ref), s.name
+            assert np.array_equal(qdot, dynamics.source_rate_arrays(0.4, p.x, rho, s))
 
 
 # ---------------------------------------------------------------- dxU field

@@ -51,7 +51,8 @@ def test_expression_numbers_are_floats():
     assert compile_expression("-2**2 + x", ("x",))(0.0) == -4.0
 
 
-@pytest.mark.parametrize("text", ["x + 9**9**9", "x + 2**2**20", "x + 1/(1 - 1)", "(-8)**(1/3) + x"])
+@pytest.mark.parametrize("text", ["x + 9**9**9", "x + 2**2**20", "x + 1/(1 - 1)", "(-8)**(1/3) + x",
+                                  "x + 1e400", "x + 1e308*10"])
 def test_expression_constant_without_float_value_rejected(text):
     # folded at compile time in float arithmetic: an error within a second,
     # never a big-int evaluation
