@@ -38,10 +38,6 @@ class CollisionExtinctionError(NumericalFailureError):
         self.index = index
 
 
-class EnvelopeBlowupError(NumericalFailureError):
-    """A-priori envelope ODE blew up before the requested horizon."""
-
-
 class GridEscapeError(NumericalFailureError):
     """Finite-volume solution reached the boundary of the grid."""
 

@@ -1,13 +1,16 @@
 """Adaptive explicit time integration of the particle system.
 
-Embedded Dormand-Prince 5(4) pair with a standard proportional controller,
-growth clamped to 5x per step.  The right-hand side is only piecewise smooth
-(the upwind branch switches when a free velocity crosses zero), so a step
-whose endpoint sign pattern disagrees with its start is halved down to
-``min_step`` and then accepted; accuracy is first order locally at switching
-times.  Ordering and mass positivity are enforced on every accepted step.
-Snapshots are genuine scheme states: step endpoints are forced onto the
-requested snapshot times, never interpolated.
+``integrate`` and the scalar envelope solver share one embedded
+Dormand-Prince 5(4) core with FSAL and Hairer's DOPRI5 PI step-size
+controller (no growth right after a rejection).  The particle system is
+stability-limited, where a proportional controller oscillates.  Step
+endpoints are forced onto the snapshot times, so snapshots are genuine scheme
+states; a step shortened to land on one leaves the controller's proposal and
+error history alone.  The right-hand side is only piecewise smooth: a step
+whose upwind sign pattern flips is halved down to ``min_step`` and then
+accepted (locally first order at switching times).  A degenerate stage state
+or a near-collision halves the step, and at the step floor raises
+``CollisionExtinctionError``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import dynamics
 from .density import ParticleSystem
-from .errors import CollisionExtinctionError, EnvelopeBlowupError
+from .errors import CollisionExtinctionError
 from .scenario import Scenario
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
@@ -40,6 +43,10 @@ _E = _B5 - _B4
 MAX_GROWTH = 5.0
 MIN_SHRINK = 0.2
 SAFETY = 0.9
+# PI controller exponents (Hairer's DOPRI5): err**-ALPHA * err_old**BETA.
+BETA = 0.08
+ALPHA = 0.2 - 0.75 * BETA
+ERR_OLD_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -104,41 +111,93 @@ class Trajectory:
         raise KeyError(f"no snapshot at t = {t}")
 
 
-def step_guard(x_next, q_next, cfg: SolverConfig):
-    """Check a candidate state for ordering and mass positivity.
+def step_guard(x_next, cfg: SolverConfig):
+    """Check a candidate state's ordering: no gap below ``guard_gap`` times the span.
 
-    Returns ``(ok, reason, index)``: the index of the offending gap or cell
-    mass, None when the state is accepted.
+    Returns ``(ok, reason, index)``: the index of the offending gap, None when
+    the state is accepted.  Mass positivity needs no check here: a state with
+    a non-positive cell mass fails its FSAL stage evaluation first.
     """
     gaps = np.diff(x_next)
     span = x_next[-1] - x_next[0]
     if span <= 0 or np.any(gaps < cfg.guard_gap * span):
         i = int(np.argmin(gaps))
         return False, f"ordering: gap {gaps[i]:.3e} at index {i}", i
-    if np.any(q_next <= 0.0):
-        i = int(np.argmin(q_next))
-        return False, f"mass: q[{i}] = {q_next[i]:.3e} <= 0", i
     return True, "", None
 
 
-def _sign_pattern(U, scale):
-    band = 1e-12 * scale
-    return np.where(U > band, 1, np.where(U < -band, -1, 0))
-
-
 def _switch_between(U0, U1):
-    scale = max(1.0, float(np.max(np.abs(U0))), float(np.max(np.abs(U1))))
-    s0 = _sign_pattern(U0, scale)
-    s1 = _sign_pattern(U1, scale)
-    return bool(np.any(s0 * s1 < 0))
+    band = 1e-12 * max(1.0, float(np.max(np.abs(U0))), float(np.max(np.abs(U1))))
+    return bool(np.any((U0 > band) & (U1 < -band) | (U0 < -band) & (U1 > band)))
+
+
+def _growth(err, err_old):
+    """PI step-size factor; ``err_old = 1`` gives the P factor of a rejection."""
+    if err == 0.0:
+        return MAX_GROWTH
+    return min(MAX_GROWTH, max(MIN_SHRINK, SAFETY * err ** -ALPHA * err_old ** BETA))
+
+
+_SHRINK, _HALVE = "shrink", "halve"  # a judge's verdicts on a rejected step
+
+
+def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=()):
+    """Dormand-Prince 5(4) steps from ``(t, y)`` through the increasing ``stops``.
+
+    ``f(t, y)`` returns ``(dy/dt, aux)``.  ``judge(t, h, y_new, aux, aux_new,
+    err, failure)`` holds the caller's rejection rules: None accepts the step,
+    ``_SHRINK``/``_HALVE`` reject it, raising stops.  ``failure`` is a stage's
+    ``stage_errors`` exception (``y_new``, ``aux_new``, ``err`` are None then).
+    Yields ``(t, y, n)`` at the start and after every accepted step, ``n`` the
+    number of stops reached, each exactly.
+    """
+    def advance(j):
+        while j < len(stops) and stops[j] <= t + 1e-14 * max(1.0, abs(stops[j])):
+            j += 1
+        return j
+
+    j = advance(0)
+    yield t, y, j
+    if j == len(stops):
+        return
+    dy, aux = f(t, y)
+    k = np.empty((7,) + np.shape(y))
+    err_old, after_reject = ERR_OLD_FLOOR, False
+    h = min(h, max_step)
+    while j < len(stops):
+        remaining = stops[j] - t
+        hit = h >= remaining - 1e-14 * max(1.0, abs(stops[j]))
+        h_try = min(h, remaining)
+        k[0] = dy
+        try:
+            for i in range(1, 6):
+                k[i], _ = f(t + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
+            y_new = y + h_try * (k[:6].T @ _A[6])
+            k[6], aux_new = f(t + h_try, y_new)
+        except stage_errors as exc:
+            verdict = judge(t, h_try, None, aux, None, None, exc)
+        else:
+            err = norm(y, y_new, h_try * (k.T @ _E))
+            verdict = judge(t, h_try, y_new, aux, aux_new, err, None)
+        if verdict is not None:
+            after_reject = True
+            h = max(h_try * (_growth(err, 1.0) if verdict is _SHRINK else 0.5), min_step)
+            continue
+        t = stops[j] if hit else t + h_try
+        y, dy, aux = y_new, k[6].copy(), aux_new  # a copy: a retry overwrites k[6]
+        if h_try == h:
+            # a step shortened onto a stop does not feed the controller
+            growth = _growth(err, err_old)
+            h = min(max_step, max(h_try * (min(growth, 1.0) if after_reject else growth), min_step))
+            err_old, after_reject = max(err, ERR_OLD_FLOOR), False
+        j = advance(j)
+        yield t, y, j
 
 
 def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     """Advance the system to ``cfg.t_end`` recording states at the snapshot times."""
     max_step, min_step, snaps = cfg.resolved()
     n = p0.n
-    y = np.concatenate((p0.x, p0.q))
-    t = float(p0.t)
     traj = Trajectory(steps=[] if cfg.store_steps else None)
     stats = traj.step_stats
 
@@ -147,88 +206,48 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
         stats.rhs_evals += 1
         return np.concatenate((xdot, qdot)), U
 
-    snap_iter = list(snaps)
-    while snap_iter and abs(snap_iter[0] - t) <= 1e-14 * max(1.0, abs(t)):
-        traj.snapshots.append(ParticleSystem(t=t, x=y[: n + 1], q=y[n + 1:]))
-        snap_iter.pop(0)
-    if cfg.store_steps:
-        traj.steps.append(ParticleSystem(t=t, x=y[: n + 1], q=y[n + 1:]))
-
-    k1, U1 = f_eval(t, y)
-    h = min(max_step, cfg.t_end - t)
-    k = np.empty((7, y.size))
-
-    while t < cfg.t_end * (1 - 1e-15):
-        next_stop = snap_iter[0] if snap_iter else cfg.t_end
-        h = min(h, max_step, next_stop - t)
-        hit_stop = h >= next_stop - t - 1e-14 * max(1.0, next_stop)
-
-        k[0] = k1
-        failed_stage = None
-        try:
-            for i in range(1, 6):
-                yi = y + h * (k[:i].T @ _A[i])
-                k[i], _ = f_eval(t + _C[i] * h, yi)
-            y5 = y + h * (k[:6].T @ _A[6])
-            k[6], U7 = f_eval(t + h, y5)
-        except dynamics.StageFailure as exc:
-            failed_stage = exc
-
-        if failed_stage is not None:
-            stats.rejected_guard += 1
-            if h <= min_step * (1 + 1e-9):
-                raise CollisionExtinctionError(
-                    f"step underflow at t = {t:.6g}: intermediate state degenerate "
-                    f"({failed_stage} at index {failed_stage.index})",
-                    t=t, index=failed_stage.index,
-                )
-            h = max(0.5 * h, min_step)
-            continue
-
-        err_vec = h * (k.T @ _E)
+    def norm(y, y5, err_vec):
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        return float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
-        if err > 1.0:
-            stats.rejected_error += 1
-            if h <= min_step * (1 + 1e-9):
-                raise CollisionExtinctionError(
-                    f"step underflow at t = {t:.6g}: error control cannot converge", t=t
-                )
-            h = max(h * max(MIN_SHRINK, SAFETY * err ** -0.2), min_step)
-            continue
-
-        ok, reason, bad = step_guard(y5[: n + 1], y5[n + 1:], cfg)
-        if not ok:
+    def judge(t, h, y5, U1, U7, err, failure):
+        at_floor = h <= min_step * (1 + 1e-9)
+        if failure is not None:
             stats.rejected_guard += 1
-            if h <= min_step * (1 + 1e-9):
-                raise CollisionExtinctionError(
-                    f"collision/extinction at t = {t:.6g} ({reason})", t=t, index=bad
-                )
-            h = max(0.5 * h, min_step)
-            continue
+            verdict, index = _HALVE, failure.index
+            why = (f"step underflow at t = {t:.6g}: intermediate state degenerate "
+                   f"({failure} at index {index})")
+        elif err > 1.0:
+            stats.rejected_error += 1
+            verdict, index = _SHRINK, None
+            why = f"step underflow at t = {t:.6g}: error control cannot converge"
+        else:
+            ok, reason, index = step_guard(y5[: n + 1], cfg)
+            if ok:
+                if at_floor or not _switch_between(U1, U7):
+                    stats.accepted += 1
+                    return None
+                # Upwind branch flips inside the step: halve until the endpoint
+                # patterns agree or the step floor is reached (then accept).
+                stats.rejected_switch += 1
+                return _HALVE
+            stats.rejected_guard += 1
+            verdict, why = _HALVE, f"collision/extinction at t = {t:.6g} ({reason})"
+        if at_floor:
+            raise CollisionExtinctionError(why, t=t, index=index)
+        return verdict
 
-        if _switch_between(U1, U7) and h > min_step * (1 + 1e-9):
-            # Upwind branch flips inside the step: halve until the endpoint
-            # patterns agree or the step floor is reached (then accept).
-            stats.rejected_switch += 1
-            h = max(0.5 * h, min_step)
-            continue
-
-        # accepted
-        stats.accepted += 1
-        t = next_stop if hit_stop else t + h
-        y = y5
-        k1 = k[6]
-        U1 = U7
+    stops = [*snaps, cfg.t_end]
+    recorded = 0
+    steps = _dopri5(f_eval, float(p0.t), np.concatenate((p0.x, p0.q)), stops,
+                    cfg.t_end - p0.t, max_step, min_step, norm, judge,
+                    stage_errors=dynamics.StageFailure)
+    for t, y, reached in steps:
         if cfg.store_steps:
             traj.steps.append(ParticleSystem(t=t, x=y[: n + 1], q=y[n + 1:]))
-        while snap_iter and t >= snap_iter[0] - 1e-14 * max(1.0, snap_iter[0]):
-            traj.snapshots.append(ParticleSystem(t=snap_iter[0], x=y[: n + 1], q=y[n + 1:]))
-            snap_iter.pop(0)
-        growth = MAX_GROWTH if err == 0.0 else min(MAX_GROWTH, max(MIN_SHRINK, SAFETY * err ** -0.2))
-        h = min(max_step, max(h * growth, min_step))
-
+        for ts in snaps[recorded:reached]:
+            traj.snapshots.append(ParticleSystem(t=ts, x=y[: n + 1], q=y[n + 1:]))
+        recorded = reached
     return traj
 
 
@@ -241,45 +260,24 @@ def solve_scalar_ode(g, t0, y0, t_eval, rel_tol=1e-8, abs_tol=1e-8, blowup=1e14)
     """
     t_eval = np.asarray(t_eval, dtype=float)
     out = np.full(t_eval.size, np.inf)
-    t = float(t0)
-    y = float(y0)
-    idx = 0
-    while idx < t_eval.size and t_eval[idx] <= t + 1e-14 * max(1.0, abs(t)):
-        out[idx] = y
-        idx += 1
-    if idx >= t_eval.size:
-        return out
-    t_end = float(t_eval[-1])
-    h = (t_end - t) / 50.0
-    min_step = 1e-13 * max(1.0, t_end - t)
-    k = np.empty(7)
-    k[0] = g(t, y)
-    while t < t_end * (1 - 1e-15) and idx < t_eval.size:
-        next_stop = t_eval[idx]
-        h = min(h, next_stop - t) if next_stop > t else h
-        hit = h >= next_stop - t - 1e-14 * max(1.0, next_stop)
-        try:
-            for i in range(1, 6):
-                k[i] = g(t + _C[i] * h, y + h * float(k[:i] @ _A[i]))
-            y5 = y + h * float(k[:6] @ _A[6])
-            k[6] = g(t + h, y5)
-        except (OverflowError, FloatingPointError):
-            return out
+    span = float(t_eval[-1]) - t0 if t_eval.size else 0.0
+    min_step = 1e-13 * max(1.0, span)
+
+    def norm(y, y5, err_vec):
+        return abs(float(err_vec)) / (abs_tol + rel_tol * max(abs(y), abs(y5)))
+
+    def judge(t, h, y5, _, __, err, failure):
         if not np.isfinite(y5) or abs(y5) > blowup:
-            return out
-        err_val = abs(h * float(k @ _E)) / (abs_tol + rel_tol * max(abs(y), abs(y5)))
-        if err_val > 1.0 and h > min_step:
-            h = max(h * max(MIN_SHRINK, SAFETY * err_val ** -0.2), min_step)
-            k[0] = g(t, y)
-            continue
-        t = next_stop if hit else t + h
-        y = y5
-        k[0] = k[6]
-        while idx < t_eval.size and t >= t_eval[idx] - 1e-14 * max(1.0, t_eval[idx]):
-            out[idx] = y
-            idx += 1
-        growth = MAX_GROWTH if err_val == 0.0 else min(MAX_GROWTH, max(MIN_SHRINK, SAFETY * err_val ** -0.2))
-        h = max(h * growth, min_step)
-    if idx < t_eval.size and not np.isfinite(out[idx]):
-        raise EnvelopeBlowupError(f"envelope solution exceeded {blowup:g} before t = {t_end}")
+            raise OverflowError  # blow-up: the rest of ``out`` stays inf
+        return _SHRINK if err > 1.0 and h > min_step else None
+
+    steps = _dopri5(lambda t, y: (g(t, float(y)), None), float(t0), float(y0), t_eval,
+                    span / 50.0, np.inf, min_step, norm, judge)
+    done = 0
+    try:
+        for _, y, reached in steps:
+            out[done:reached] = y
+            done = reached
+    except (OverflowError, FloatingPointError):
+        pass
     return out

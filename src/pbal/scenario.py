@@ -9,6 +9,7 @@ arrays in their spatial/density arguments.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -346,14 +347,17 @@ def _rows(path, where, rows, width):
     return np.array(values).reshape(len(rows), width)
 
 
-def _expr(section, key, variables, default=None, required=False):
-    if key not in section:
+def _expr(path, doc, section, key, variables, default=None, required=False):
+    """Compile ``doc[section][key]`` (else ``default``); errors name ``path: section.key``."""
+    text = doc[section].get(key, default)
+    if text is None:
         if required:
-            raise ScenarioFormatError(f"missing required field {key!r}")
-        if default is None:
-            return None
-        return expressions.compile_expression(default, variables)
-    return expressions.compile_expression(section[key], variables)
+            raise ScenarioFormatError(f"{path}: missing required field {section}.{key}")
+        return None
+    try:
+        return expressions.compile_expression(text, variables)
+    except ScenarioFormatError as exc:
+        raise ScenarioFormatError(f"{path}: {section}.{key}: {exc}") from None
 
 
 # Points (mirrored for dxW_neg) and times at which declared gradient branches
@@ -439,37 +443,38 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
             raise ScenarioFormatError(f"{path}: section {section!r} must be an object")
         _reject_unknown(path, f"section {section!r}", doc[section], keys)
 
-    con_d, adv_d, pot_d, src_d, meta = (doc[k] for k in SCHEMA)
+    con_d, _, pot_d, src_d, meta = (doc[k] for k in SCHEMA)
+    expr = functools.partial(_expr, path, doc)
 
     congestion = Congestion(
-        v=_expr(con_d, "v", ("r",), required=True),
+        v=expr("congestion", "v", ("r",), required=True),
         v_sup=expressions.finite_float(con_d.get("v_sup", 1.0), f"{path}: congestion.v_sup"),
-        vprime_bound=_expr(con_d, "vprime_bound", ("r",), default="0"),
-        decay_g=_expr(con_d, "decay_g", ("r",)),
+        vprime_bound=expr("congestion", "vprime_bound", ("r",), default="0"),
+        decay_g=expr("congestion", "decay_g", ("r",)),
     )
     advection = Advection(
-        V=_expr(adv_d, "V", ("t", "x"), default="0"),
-        dxV=_expr(adv_d, "dxV", ("t", "x"), default="0"),
-        growth_F=_expr(adv_d, "F", ("t",), default="1"),
-        growth_G=_expr(adv_d, "G", ("r",), default="1"),
-        growth_lambda=_expr(adv_d, "lambda", ("r",), default="1"),
+        V=expr("advection", "V", ("t", "x"), default="0"),
+        dxV=expr("advection", "dxV", ("t", "x"), default="0"),
+        growth_F=expr("advection", "F", ("t",), default="1"),
+        growth_G=expr("advection", "G", ("r",), default="1"),
+        growth_lambda=expr("advection", "lambda", ("r",), default="1"),
     )
     w_expr = pot_d.get("W", "0")
-    dxn = _expr(pot_d, "dxW_neg", ("x",), default="0")
-    dxp = _expr(pot_d, "dxW_pos", ("x",), default="0")
-    time_factor = _expr(pot_d, "time_factor", ("t",))
+    dxn = expr("potential", "dxW_neg", ("x",), default="0")
+    dxp = expr("potential", "dxW_pos", ("x",), default="0")
+    time_factor = expr("potential", "time_factor", ("t",))
     atom = pot_d.get("atom_w", None)
     if atom is None:
         jump = float(dxp(0.0)) - float(dxn(0.0))
         atom_fn = _const(jump) if time_factor is None else (lambda t: jump * time_factor(t))
     else:
         atom_fn = (_const(expressions.finite_float(atom, f"{path}: potential.atom_w"))
-                   if isinstance(atom, (int, float)) else expressions.compile_expression(atom, ("t",)))
+                   if isinstance(atom, (int, float)) else expr("potential", "atom_w", ("t",)))
     potential = Potential(
-        W=expressions.compile_expression(w_expr, ("x",)),
+        W=expr("potential", "W", ("x",), default="0"),
         dxW_neg=dxn,
         dxW_pos=dxp,
-        dx2W=_expr(pot_d, "dx2W", ("x",), default="0"),
+        dx2W=expr("potential", "dx2W", ("x",), default="0"),
         atom_w=atom_fn,
         time_factor=time_factor,
         pieces=expressions.piecewise_polynomial(w_expr, "x"),
@@ -477,9 +482,9 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     if potential.pieces is not None:
         _check_against_pieces(potential, path)
     source = Source(
-        f=_expr(src_d, "f", ("t", "x", "rho"), default="0"),
+        f=expr("source", "f", ("t", "x", "rho"), default="0"),
         c_f=expressions.finite_float(src_d.get("c_f", 0.0), f"{path}: source.c_f"),
-        drho_f_bound=_expr(src_d, "drho_f_bound", ("r",), default="0"),
+        drho_f_bound=expr("source", "drho_f_bound", ("r",), default="0"),
     )
     branch_txt = str(meta.get("branch", "w_repulsive")).lower()
     try:

@@ -322,6 +322,14 @@ def test_non_finite_scenario_number_exit_2(tmp_path, capsys, section, body):
     assert "too large for a float" in err or "not finite" in err
 
 
+@pytest.mark.parametrize("V", [10**400, "y"], ids=["huge", "unknown-name"])
+def test_expression_error_names_its_key(tmp_path, capsys, V):
+    path = _file_scenario(tmp_path, advection={"V": V})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: advection.V" in capsys.readouterr().err
+
+
 def test_overflowing_constant_exit_2(tmp_path, capsys):
     # the constant folds to a float overflow when the file is loaded; no
     # integer tower is ever built
