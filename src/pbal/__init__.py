@@ -12,10 +12,8 @@ from .density import (ParticleSystem, PiecewiseDensity, cdf, l1_distance,
 from .diagnostics import (EnvelopeCurves, check_bounds, compute_envelopes,
                           entropy_residual, envelope_Q, envelope_R, envelope_S,
                           equicontinuity_modulus, good_v_audit)
-from .dynamics import (RhsEvaluation, convolve_dxW, dxU_field, free_velocity,
-                       rhs, source_rate, upwind_congestion)
 from .initial import InitialDensity, builtin_initial, quantile_init
-from .integrator import SolverConfig, Trajectory, integrate, step_guard
+from .integrator import SolverConfig, Trajectory, integrate
 from .reference import GridConfig, GridState, compare_l1, fv_run, fv_step
 from .scenario import (Advection, Branch, Congestion, Potential, Scenario,
                        Source, builtin_catalog, load_scenario, scenario_validate)
@@ -25,13 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Advection", "Branch", "Congestion", "EnvelopeCurves", "GridConfig",
     "GridState", "InitialDensity", "ParticleSystem", "PiecewiseDensity",
-    "Potential", "RhsEvaluation", "Scenario", "SolverConfig", "Source",
-    "Trajectory", "builtin_catalog", "builtin_initial", "cdf", "check_bounds",
-    "compare_l1", "compute_envelopes", "convolve_dxW", "dxU_field",
-    "entropy_residual", "envelope_Q", "envelope_R", "envelope_S",
-    "equicontinuity_modulus", "free_velocity", "fv_run", "fv_step",
+    "Potential", "Scenario", "SolverConfig", "Source", "Trajectory",
+    "builtin_catalog", "builtin_initial", "cdf", "check_bounds", "compare_l1",
+    "compute_envelopes", "entropy_residual", "envelope_Q", "envelope_R",
+    "envelope_S", "equicontinuity_modulus", "fv_run", "fv_step",
     "good_v_audit", "integrate", "l1_distance", "load_scenario",
-    "pushforward_affine", "quantile", "quantile_init", "rhs",
-    "scenario_validate", "source_rate", "step_guard", "to_density",
-    "total_mass", "total_variation", "upwind_congestion", "w1_distance",
+    "pushforward_affine", "quantile", "quantile_init", "scenario_validate",
+    "to_density", "total_mass", "total_variation", "w1_distance",
 ]

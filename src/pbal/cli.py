@@ -117,11 +117,11 @@ def _space_time_l1(traj_a, traj_b):
 
 
 def cmd_sweep(args):
-    if len(args.n) < 2:
+    ns = sorted(set(args.n))
+    if len(ns) < 2:
         print("sweep needs at least two values of N", file=sys.stderr)
         return EXIT_USAGE
     scenario, rho0 = _resolve_scenario(args.scenario, args.initial)
-    ns = sorted(args.n)
     cfg = _solver_config(args)
     trajs = {n: _run_one(scenario, rho0, n, cfg) for n in ns}
 
@@ -226,7 +226,7 @@ def cmd_validate(args):
     snaps = _snapshot_grid(args.t_end, args.snapshots)
     cfg = _solver_config(args, snapshots=snaps)
     traj = _run_one(scenario, rho0, args.n, cfg, p0=p0)
-    gtraj = fv_run(rho0, scenario, grid, args.t_end, snapshot_times=snaps, flux=args.flux)
+    gtraj = fv_run(rho0, scenario, grid, args.t_end, snapshot_times=snaps)
     table = reference.compare_l1(traj, gtraj, snaps)
 
     mass0 = rho0.total_mass
@@ -249,22 +249,26 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def at_least(low):
+        def integer(text):
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+            return value
+        return integer
+
+    positive_int = at_least(1)
+
     def common(p, snapshots=11):
         p.add_argument("--scenario", required=True,
                        help=f"catalog name ({', '.join(CATALOG_NAMES)}) or scenario file")
         p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
         p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
         p.add_argument("--abs-tol", type=float, default=1e-8, dest="abs_tol")
-        p.add_argument("--snapshots", type=int, default=snapshots,
-                       help="number of equispaced snapshot times")
+        p.add_argument("--snapshots", type=at_least(2), default=snapshots,
+                       help="number of equispaced snapshot times, 0 and t-end included")
         p.add_argument("--initial", default=None,
                        help="two-column CSV (position, value) overriding the initial density")
-
-    def positive_int(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-        return value
 
     p_run = sub.add_parser("run", help="single integration, snapshot CSV + manifest")
     common(p_run)
@@ -294,7 +298,6 @@ def build_parser():
     common(p_val)
     p_val.add_argument("--n", type=positive_int, required=True)
     p_val.add_argument("--j", type=positive_int, required=True, help="grid cell count")
-    p_val.add_argument("--flux", choices=reference.FLUXES, default="mirrored-upwind")
     p_val.add_argument("--x-max", type=float, default=None, dest="x_max",
                        help="grid half-width (checked against the support envelope)")
     p_val.add_argument("--out", default=None)

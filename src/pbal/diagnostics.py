@@ -241,10 +241,6 @@ class BoundsReport:
     records: list
     ok: bool
 
-    def worst(self, check=None):
-        recs = [r for r in self.records if check is None or r.check == check]
-        return min(recs, key=lambda r: r.margin)
-
 
 def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario,
                  rel_slack: float = 1e-6) -> BoundsReport:
@@ -331,10 +327,6 @@ def _c_grid(states):
     return [0.0, r_max / 4.0, r_max / 2.0, 3.0 * r_max / 4.0, r_max, 1.1 * r_max]
 
 
-def default_c_grid(traj: Trajectory):
-    return _c_grid(traj.snapshots)
-
-
 @dataclass
 class EntropyResidualReport:
     residuals: dict            # (phi index, c) -> E(phi, c)
@@ -397,7 +389,7 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     if phis is None:
         phis = default_phi_grid(traj)
     if cs is None:
-        cs = default_c_grid(traj)
+        cs = _c_grid(traj.snapshots)
     t_lo, t_hi = float(times[0]), float(times[-1])
     for tf in phis:
         a, b = tf.t_support
@@ -553,8 +545,9 @@ def good_v_audit(traj: Trajectory, s: Scenario, c_grid=None, slack=1e-10):
         c_grid = _c_grid(states)
     violations = []
     for p in states:
-        U = dynamics.free_velocity(p, s)
-        v_sel = dynamics.upwind_congestion(p, s, U)
+        rho = p.heights
+        U = dynamics.u_field_arrays(p.t, p.x, rho, s)
+        v_sel = dynamics.upwind_arrays(rho, s, U)
         violations.extend(
             good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v, c_grid, slack)
         )

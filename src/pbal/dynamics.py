@@ -9,31 +9,16 @@ integral over the cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .density import ParticleSystem, step_cdf_arrays
-from .errors import DegenerateStateError
+from .density import step_cdf_arrays
 from .scenario import Scenario
 
 # 8-node Gauss-Legendre rule: exact for polynomial integrands up to degree 15.
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-@dataclass(frozen=True)
-class RhsEvaluation:
-    """Assembled derivative of a particle state, with the Eq-level pieces."""
-
-    t: float
-    U: np.ndarray       # free velocities, N+1
-    v_sel: np.ndarray   # upwinded congestion factors, N+1
-    xdot: np.ndarray    # v_sel * U
-    qdot: np.ndarray    # per-cell source integrals, N
-    rho_dot_adv: np.ndarray  # advective part of the cell-density derivative
-    rho_dot_src: np.ndarray  # source part of the cell-density derivative
 
 
 class StageFailure(Exception):
@@ -45,13 +30,13 @@ class StageFailure(Exception):
         self.index = index
 
 
-def _gaps_heights(x, q):
+def _heights(x, q):
     gaps = np.diff(x)
     if not np.all(gaps > 0.0):
         raise StageFailure("non-increasing particle positions", int(np.argmin(gaps)))
     if not np.all(q > 0.0):
         raise StageFailure("non-positive cell mass", int(np.argmin(q)))
-    return gaps, q / gaps
+    return q / gaps
 
 
 def _prefix_sums(x, rho, m, shift):
@@ -116,17 +101,13 @@ def convolve_dxW_arrays(t, x, rho, s: Scenario, y=None):
     pieces, by the (len(y), N+1) difference matrix otherwise.  ``y = None``
     means at the particles ``x``."""
     pot = s.potential
+    if pot.pieces is None:
+        return convolve_dxW_generic(t, x, rho, s, x if y is None else y)
     if y is not None:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-    at = x if y is None else y
     if pot.is_zero:
-        return np.zeros_like(at)
-    if pot.pieces is not None:
-        out = _moment_convolution(x, rho, pot.pieces, y)
-    else:
-        wd = pot.W(at[:, None] - x[None, :])
-        out = (wd[:, :-1] - wd[:, 1:]) @ rho
-    return out * pot.factor(t)
+        return np.zeros_like(x if y is None else y)
+    return _moment_convolution(x, rho, pot.pieces, y) * pot.factor(t)
 
 
 def convolve_dxW_generic(t, x, rho, s: Scenario, y):
@@ -139,13 +120,6 @@ def convolve_dxW_generic(t, x, rho, s: Scenario, y):
     return ((wd[:, :-1] - wd[:, 1:]) @ rho) * pot.factor(t)
 
 
-def convolve_dxW(p: ParticleSystem, s: Scenario, y):
-    """Exact convolution of the potential gradient against the reconstruction."""
-    rho = p.q / np.diff(p.x)
-    out = convolve_dxW_arrays(p.t, p.x, rho, s, y)
-    return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
-
-
 def u_field_arrays(t, x, rho, s: Scenario, y=None):
     """U = V - dxW * rhobar at ``y``; ``y = None`` means at the particles ``x``."""
     if y is not None:
@@ -154,23 +128,12 @@ def u_field_arrays(t, x, rho, s: Scenario, y=None):
     return np.asarray(V, dtype=float) - convolve_dxW_arrays(t, x, rho, s, y)
 
 
-def free_velocity(p: ParticleSystem, s: Scenario) -> np.ndarray:
-    """U_i = V(t, x_i) - (dxW * rhobar)(t, x_i) for i = 0..N."""
-    rho = p.q / np.diff(p.x)
-    return u_field_arrays(p.t, p.x, rho, s)
-
-
-def upwind_congestion(p: ParticleSystem, s: Scenario, U: np.ndarray) -> np.ndarray:
+def upwind_arrays(rho, s: Scenario, U):
     """Congestion factor from the downstream cell (the tie U_i = 0 goes downstream).
 
     The exterior densities rho_0 = rho_{N+1} = 0 apply at the boundary
     indices, so the leading/trailing particle may move at v(0) U.
     """
-    rho = p.q / np.diff(p.x)
-    return _upwind_arrays(rho, s, np.asarray(U, dtype=float))
-
-
-def _upwind_arrays(rho, s: Scenario, U):
     rho_ext = np.concatenate(([0.0], rho, [0.0]))
     vr = np.asarray(s.congestion.v(rho_ext), dtype=float)
     if vr.ndim == 0:  # a constant v may return a scalar
@@ -189,41 +152,15 @@ def source_rate_arrays(t, x, rho, s: Scenario):
     return (vals @ GL_WEIGHTS) * half
 
 
-def source_rate(p: ParticleSystem, s: Scenario) -> np.ndarray:
-    """q_i' as the Gauss-Legendre integral of f(t, x, rho_i) over cell i."""
-    rho = p.q / np.diff(p.x)
-    return source_rate_arrays(p.t, p.x, rho, s)
-
-
 def rhs_arrays(t, x, q, s: Scenario):
     """Array-level RHS used by the integrator hot loop; raises StageFailure on
     transiently invalid intermediate states."""
-    gaps, rho = _gaps_heights(x, q)
+    rho = _heights(x, q)
     U = u_field_arrays(t, x, rho, s)
-    v_sel = _upwind_arrays(rho, s, U)
+    v_sel = upwind_arrays(rho, s, U)
     xdot = v_sel * U
     qdot = source_rate_arrays(t, x, rho, s)
     return xdot, qdot, U, v_sel
-
-
-def rhs(p: ParticleSystem, s: Scenario) -> RhsEvaluation:
-    """Full derivative assembly, including the cell-density derivative split
-    into its advective and source contributions."""
-    try:
-        xdot, qdot, U, v_sel = rhs_arrays(p.t, p.x, p.q, s)
-    except StageFailure as exc:
-        raise DegenerateStateError(str(exc)) from exc
-    gaps = np.diff(p.x)
-    rho = p.q / gaps
-    return RhsEvaluation(
-        t=p.t,
-        U=U,
-        v_sel=v_sel,
-        xdot=xdot,
-        qdot=qdot,
-        rho_dot_adv=-rho * (xdot[1:] - xdot[:-1]) / gaps,
-        rho_dot_src=qdot / gaps,
-    )
 
 
 def dxU_field_arrays(t, x, rho, s: Scenario, y, rho_at_y):
@@ -239,22 +176,3 @@ def dxU_field_arrays(t, x, rho, s: Scenario, y, rho_at_y):
             out -= (pot.dx2W_integral(a, b) @ rho) * pot.factor(t)
         out -= float(pot.atom_w(t)) * rho_at_y
     return out
-
-
-def dxU_field(p: ParticleSystem, s: Scenario, y, side=None):
-    """Spatial derivative of the free velocity at ``y``.
-
-    The reconstruction jumps at breakpoints, so evaluation there requires a
-    ``side`` flag ("left"/"right"); interior points need none.
-    """
-    scalar = np.isscalar(y) or np.asarray(y).ndim == 0
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    rho = p.q / np.diff(p.x)
-    on_bp = np.isin(y_arr, p.x)
-    if np.any(on_bp) and side is None:
-        raise ValueError("evaluation at a breakpoint requires side='left' or 'right'")
-    lookup = np.searchsorted(p.x, y_arr, side="left" if side == "left" else "right") - 1
-    inside = (lookup >= 0) & (lookup < rho.size)
-    rho_at = np.where(inside, rho[np.clip(lookup, 0, rho.size - 1)], 0.0)
-    out = dxU_field_arrays(p.t, p.x, rho, s, y_arr, rho_at)
-    return float(out[0]) if scalar else out

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics
-from .density import ParticleSystem
+from .density import COLLISION_GAP_FRACTION, ParticleSystem
 from .errors import CollisionExtinctionError
 from .scenario import Scenario
 
@@ -57,7 +57,6 @@ class SolverConfig:
     max_step: Optional[float] = None
     min_step: Optional[float] = None
     snapshot_times: Optional[np.ndarray] = None
-    guard_gap: float = 1e-12
     store_steps: bool = False
 
     def resolved(self):
@@ -104,15 +103,10 @@ class Trajectory:
     def times(self):
         return np.array([p.t for p in self.snapshots])
 
-    def at_time(self, t, tol=1e-9):
-        for p in self.snapshots:
-            if abs(p.t - t) <= tol * max(1.0, abs(t)):
-                return p
-        raise KeyError(f"no snapshot at t = {t}")
 
-
-def step_guard(x_next, cfg: SolverConfig):
-    """Check a candidate state's ordering: no gap below ``guard_gap`` times the span.
+def step_guard(x_next):
+    """Check a candidate state's ordering: every gap above
+    ``COLLISION_GAP_FRACTION`` times the span, the test ``ParticleSystem`` applies.
 
     Returns ``(ok, reason, index)``: the index of the offending gap, None when
     the state is accepted.  Mass positivity needs no check here: a state with
@@ -120,7 +114,7 @@ def step_guard(x_next, cfg: SolverConfig):
     """
     gaps = np.diff(x_next)
     span = x_next[-1] - x_next[0]
-    if span <= 0 or np.any(gaps < cfg.guard_gap * span):
+    if not np.all(gaps > COLLISION_GAP_FRACTION * span):
         i = int(np.argmin(gaps))
         return False, f"ordering: gap {gaps[i]:.3e} at index {i}", i
     return True, "", None
@@ -222,7 +216,7 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
             verdict, index = _SHRINK, None
             why = f"step underflow at t = {t:.6g}: error control cannot converge"
         else:
-            ok, reason, index = step_guard(y5[: n + 1], cfg)
+            ok, reason, index = step_guard(y5[: n + 1])
             if ok:
                 if at_floor or not _switch_between(U1, U7):
                     stats.accepted += 1

@@ -6,7 +6,6 @@ cell, the congestion factor from the cell the velocity points toward.
 Interface velocities use the same exact W-primitive convolution contract as
 the particle dynamics (with an FFT fast path on the uniform lattice, whose
 kernel spectrum ``fv_run`` builds once per run).
-A Rusanov flux is available as a sanity alternative.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from .errors import CFLError, GridEscapeError
 from .initial import InitialDensity
 from .scenario import Scenario
 
-CFL_DEFAULT = 0.45
-FLUXES = ("mirrored-upwind", "rusanov")
+CFL = 0.45
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,6 @@ class GridTrajectory:
     @property
     def times(self):
         return np.array([g.t for g in self.snapshots])
-
-    def at_time(self, t, tol=1e-9):
-        for g in self.snapshots:
-            if abs(g.t - t) <= tol * max(1.0, abs(t)):
-                return g
-        raise KeyError(f"no grid snapshot at t = {t}")
 
 
 def _fast_length(n):
@@ -136,35 +128,20 @@ def _flux_mirrored(U, rho_l, rho_r, v):
     return up * rho_l * v(rho_r) + dn * rho_r * v(rho_l)
 
 
-def _flux_rusanov(U, rho_l, rho_r, s: Scenario):
-    v = s.congestion.v
-    m_l = rho_l * np.asarray(v(rho_l), dtype=float)
-    m_r = rho_r * np.asarray(v(rho_r), dtype=float)
-    r_loc = np.maximum(rho_l, rho_r)
-    lip_m = s.congestion.v_sup + r_loc * np.asarray(s.congestion.vprime_bound(r_loc), dtype=float)
-    a = np.abs(U) * lip_m
-    return 0.5 * U * (m_l + m_r) - 0.5 * a * (rho_r - rho_l)
-
-
-def fv_step(g: GridState, s: Scenario, dt: float, flux: str = "mirrored-upwind",
-            cfl: float = CFL_DEFAULT, U_if: Optional[np.ndarray] = None) -> GridState:
+def fv_step(g: GridState, s: Scenario, dt: float,
+            U_if: Optional[np.ndarray] = None) -> GridState:
     """One conservative forward-Euler step; rejects dt beyond the CFL limit."""
-    if flux not in FLUXES:
-        raise ValueError(f"unknown flux {flux!r}; options: {FLUXES}")
     if U_if is None:
         U_if = interface_velocity(g, s)
     speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
-    dt_max = np.inf if speed == 0.0 else cfl * g.dx / speed
+    dt_max = np.inf if speed == 0.0 else CFL * g.dx / speed
     if dt > dt_max * (1 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds CFL limit; required dt <= {dt_max:.3e}",
                        dt_required=dt_max)
 
     rho_ext = np.concatenate(([0.0], g.cells, [0.0]))
     rho_l, rho_r = rho_ext[:-1], rho_ext[1:]
-    if flux == "mirrored-upwind":
-        F = _flux_mirrored(U_if, rho_l, rho_r, s.congestion.v)
-    else:
-        F = _flux_rusanov(U_if, rho_l, rho_r, s)
+    F = _flux_mirrored(U_if, rho_l, rho_r, s.congestion.v)
 
     new = g.cells - (dt / g.dx) * (F[1:] - F[:-1])
     if s.source.c_f != 0.0:
@@ -187,8 +164,7 @@ def initial_grid(rho0: InitialDensity, grid: GridConfig) -> GridState:
 
 
 def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
-           snapshot_times=None, flux: str = "mirrored-upwind",
-           cfl: float = CFL_DEFAULT) -> GridTrajectory:
+           snapshot_times=None) -> GridTrajectory:
     """Run to ``t_end`` recording snapshots at the requested times."""
     a, b = rho0.support
     if a < grid.x_left or b > grid.x_right:
@@ -207,10 +183,10 @@ def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
     while state.t < t_end * (1 - 1e-15):
         U_if = interface_velocity(state, s, spectrum)
         speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
-        dt = t_end - state.t if speed == 0.0 else cfl * state.dx / speed
+        dt = t_end - state.t if speed == 0.0 else CFL * state.dx / speed
         next_stop = targets[0] if targets else t_end
         dt = min(dt, next_stop - state.t)
-        state = fv_step(state, s, dt, flux=flux, cfl=cfl, U_if=U_if)
+        state = fv_step(state, s, dt, U_if=U_if)
         traj.steps += 1
         if abs(state.t - next_stop) <= 1e-13 * max(1.0, next_stop):
             state = GridState(state.x_left, state.dx, state.cells, next_stop)
@@ -224,6 +200,14 @@ def grid_to_density(g: GridState) -> PiecewiseDensity:
     return PiecewiseDensity(g.interfaces, g.cells)
 
 
+def _at_time(snapshots, t, tol=1e-9):
+    """The snapshot taken at time ``t`` (relative tolerance ``tol``)."""
+    for snap in snapshots:
+        if abs(snap.t - t) <= tol * max(1.0, abs(t)):
+            return snap
+    raise KeyError(f"no snapshot at t = {t}")
+
+
 def compare_l1(traj, gtraj: GridTrajectory, times=None):
     """Exact L1 distance between particle and grid reconstructions at shared times."""
     from .density import l1_distance, to_density
@@ -232,7 +216,7 @@ def compare_l1(traj, gtraj: GridTrajectory, times=None):
         times = traj.times
     out = []
     for t in np.asarray(times, dtype=float):
-        p = traj.at_time(t)
-        g = gtraj.at_time(t)
+        p = _at_time(traj.snapshots, t)
+        g = _at_time(gtraj.snapshots, t)
         out.append((float(t), float(l1_distance(to_density(p), grid_to_density(g)))))
     return out

@@ -69,7 +69,6 @@ class Potential:
     W: Callable
     dxW_neg: Callable
     dxW_pos: Callable
-    dx2W: Callable  # absolutely continuous part of D dxW
     atom_w: Callable  # t -> weight of the Dirac at 0
     time_factor: Optional[Callable] = None
     # Ascending coefficients (W_neg, W_pos) of W on (-inf, 0] and [0, inf)
@@ -224,7 +223,7 @@ _const = expressions.constant
 
 def _zero_potential():
     z = _const(0.0)
-    return Potential(W=z, dxW_neg=z, dxW_pos=z, dx2W=z, atom_w=z,
+    return Potential(W=z, dxW_neg=z, dxW_pos=z, atom_w=z,
                      pieces=((0.0,), (0.0,)))
 
 
@@ -235,7 +234,6 @@ def _abs_potential(sign=1.0):
         W=lambda x, _s=s: _s * np.abs(x),
         dxW_neg=_const(-s),
         dxW_pos=_const(s),
-        dx2W=_const(0.0),
         atom_w=_const(2.0 * s),
         pieces=((0.0, -s), (0.0, s)),
     )
@@ -470,11 +468,14 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     else:
         atom_fn = (_const(expressions.finite_float(atom, f"{path}: potential.atom_w"))
                    if isinstance(atom, (int, float)) else expr("potential", "atom_w", ("t",)))
+    W = expr("potential", "W", ("x",), default="0")
+    # dx2W is compiled, so a malformed one is an error, but nothing reads it:
+    # dx2W integrals difference the gradient branches
+    expr("potential", "dx2W", ("x",))
     potential = Potential(
-        W=expr("potential", "W", ("x",), default="0"),
+        W=W,
         dxW_neg=dxn,
         dxW_pos=dxp,
-        dx2W=expr("potential", "dx2W", ("x",), default="0"),
         atom_w=atom_fn,
         time_factor=time_factor,
         pieces=expressions.piecewise_polynomial(w_expr, "x"),

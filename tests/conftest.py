@@ -27,7 +27,7 @@ def zero_source():
 
 def zero_potential():
     z = const(0.0)
-    return Potential(W=z, dxW_neg=z, dxW_pos=z, dx2W=z, atom_w=z,
+    return Potential(W=z, dxW_neg=z, dxW_pos=z, atom_w=z,
                      pieces=((0.0,), (0.0,)))
 
 
@@ -57,9 +57,7 @@ def quadratic_potential():
     """W(x) = x^2 / 2: gradient x, second derivative 1, no atom."""
     ident = lambda x: np.asarray(x, dtype=float)
     return Potential(W=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                     dxW_neg=ident, dxW_pos=ident,
-                     dx2W=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                     atom_w=const(0.0),
+                     dxW_neg=ident, dxW_pos=ident, atom_w=const(0.0),
                      pieces=((0.0, 0.0, 0.5), (0.0, 0.0, 0.5)))
 
 

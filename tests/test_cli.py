@@ -337,3 +337,41 @@ def test_overflowing_constant_exit_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--n", "10",
                  "--out", str(tmp_path / "out")]) == 2
     assert "9**9**9" in capsys.readouterr().err
+
+
+def test_unused_dx2W_is_still_checked(tmp_path, capsys):
+    # nothing reads potential.dx2W, but a malformed one is an error, not ignored
+    path = _file_scenario(tmp_path, potential={"dx2W": "y"})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: potential.dx2W" in capsys.readouterr().err
+
+
+def test_sweep_integrates_a_repeated_n_once(tmp_path, monkeypatch):
+    from pbal import cli
+
+    ns = []
+    integrate = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda p0, s, cfg: ns.append(p0.n) or integrate(p0, s, cfg))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", "attractive_congested", "--n", "50", "50", "100",
+                 "--t-end", "0.1", "--out", str(out)]) == 0
+    assert ns == [50, 100]
+    _, rows = read_csv_rows(out / "sweep.csv")
+    assert [int(r[0]) for r in rows] == [50]
+    assert main(["sweep", "--scenario", "attractive_congested", "--n", "50", "50"]) == 2
+
+
+@pytest.mark.parametrize("count", ["0", "1", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "10"],
+    ["sweep", "--n", "10", "20"],
+    ["audit", "--n", "10"],
+    ["validate", "--n", "10", "--j", "50"],
+], ids=lambda argv: argv[0])
+def test_fewer_than_two_snapshots_exit_2(tmp_path, capsys, argv, count):
+    # the snapshot grid holds t = 0 and t = t_end, so it needs two times
+    assert main([*argv, "--scenario", "transport", "--snapshots", count,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--snapshots" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

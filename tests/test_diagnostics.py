@@ -5,8 +5,8 @@ from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
                   builtin_initial, integrate, quantile_init)
 from pbal import diagnostics as dg
 from pbal.diagnostics import _snapshot_quadrature
-from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, free_velocity,
-                           u_field_arrays, upwind_congestion)
+from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, u_field_arrays,
+                           upwind_arrays)
 from pbal.scenario import Branch, Source
 
 from conftest import catalog_run, const, make_scenario, zero_field_scenario
@@ -395,8 +395,8 @@ def test_good_v_wrong_upwinding_detected():
 def test_good_v_constant_density_clean():
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [0.0, 1.0, 2.0, 3.0], [0.4, 0.4, 0.4])
-    U = free_velocity(p, s)
-    v_sel = upwind_congestion(p, s, U)
+    U = u_field_arrays(p.t, p.x, p.heights, s)
+    v_sel = upwind_arrays(p.heights, s, U)
     out = dg.good_v_violations_state(0.0, p.x, p.q, U, v_sel, s.congestion.v,
                                      [0.0, 0.2, 0.4, 0.6])
     assert out == []

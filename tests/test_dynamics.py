@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from pbal import (ParticleSystem, builtin_catalog, convolve_dxW, dxU_field,
-                  free_velocity, rhs, source_rate, upwind_congestion)
-from pbal.dynamics import convolve_dxW_generic
+from pbal import ParticleSystem, builtin_catalog, to_density
+from pbal.dynamics import (convolve_dxW_arrays, convolve_dxW_generic, dxU_field_arrays,
+                           rhs_arrays, source_rate_arrays, u_field_arrays, upwind_arrays)
 from pbal.expressions import compile_expression
 from pbal.diagnostics import good_v_violations_state
 from pbal import dynamics
@@ -31,19 +31,20 @@ def test_convolve_first_moment():
     # W = x^2/2: (dxW * rho)(y) = y * mass - first moment; unit block on (0,1)
     p = ParticleSystem(0.0, [0.0, 1.0], [1.0])
     s = quad_scenario()
-    assert convolve_dxW(p, s, 0.0) == pytest.approx(-0.5, rel=1e-12)
-    assert convolve_dxW(p, s, 2.0) == pytest.approx(1.5, rel=1e-12)
+    got = convolve_dxW_arrays(p.t, p.x, p.heights, s, [0.0, 2.0])
+    assert got == pytest.approx([-0.5, 1.5], rel=1e-12)
 
 
 def test_convolve_even_W_symmetric_density():
     p = ParticleSystem(0.0, [-1.0, 0.0, 1.0], [0.5, 0.5])
     s = quad_scenario()
-    assert convolve_dxW(p, s, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert convolve_dxW_arrays(p.t, p.x, p.heights, s, 0.0) == pytest.approx([0.0], abs=1e-14)
 
 
 def test_convolve_zero_potential():
     p = ParticleSystem(0.0, [0.0, 1.0], [1.0])
-    assert convolve_dxW(p, zero_field_scenario(), 0.3) == 0.0
+    got = convolve_dxW_arrays(p.t, p.x, p.heights, zero_field_scenario(), 0.3)
+    assert np.array_equal(got, [0.0])
 
 
 def test_convolve_exactness_random(rng):
@@ -55,7 +56,8 @@ def test_convolve_exactness_random(rng):
         rho = p.q / np.diff(p.x)
         m1 = float(np.sum(rho * (p.x[1:] ** 2 - p.x[:-1] ** 2) / 2.0))
         y = rng.uniform(-3, 3)
-        assert convolve_dxW(p, s, y) == pytest.approx(y * mass - m1, rel=1e-12, abs=1e-12)
+        got = convolve_dxW_arrays(p.t, p.x, rho, s, y)
+        assert got == pytest.approx([y * mass - m1], rel=1e-12, abs=1e-12)
 
 
 def test_convolve_fast_path_matches_generic(rng):
@@ -66,7 +68,7 @@ def test_convolve_fast_path_matches_generic(rng):
             p = random_particles(rng, 12)
             rho = p.q / np.diff(p.x)
             y = rng.uniform(-3, 3, 17)
-            fast = dynamics.convolve_dxW_arrays(0.0, p.x, rho, s, y)
+            fast = convolve_dxW_arrays(0.0, p.x, rho, s, y)
             generic = convolve_dxW_generic(0.0, p.x, rho, s, y)
             assert np.allclose(fast, generic, rtol=1e-12, atol=1e-12)
 
@@ -91,7 +93,7 @@ def test_convolve_polynomial_pieces_match_generic(c0, w_neg, w_pos, x, heights,
     pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
                     dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
                     dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
-                    dx2W=lambda u: 0.0 * u, atom_w=lambda t: 0.0, pieces=(neg, pos))
+                    atom_w=lambda t: 0.0, pieces=(neg, pos))
     s = make_scenario(potential=pot)
     x = np.sort(np.asarray(x))
     assume(np.min(np.diff(x)) > 1e-9)
@@ -100,7 +102,7 @@ def test_convolve_polynomial_pieces_match_generic(c0, w_neg, w_pos, x, heights,
     y = np.concatenate((x,
                         x[cells] + np.asarray(fractions) * np.diff(x)[cells],
                         x[0] - np.asarray(outside), x[-1] + np.asarray(outside)))
-    fast = dynamics.convolve_dxW_arrays(0.0, x, rho, s, y)
+    fast = convolve_dxW_arrays(0.0, x, rho, s, y)
     generic = convolve_dxW_generic(0.0, x, rho, s, y)
     assert np.all(np.abs(fast - generic) <= 1e-12 * np.maximum(1.0, np.abs(generic)))
 
@@ -121,14 +123,14 @@ def test_particle_path_equals_search_path(c0, w_neg, w_pos, x, heights, factor):
     pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
                     dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
                     dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
-                    dx2W=lambda u: 0.0 * u, atom_w=lambda t: 0.0, pieces=(neg, pos),
+                    atom_w=lambda t: 0.0, pieces=(neg, pos),
                     time_factor=None if factor is None else (lambda t: factor * (1.0 + t)))
     s = make_scenario(potential=pot)
     x = np.sort(np.asarray(x))
     assume(np.min(np.diff(x)) > 1e-9)
     rho = np.asarray(heights[: x.size - 1])
-    at_particles = dynamics.convolve_dxW_arrays(0.7, x, rho, s)
-    searched = dynamics.convolve_dxW_arrays(0.7, x, rho, s, x)
+    at_particles = convolve_dxW_arrays(0.7, x, rho, s)
+    searched = convolve_dxW_arrays(0.7, x, rho, s, x)
     assert np.array_equal(at_particles, searched)
 
 
@@ -141,7 +143,7 @@ def test_rhs_does_not_search_for_the_particles(monkeypatch, rng):
     monkeypatch.setattr(dynamics, "_prefix_moment", searched)
     p = random_particles(rng, 20)
     for s in (quad_scenario(), builtin_catalog("attractive_congested")):
-        xdot, _, U, _ = dynamics.rhs_arrays(0.0, p.x, p.q, s)
+        xdot, _, U, _ = rhs_arrays(0.0, p.x, p.q, s)
         assert np.all(np.isfinite(xdot)) and np.all(np.isfinite(U))
 
 
@@ -151,17 +153,21 @@ def test_convolve_mass_homogeneity(rng):
     alpha = 3.7
     p_scaled = ParticleSystem(p.t, p.x, alpha * p.q)
     y = rng.uniform(-2, 2, 7)
-    a = np.array([convolve_dxW(p, s, float(v)) for v in y])
-    b = np.array([convolve_dxW(p_scaled, s, float(v)) for v in y])
+    a = convolve_dxW_arrays(p.t, p.x, p.heights, s, y)
+    b = convolve_dxW_arrays(p.t, p.x, p_scaled.heights, s, y)
     assert np.allclose(b, alpha * a, rtol=1e-12)
 
 
 # ------------------------------------------------------------- free velocity
 
+def particle_U(p, s):
+    return u_field_arrays(p.t, p.x, p.heights, s)
+
+
 def test_free_velocity_pure_advection():
     s = builtin_catalog("transport")
     p = ParticleSystem(0.0, [0.0, 0.5, 1.0], [0.5, 0.5])
-    assert np.allclose(free_velocity(p, s), 1.0)
+    assert np.allclose(particle_U(p, s), 1.0)
 
 
 def test_free_velocity_linear_field():
@@ -170,13 +176,13 @@ def test_free_velocity_linear_field():
                       G=lambda r: 1.0 + np.asarray(r, dtype=float),
                       lam=lambda r: 1.0 + np.asarray(r, dtype=float))
     p = ParticleSystem(0.0, [-1.0, 0.0, 2.0], [1.0, 1.0])
-    assert np.allclose(free_velocity(p, s), p.x)
+    assert np.allclose(particle_U(p, s), p.x)
 
 
 def test_free_velocity_attractive_signs():
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [-1.0, 0.0, 1.0], [0.5, 0.5])
-    U = free_velocity(p, s)
+    U = particle_U(p, s)
     assert U[0] > 0 and U[-1] < 0
     assert U[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -187,14 +193,14 @@ def test_upwind_downstream_positive():
     # rho = (0.2, 0.8), U = +1 at the shared particle -> v(0.8) = 0.2
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [0.0, 1.0, 2.0], [0.2, 0.8])
-    v_sel = upwind_congestion(p, s, np.array([1.0, 1.0, 1.0]))
+    v_sel = upwind_arrays(p.heights, s, np.array([1.0, 1.0, 1.0]))
     assert v_sel[1] == pytest.approx(0.2)
 
 
 def test_upwind_downstream_negative():
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [0.0, 1.0, 2.0], [0.2, 0.8])
-    v_sel = upwind_congestion(p, s, np.array([-1.0, -1.0, -1.0]))
+    v_sel = upwind_arrays(p.heights, s, np.array([-1.0, -1.0, -1.0]))
     assert v_sel[1] == pytest.approx(0.8)
     # leftmost particle moving left sees the outside vacuum: v(0) = 1
     assert v_sel[0] == pytest.approx(1.0)
@@ -203,7 +209,7 @@ def test_upwind_downstream_negative():
 def test_upwind_tie_goes_downstream():
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [0.0, 1.0, 2.0], [0.2, 0.8])
-    v_sel = upwind_congestion(p, s, np.array([0.0, 0.0, 0.0]))
+    v_sel = upwind_arrays(p.heights, s, np.array([0.0, 0.0, 0.0]))
     assert v_sel[1] == pytest.approx(0.2)  # v(rho_2)
     assert v_sel[2] == pytest.approx(1.0)  # v(rho_3 = 0) at the right boundary
 
@@ -229,7 +235,7 @@ def test_upwind_one_call_matches_two_calls(rng, v):
     for n in (1, 2, 17):
         rho = rng.uniform(0.0, 2.0, n)
         U = rng.choice([-1.0, 0.0, 1.0], n + 1) * rng.uniform(0.1, 1.0, n + 1)
-        got = dynamics._upwind_arrays(rho, s, U)
+        got = upwind_arrays(rho, s, U)
         assert got.shape == (n + 1,)
         assert np.array_equal(got, _upwind_two_calls(rho, v, U))
 
@@ -237,7 +243,7 @@ def test_upwind_one_call_matches_two_calls(rng, v):
 def test_upwind_scalar_valued_v():
     s = make_scenario(v=lambda r: 0.25)
     U = np.array([-1.0, 0.0, 1.0])
-    assert np.array_equal(dynamics._upwind_arrays(np.array([0.5, 1.5]), s, U), np.full(3, 0.25))
+    assert np.array_equal(upwind_arrays(np.array([0.5, 1.5]), s, U), np.full(3, 0.25))
 
 
 # ------------------------------------------------------------------- source
@@ -245,12 +251,12 @@ def test_upwind_scalar_valued_v():
 def test_source_linear_in_rho():
     s = builtin_catalog("growth_transport")  # f = rho
     p = ParticleSystem(0.0, [0.0, 0.5, 2.0], [0.3, 0.9])
-    assert np.allclose(source_rate(p, s), p.q, rtol=1e-14)
+    assert np.allclose(source_rate_arrays(p.t, p.x, p.heights, s), p.q, rtol=1e-14)
 
 
 def test_source_zero():
     p = ParticleSystem(0.0, [0.0, 1.0], [1.0])
-    assert np.allclose(source_rate(p, builtin_catalog("transport")), 0.0)
+    assert np.allclose(source_rate_arrays(p.t, p.x, p.heights, builtin_catalog("transport")), 0.0)
 
 
 def test_source_polynomial_exact():
@@ -260,33 +266,33 @@ def test_source_polynomial_exact():
     s = make_scenario(source=src, G=lambda r: 1 + np.asarray(r, dtype=float),
                       lam=lambda r: 1 + np.asarray(r, dtype=float))
     p = ParticleSystem(0.0, [0.0, 1.0], [2.0])
-    assert source_rate(p, s)[0] == pytest.approx(1.0, rel=1e-14)
+    assert source_rate_arrays(p.t, p.x, p.heights, s)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------- rhs
 
 def test_rhs_transport():
     p = ParticleSystem(0.0, [0.0, 0.25, 1.0], [0.5, 0.5])
-    ev = rhs(p, builtin_catalog("transport"))
-    assert np.allclose(ev.xdot, 1.0)
-    assert np.allclose(ev.qdot, 0.0)
-    assert np.allclose(ev.xdot, ev.v_sel * ev.U)
-    assert np.allclose(ev.rho_dot_adv, 0.0)
+    xdot, qdot, U, v_sel = rhs_arrays(p.t, p.x, p.q, builtin_catalog("transport"))
+    assert np.allclose(xdot, 1.0)
+    assert np.allclose(qdot, 0.0)
+    assert np.allclose(xdot, v_sel * U)
+    assert np.allclose(np.diff(xdot), 0.0)  # cells keep their width: no advective density change
 
 
 def test_rhs_growth_transport():
     p = ParticleSystem(0.0, [0.0, 0.25, 1.0], [0.5, 0.5])
-    ev = rhs(p, builtin_catalog("growth_transport"))
-    assert np.allclose(ev.xdot, 1.0)
-    assert np.allclose(ev.qdot, p.q, rtol=1e-14)
-    assert np.allclose(ev.rho_dot_src, p.q / np.diff(p.x))
+    xdot, qdot, _, _ = rhs_arrays(p.t, p.x, p.q, builtin_catalog("growth_transport"))
+    assert np.allclose(xdot, 1.0)
+    assert np.allclose(qdot, p.q, rtol=1e-14)
+    assert np.allclose(qdot / np.diff(p.x), p.heights)  # the source part of rho' is rho
 
 
 def test_rhs_repulsive_spreads():
     s = builtin_catalog("repulsive_source")
     p = ParticleSystem(0.0, [-1.0, 0.0, 1.0], [0.5, 0.5])
-    ev = rhs(p, s)
-    assert ev.xdot[0] < 0 < ev.xdot[-1]
+    xdot, _, _, _ = rhs_arrays(p.t, p.x, p.q, s)
+    assert xdot[0] < 0 < xdot[-1]
 
 
 def _file_scenarios(tmp_path):
@@ -316,16 +322,22 @@ def test_rhs_matches_searched_field_and_two_call_upwind(tmp_path, rng):
         for n in (1, 7, 40):
             p = random_particles(rng, n)
             rho = p.q / np.diff(p.x)
-            xdot, qdot, U, v_sel = dynamics.rhs_arrays(0.4, p.x, p.q, s)
-            U_ref = dynamics.u_field_arrays(0.4, p.x, rho, s, p.x)
+            xdot, qdot, U, v_sel = rhs_arrays(0.4, p.x, p.q, s)
+            U_ref = u_field_arrays(0.4, p.x, rho, s, p.x)
             v_ref = _upwind_two_calls(rho, s.congestion.v, U_ref)
             assert np.array_equal(U, U_ref), s.name
             assert np.array_equal(v_sel, v_ref), s.name
             assert np.array_equal(xdot, v_ref * U_ref), s.name
-            assert np.array_equal(qdot, dynamics.source_rate_arrays(0.4, p.x, rho, s))
+            assert np.array_equal(qdot, source_rate_arrays(0.4, p.x, rho, s))
 
 
 # ---------------------------------------------------------------- dxU field
+
+def dxU_at(p, s, y):
+    # the density at y is the cell's to the right of a breakpoint
+    y = np.asarray(y, dtype=float)
+    return dxU_field_arrays(p.t, p.x, p.heights, s, y, to_density(p)(y))
+
 
 def test_dxU_linear_advection():
     s = make_scenario(V=lambda t, x: np.asarray(x, dtype=float),
@@ -333,48 +345,86 @@ def test_dxU_linear_advection():
                       G=lambda r: 1 + np.asarray(r, dtype=float),
                       lam=lambda r: 1 + np.asarray(r, dtype=float))
     p = ParticleSystem(0.0, [0.0, 1.0], [1.0])
-    assert dxU_field(p, s, 0.5) == pytest.approx(1.0)
-    assert dxU_field(p, s, 7.0) == pytest.approx(1.0)
+    assert dxU_at(p, s, [0.5, 7.0]) == pytest.approx([1.0, 1.0])
 
 
 def test_dxU_quadratic_potential():
     # dx2W == 1 convolved with unit mass gives 1; w = 0
     s = quad_scenario()
     p = ParticleSystem(0.0, [0.0, 1.0], [1.0])
-    assert dxU_field(p, s, 0.5) == pytest.approx(-1.0, rel=1e-12)
+    assert dxU_at(p, s, [0.5]) == pytest.approx([-1.0], rel=1e-12)
 
 
 def test_dxU_kink_potential():
     # W = |x|: dx2W = 0 a.e., atom w = 2; inside a cell dxU = -2 rho, outside 0
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [0.0, 1.0, 3.0], [0.5, 0.5])
-    assert dxU_field(p, s, 0.5) == pytest.approx(-2.0 * 0.5)
-    assert dxU_field(p, s, 2.0) == pytest.approx(-2.0 * 0.25)
-    assert dxU_field(p, s, 5.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_dxU_breakpoint_requires_side():
-    s = builtin_catalog("attractive_congested")
-    p = ParticleSystem(0.0, [0.0, 1.0, 3.0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        dxU_field(p, s, 1.0)
-    assert dxU_field(p, s, 1.0, side="left") == pytest.approx(-1.0)
-    assert dxU_field(p, s, 1.0, side="right") == pytest.approx(-0.5)
+    got = dxU_at(p, s, [0.5, 2.0, 5.0])
+    assert got[:2] == pytest.approx([-2.0 * 0.5, -2.0 * 0.25])
+    assert got[2] == pytest.approx(0.0, abs=1e-14)
 
 
 # ------------------------------------------------------- structural checks
 
-def test_good_v_on_random_states(rng):
-    for name in ("transport", "attractive_congested", "repulsive_source"):
-        s = builtin_catalog(name)
-        for _ in range(10):
-            p = random_particles(rng, 20)
-            U = free_velocity(p, s)
-            v_sel = upwind_congestion(p, s, U)
-            r_max = float(np.max(p.q / np.diff(p.x)))
-            c_grid = [0.0, 0.3 * r_max, 0.7 * r_max, r_max, 1.2 * r_max]
-            out = good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v, c_grid)
-            assert out == [], (name, out[:3])
+@st.composite
+def ordered_states(draw, max_n=20):
+    """(x, q): N + 1 strictly increasing positions and N positive masses."""
+    n = draw(st.integers(1, max_n))
+    gaps = draw(st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n))
+    x = draw(st.floats(-2.0, 0.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    q = np.asarray(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return x, q
+
+
+@st.composite
+def random_models(draw):
+    """(knots, values, W_neg, W_pos, V): a non-increasing piecewise-linear v
+    through (knots, values), constant past the last knot; polynomial pieces
+    of W, continuous at 0; a constant V."""
+    k = draw(st.integers(1, 4))
+    knots = np.cumsum([0.0, *draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))])
+    values = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=k + 1, max_size=k + 1)),
+                    reverse=True)
+    c0 = draw(_coef)
+    w_neg = draw(st.lists(_coef, min_size=0, max_size=3))
+    w_pos = draw(st.lists(_coef, min_size=0, max_size=3))
+    return knots, values, (c0, *w_neg), (c0, *w_pos), draw(st.floats(-2.0, 2.0))
+
+
+def _model_scenario(knots, values, neg, pos, V):
+    pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
+                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
+                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
+                    atom_w=lambda t: 0.0, pieces=(neg, pos))
+    return make_scenario(v=lambda r: np.interp(r, knots, values), potential=pot,
+                         V=lambda t, x: np.full(np.shape(x), V))
+
+
+def _seeded_state(seed):
+    p = random_particles(np.random.default_rng(seed), 20)
+    return p.x, p.q
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=ordered_states(),
+       model=st.one_of(st.sampled_from(("transport", "attractive_congested",
+                                        "repulsive_source")), random_models()),
+       extra_cs=st.lists(st.floats(0.0, 3.0), max_size=3))
+@example(state=_seeded_state(1), model="transport", extra_cs=[])
+@example(state=_seeded_state(2), model="attractive_congested", extra_cs=[])
+@example(state=_seeded_state(3), model="repulsive_source", extra_cs=[])
+def test_good_v_on_random_states(state, model, extra_cs):
+    # the four inequalities follow from a non-increasing v and the downstream
+    # upwinding alone, so they hold for any free velocity U
+    x, q = state
+    s = builtin_catalog(model) if isinstance(model, str) else _model_scenario(*model)
+    rho = q / np.diff(x)
+    U = u_field_arrays(0.0, x, rho, s)
+    v_sel = upwind_arrays(rho, s, U)
+    r_max = float(np.max(rho))
+    c_grid = [0.0, 0.3 * r_max, 0.7 * r_max, r_max, 1.2 * r_max, *extra_cs]
+    out = good_v_violations_state(0.0, x, q, U, v_sel, s.congestion.v, c_grid, slack=1e-10)
+    assert out == [], out[:3]
 
 
 def test_first_difference_bound(rng):
@@ -390,7 +440,7 @@ def test_first_difference_bound(rng):
         for _ in range(10):
             p = random_particles(rng, 25)
             c1, c2 = consts(p)
-            U = free_velocity(p, s)
+            U = particle_U(p, s)
             rho = p.q / np.diff(p.x)
             ratio = np.abs(np.diff(U)) / np.diff(p.x)
             assert np.all(ratio <= c1 + c2 * rho + 1e-9), name
@@ -401,7 +451,7 @@ def test_first_difference_bound_quadratic(rng):
     s = quad_scenario()
     for _ in range(10):
         p = random_particles(rng, 25)
-        U = free_velocity(p, s)
+        U = particle_U(p, s)
         ratio = np.abs(np.diff(U)) / np.diff(p.x)
         assert np.all(ratio <= float(np.sum(p.q)) + 1e-9)
 
@@ -411,8 +461,8 @@ def test_good_v_holds_along_catalog_run():
                        store_steps=True)
     s = builtin_catalog("attractive_congested")
     for p in traj.steps:
-        U = free_velocity(p, s)
-        v_sel = upwind_congestion(p, s, U)
+        U = particle_U(p, s)
+        v_sel = upwind_arrays(p.heights, s, U)
         out = good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v,
                                       [0.0, 0.25, 0.5, 0.75, 1.0])
         assert out == []

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
-                  builtin_initial, integrate, quantile_init, step_guard)
+                  builtin_initial, integrate, quantile_init)
 from pbal.dynamics import StageFailure, rhs_arrays
 from pbal.errors import CollisionExtinctionError
-from pbal.integrator import solve_scalar_ode
+from pbal.integrator import solve_scalar_ode, step_guard
 from pbal.scenario import Branch, Source, _abs_potential
 
 from conftest import const, make_scenario, zero_field_scenario
@@ -42,15 +42,12 @@ def test_zero_field_constant():
 
 def test_guard_accepts_unchanged():
     p = ParticleSystem(0.0, [0.0, 0.5, 1.0], [0.5, 0.5])
-    cfg = SolverConfig(t_end=1.0)
-    ok, _, index = step_guard(p.x.copy(), cfg)
+    ok, _, index = step_guard(p.x.copy())
     assert ok and index is None
 
 
 def test_guard_rejects_swap():
-    p = ParticleSystem(0.0, [0.0, 0.5, 1.0], [0.5, 0.5])
-    cfg = SolverConfig(t_end=1.0)
-    ok, reason, index = step_guard(np.array([0.5, 0.0, 1.0]), cfg)
+    ok, reason, index = step_guard(np.array([0.5, 0.0, 1.0]))
     assert not ok and "ordering" in reason and index == 0
 
 

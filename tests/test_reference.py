@@ -89,7 +89,7 @@ def test_symmetry_preserved_repulsive():
 def _time_factor_potential():
     # W = |x| scaled by 1 + t
     return Potential(W=lambda x: np.abs(x), dxW_neg=const(-1.0), dxW_pos=const(1.0),
-                     dx2W=const(0.0), atom_w=lambda t: 2.0 * (1.0 + t),
+                     atom_w=lambda t: 2.0 * (1.0 + t),
                      time_factor=lambda t: 1.0 + t, pieces=((0.0, -1.0), (0.0, 1.0)))
 
 
@@ -97,7 +97,7 @@ def _exponential_potential():
     # W = exp(-|x|): no polynomial pieces
     return Potential(W=lambda x: np.exp(-np.abs(x)),
                      dxW_neg=lambda x: np.exp(x), dxW_pos=lambda x: -np.exp(-x),
-                     dx2W=lambda x: np.exp(-np.abs(x)), atom_w=const(-2.0))
+                     atom_w=const(-2.0))
 
 
 def test_fft_convolution_matches_direct():
@@ -141,14 +141,6 @@ def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
     assert len(cached.snapshots) == len(per_step.snapshots) == 5
     for a, b in zip(cached.snapshots, per_step.snapshots):
         assert a.t == b.t and np.array_equal(a.cells, b.cells)
-
-
-def test_rusanov_flux_runs_and_conserves():
-    s = builtin_catalog("repulsive_source")
-    rho0 = builtin_initial("repulsive_source")
-    grid = GridConfig(x_left=-4.0, x_right=4.0, j=200)
-    gtraj = fv_run(rho0, s, grid, 0.25, snapshot_times=[0.0, 0.25], flux="rusanov")
-    assert np.all(gtraj.snapshots[-1].cells >= 0.0)
 
 
 def test_grid_escape_raises():
