@@ -12,11 +12,11 @@ from .density import (ParticleSystem, PiecewiseDensity, cdf, l1_distance,
 from .diagnostics import (EnvelopeCurves, check_bounds, compute_envelopes,
                           entropy_residual, envelope_Q, envelope_R, envelope_S,
                           equicontinuity_modulus, good_v_audit)
-from .initial import InitialDensity, builtin_initial, quantile_init
+from .initial import InitialDensity, quantile_init
 from .integrator import SolverConfig, Trajectory, integrate
 from .reference import GridConfig, GridState, compare_l1, fv_run, fv_step
-from .scenario import (Advection, Branch, Congestion, Potential, Scenario,
-                       Source, builtin_catalog, load_scenario, scenario_validate)
+from .scenario import (Advection, Branch, Congestion, Potential, Scenario, Source,
+                       builtin_catalog, builtin_initial, load_scenario, scenario_validate)
 
 __version__ = "0.1.0"
 

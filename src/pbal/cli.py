@@ -17,12 +17,12 @@ import time
 import numpy as np
 
 from . import diagnostics, io, reference
-from .density import l1_distance, to_density, total_variation
+from .density import l1_distance, to_density
 from .errors import NumericalFailureError, PbalError
-from .initial import builtin_initial, load_initial_csv, quantile_init
+from .initial import load_initial_csv, quantile_init
 from .integrator import SolverConfig, integrate
 from .reference import GridConfig, fv_run
-from .scenario import CATALOG_NAMES, builtin_catalog, load_scenario
+from .scenario import CATALOG_NAMES, catalog_entry, load_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -33,8 +33,7 @@ EXIT_NUMERICAL = 3
 def _resolve_scenario(ref, initial_path=None):
     """Catalog name or path to a scenario document, plus the initial density."""
     if ref in CATALOG_NAMES:
-        scenario = builtin_catalog(ref)
-        rho0 = builtin_initial(ref)
+        scenario, rho0 = catalog_entry(ref)
     else:
         if not os.path.exists(ref):
             raise argparse.ArgumentTypeError(
@@ -154,19 +153,11 @@ def cmd_audit(args):
     traj = _run_one(scenario, rho0, args.n, cfg)
     os.makedirs(args.out, exist_ok=True)
 
-    phis = None
-    if args.phi_grid:
-        try:
-            n_time, n_space = (int(v) for v in args.phi_grid.lower().split("x"))
-        except ValueError:
-            raise PbalError(f"--phi-grid must look like '3x5', got {args.phi_grid!r}") from None
-        phis = diagnostics.default_phi_grid(traj, n_time=n_time, n_space=n_space)
-    cs = [float(v) for v in args.c_grid.split(",")] if args.c_grid else None
-
+    phis = None if args.phi_grid is None else diagnostics.default_phi_grid(traj, *args.phi_grid)
     env = diagnostics.compute_envelopes(scenario, traj.snapshots[0], args.t_end)
     bounds = diagnostics.check_bounds(traj, env, scenario)
     violations = diagnostics.good_v_audit(traj, scenario)
-    residual = diagnostics.entropy_residual(traj, scenario, phis=phis, cs=cs)
+    residual = diagnostics.entropy_residual(traj, scenario, phis=phis, cs=args.c_grid)
     h = float(snaps[1] - snaps[0])
     moduli = diagnostics.equicontinuity_modulus(traj, h)
 
@@ -186,14 +177,17 @@ def cmd_audit(args):
     io.write_envelope_csv(os.path.join(args.out, "equicontinuity.csv"),
                           [(float(t), float(m)) for t, m in moduli],
                           header=("t", "modulus"))
+    # one row per snapshot, read off its bound records
+    by_t = {}
+    for r in bounds.records:
+        by_t.setdefault(r.t, {})[r.check] = r
     rows = []
-    for p in traj.snapshots:
+    for t, rec in by_t.items():
+        tv = rec.get("tv") or rec["tv_raw"]
         rows.append((
-            float(p.t), p.total_mass(), env.q0 / env.Q(p.t), env.q0 * env.Q(p.t),
-            float(p.x[0]), float(p.x[-1]), float(env.S(p.t)),
-            float(np.max(p.heights)), float(env.R(p.t)),
-            total_variation(to_density(p)),
-            float(env.B(p.t)) if env.B is not None else float("inf"),
+            float(t), rec["mass_upper"].value, rec["mass_lower"].bound, rec["mass_upper"].bound,
+            rec["support_left"].value, rec["support_right"].value, rec["support_right"].bound,
+            rec["density_max"].value, rec["density_max"].bound, tv.value, tv.bound,
         ))
     io.write_envelope_csv(
         os.path.join(args.out, "envelopes.csv"), rows,
@@ -259,6 +253,23 @@ def build_parser():
 
     positive_int = at_least(1)
 
+    def phi_grid(text):
+        counts = text.lower().split("x")
+        if len(counts) != 2 or not all(c.isdigit() and int(c) >= 1 for c in counts):
+            raise argparse.ArgumentTypeError(
+                f"expected TIMExSPACE counts, both >= 1, like 3x5; got {text!r}")
+        return tuple(map(int, counts))
+
+    def finite_floats(text):
+        try:
+            values = [float(v) for v in text.split(",")]
+        except ValueError:
+            values = [np.nan]
+        if not np.all(np.isfinite(values)):
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated finite numbers, like 0,0.5; got {text!r}")
+        return values
+
     def common(p, snapshots=11):
         p.add_argument("--scenario", required=True,
                        help=f"catalog name ({', '.join(CATALOG_NAMES)}) or scenario file")
@@ -288,9 +299,9 @@ def build_parser():
     common(p_audit, snapshots=257)
     p_audit.add_argument("--n", type=positive_int, required=True)
     p_audit.add_argument("--out", default="audit")
-    p_audit.add_argument("--phi-grid", default=None, dest="phi_grid",
+    p_audit.add_argument("--phi-grid", type=phi_grid, default=None, dest="phi_grid",
                          help="test-function grid as TIMExSPACE centers, e.g. 3x5")
-    p_audit.add_argument("--c-grid", default=None, dest="c_grid",
+    p_audit.add_argument("--c-grid", type=finite_floats, default=None, dest="c_grid",
                          help="comma-separated entropy constants (default: empirical)")
     p_audit.set_defaults(func=cmd_audit)
 

@@ -117,7 +117,16 @@ def envelope_Q(s: Scenario, t: float) -> float:
     return math.exp(s.source.c_f * _integrate_gk(s.advection.growth_F, 0.0, t))
 
 
-def envelope_S(s: Scenario, S0: float, t_end: float, q0: float, n_grid: int = 257) -> Curve:
+ENVELOPE_GRID = 257  # samples of every envelope curve on [0, t_end]
+
+
+def _envelope(rate, y0, t_end) -> Curve:
+    """The solution of y' = rate(t, y), y(0) = y0, on the envelope grid."""
+    ts = np.linspace(0.0, t_end, ENVELOPE_GRID)
+    return Curve(ts, solve_scalar_ode(rate, 0.0, y0, ts))
+
+
+def envelope_S(s: Scenario, S0: float, t_end: float, q0: float) -> Curve:
     """Support envelope: integrates s' = |v|inf F(t) [1 + q(0) Q(t)] lambda(s)."""
     vsup = s.congestion.v_sup
     F = s.advection.growth_F
@@ -126,8 +135,7 @@ def envelope_S(s: Scenario, S0: float, t_end: float, q0: float, n_grid: int = 25
     def rate(t, y):
         return vsup * float(F(t)) * (1.0 + q0 * envelope_Q(s, t)) * float(lam(max(y, 0.0)))
 
-    ts = np.linspace(0.0, t_end, n_grid)
-    return Curve(ts, solve_scalar_ode(rate, 0.0, S0, ts))
+    return _envelope(rate, S0, t_end)
 
 
 def _c1_remark(s: Scenario, q0: float, S_curve: Curve):
@@ -143,8 +151,7 @@ def _c1_remark(s: Scenario, q0: float, S_curve: Curve):
     return c1
 
 
-def envelope_R(s: Scenario, R0: float, t_end: float, q0: float, S_curve: Curve,
-               n_grid: int = 257) -> Curve:
+def envelope_R(s: Scenario, R0: float, t_end: float, q0: float, S_curve: Curve) -> Curve:
     """Density envelope along the scenario's declared no-collapse branch."""
     vsup = s.congestion.v_sup
     F = s.advection.growth_F
@@ -164,12 +171,11 @@ def envelope_R(s: Scenario, R0: float, t_end: float, q0: float, S_curve: Curve,
         def rate(t, y):
             return (c1(t) * vsup + cf * float(F(t))) * max(y, 0.0)
 
-    ts = np.linspace(0.0, t_end, n_grid)
-    return Curve(ts, solve_scalar_ode(rate, 0.0, R0, ts))
+    return _envelope(rate, R0, t_end)
 
 
 def envelope_B(s: Scenario, B0: float, t_end: float, q0: float, S_curve: Curve,
-               R_curve: Curve, n_grid: int = 257) -> Optional[Curve]:
+               R_curve: Curve) -> Optional[Curve]:
     """Total-variation envelope TV' <= alpha(t) + beta(t) TV.
 
     Requires the interval-mass bound for the measure dominating |D_x f|
@@ -205,8 +211,7 @@ def envelope_B(s: Scenario, B0: float, t_end: float, q0: float, S_curve: Curve,
         )
         return alpha + beta * max(y, 0.0)
 
-    ts = np.linspace(0.0, t_end, n_grid)
-    return Curve(ts, solve_scalar_ode(rate, 0.0, B0, ts))
+    return _envelope(rate, B0, t_end)
 
 
 def compute_envelopes(s: Scenario, p0: ParticleSystem, t_end: float) -> EnvelopeCurves:
@@ -330,7 +335,7 @@ def _c_grid(states):
 @dataclass
 class EntropyResidualReport:
     residuals: dict            # (phi index, c) -> E(phi, c)
-    res_neg: float             # max(0, -min over the grid)
+    res_neg: float             # max(0, -min over the grid); NaN if a residual is not finite
     phis: list
     cs: list
     metadata: dict = field(default_factory=dict)
@@ -390,6 +395,11 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
         phis = default_phi_grid(traj)
     if cs is None:
         cs = _c_grid(traj.snapshots)
+    if not phis or not cs:
+        raise ValueError("need at least one test function and one entropy constant")
+    cs = [float(c) for c in cs]
+    if not all(map(math.isfinite, cs)):
+        raise ValueError(f"entropy constants must be finite, got {cs}")
     t_lo, t_hi = float(times[0]), float(times[-1])
     for tf in phis:
         a, b = tf.t_support
@@ -402,7 +412,6 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     x_hi = max(tf.x_support[1] for tf in phis)
     w_max = min(tf.ell for tf in phis) / 8.0
 
-    cs = [float(c) for c in cs]
     c_arr = np.array(cs)[:, None]
     mc = c_arr * np.array([float(s.congestion.v(c)) for c in cs])[:, None]
     # time factors of every test function at every snapshot
@@ -445,7 +454,9 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     for j in range(len(phis)):
         for ci, c in enumerate(cs):
             residuals[(j, c)] = float(np.trapezoid(theta[j, ci], times))
-    res_neg = max(0.0, -min(residuals.values()))
+    values = list(residuals.values())
+    # min() and max() pass a NaN through or drop it depending on its position
+    res_neg = max(0.0, -min(values)) if all(map(math.isfinite, values)) else math.nan
     return EntropyResidualReport(
         residuals=residuals,
         res_neg=res_neg,

@@ -47,11 +47,14 @@ def bump_prime(s, b=None):
 
 
 def _broadcast(value, args):
-    """``value`` as is when every argument is a scalar, else a float array of
-    the broadcast shape of all the arguments."""
-    if all(np.isscalar(a) for a in args):
+    """``value`` as is when the arguments broadcast to a scalar, else a float
+    array of the broadcast shape of all the arguments."""
+    shape = np.broadcast(*args).shape
+    if not shape:
         return value
-    return np.full(np.broadcast_shapes(*(np.shape(a) for a in args)), float(value))
+    out = np.empty(shape)
+    out.fill(value)
+    return out
 
 
 def finite_float(value, what):
@@ -170,7 +173,10 @@ class _FloatConstants(ast.NodeTransformer):
 def compile_expression(text, variables):
     """Compile ``text`` into a vectorized callable of the named ``variables``.
 
-    The returned callable takes the variables positionally, in the order given.
+    The returned callable takes the variables positionally, in the order given:
+    a ``lambda`` whose body is the whitelisted, folded expression and which sees
+    no builtins, only the grammar's functions.  When the expression leaves a
+    variable unused, a scalar result is broadcast against every argument.
     """
     if isinstance(text, (int, float)):
         return constant(finite_float(text, "a numeric expression"))
@@ -179,21 +185,20 @@ def compile_expression(text, variables):
     except SyntaxError as exc:
         raise ScenarioFormatError(f"cannot parse expression {text!r}: {exc}") from exc
     _check_node(tree, set(variables))
-    tree = ast.fix_missing_locations(_FloatConstants(text).visit(tree))
-    code = compile(tree, filename="<scenario>", mode="eval")
-    names = tuple(variables)
+    body = _FloatConstants(text).visit(tree).body
+    lam = ast.parse(f"lambda {', '.join(variables)}: 0", mode="eval")
+    lam.body.body = body
+    code = compile(ast.fix_missing_locations(lam), filename="<scenario>", mode="eval")
+    fn = eval(code, {"__builtins__": {}, **_FUNCTIONS})  # noqa: S307 - AST whitelisted
+    used = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    if used >= set(variables):
+        return fn
 
-    def evaluate(*args):
-        if len(args) != len(names):
-            raise TypeError(f"expected {len(names)} arguments {names}, got {len(args)}")
-        env = dict(zip(names, args))
-        env.update(_FUNCTIONS)
-        result = eval(code, {"__builtins__": {}}, env)  # noqa: S307 - AST whitelisted
-        # Constant expressions must still broadcast against array arguments.
+    def broadcast(*args):
+        result = fn(*args)
         return _broadcast(result, args) if np.isscalar(result) else result
 
-    evaluate.source = str(text)
-    return evaluate
+    return broadcast
 
 
 # ---------------------------------------------------------------------------

@@ -169,28 +169,6 @@ def quantile_init(rho0: InitialDensity, n: int) -> ParticleSystem:
     return ParticleSystem(t=0.0, x=x, q=np.full(n, mass / n))
 
 
-_BUILTIN_INITIALS = {
-    # two-block step, total mass 1 (vacuum gap between the blocks)
-    "transport": [(-1.0, -0.5, 1.0), (0.0, 1.0, 0.5)],
-    "growth_transport": [(-1.0, -0.5, 1.0), (0.0, 1.0, 0.5)],
-    # generic asymmetric profile, total mass 1; a single uniform block would
-    # evolve self-similarly under the congested attraction (the quantile
-    # discretizations of every N coincide exactly), hiding refinement effects
-    "attractive_congested": [(-0.75, 0.0, 0.9), (0.0, 0.65, 0.5)],
-    "repulsive_source": [(-2.0 / 3.0, 2.0 / 3.0, 0.75)],
-}
-
-
-def builtin_initial(name: str) -> InitialDensity:
-    """Default initial density paired with each catalog scenario."""
-    try:
-        return InitialDensity.from_blocks(_BUILTIN_INITIALS[name])
-    except KeyError:
-        raise ScenarioFormatError(
-            f"no builtin initial density {name!r}; known: {sorted(_BUILTIN_INITIALS)}"
-        ) from None
-
-
 def load_initial_csv(path) -> InitialDensity:
     """Two-column CSV (position, value) with linear interpolation."""
     data = np.loadtxt(path, delimiter=",", dtype=float)

@@ -216,124 +216,6 @@ def default_sample_grid(t_max=2.0, x_max=5.0, r_max=5.0, n=10):
 
 
 # ---------------------------------------------------------------------------
-# builtin catalog
-
-_const = expressions.constant
-
-
-def _zero_potential():
-    z = _const(0.0)
-    return Potential(W=z, dxW_neg=z, dxW_pos=z, atom_w=z,
-                     pieces=((0.0,), (0.0,)))
-
-
-def _abs_potential(sign=1.0):
-    # W(x) = sign * |x|: gradient is sign * sgn(x), atom 2 * sign, no a.c. part.
-    s = float(sign)
-    return Potential(
-        W=lambda x, _s=s: _s * np.abs(x),
-        dxW_neg=_const(-s),
-        dxW_pos=_const(s),
-        atom_w=_const(2.0 * s),
-        pieces=((0.0, -s), (0.0, s)),
-    )
-
-
-def _catalog_transport(growth=False):
-    one = _const(1.0)
-    zero = _const(0.0)
-    if growth:
-        source = Source(f=lambda t, x, rho: rho + 0.0 * np.asarray(x, dtype=float),
-                        c_f=1.0, drho_f_bound=one)
-    else:
-        source = Source(f=lambda t, x, rho: 0.0 * (np.asarray(x, dtype=float) + rho),
-                        c_f=0.0, drho_f_bound=zero)
-    return Scenario(
-        congestion=Congestion(v=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                              v_sup=1.0, vprime_bound=zero),
-        advection=Advection(V=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-                            dxV=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            growth_F=one, growth_G=one, growth_lambda=one),
-        potential=_zero_potential(),
-        source=source,
-        # v == 1 admits no superlinearly-dominating g with divergent 1/g
-        # integral, so these entries rely on w = 0 <= 0 instead.
-        no_collapse_branch=Branch.W_REPULSIVE,
-        name="growth_transport" if growth else "transport",
-        fingerprint="growth_transport" if growth else "transport",
-    )
-
-
-def _catalog_attractive_congested():
-    one = _const(1.0)
-    zero = _const(0.0)
-    two = _const(2.0)
-    return Scenario(
-        congestion=Congestion(
-            v=lambda r: np.maximum(1.0 - np.asarray(r, dtype=float), 0.0),
-            v_sup=1.0,
-            vprime_bound=one,
-            decay_g=lambda r: 2.0 * np.asarray(r, dtype=float),
-        ),
-        advection=Advection(V=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            dxV=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            growth_F=two, growth_G=one, growth_lambda=one),
-        potential=_abs_potential(+1.0),
-        source=Source(f=lambda t, x, rho: 0.0 * (np.asarray(x, dtype=float) + rho),
-                      c_f=0.0, drho_f_bound=zero),
-        no_collapse_branch=Branch.V_DECAYS,
-        name="attractive_congested",
-        fingerprint="attractive_congested",
-    )
-
-
-def _catalog_repulsive_source():
-    one = _const(1.0)
-    two = _const(2.0)
-
-    def eta_mass(t, r, X):
-        # |D_x f| <= rho |b'|; the bump b has total gradient variation 2 b(0).
-        b_edge = expressions.bump(min(abs(X), 1.0))
-        return 2.0 * r * (1.0 - b_edge)
-
-    return Scenario(
-        congestion=Congestion(
-            v=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)),
-            v_sup=1.0,
-            vprime_bound=one,
-        ),
-        advection=Advection(V=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            dxV=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            growth_F=two, growth_G=one, growth_lambda=one),
-        potential=_abs_potential(-1.0),
-        source=Source(f=lambda t, x, rho: rho * expressions.bump(x),
-                      c_f=0.5, drho_f_bound=one, eta_mass=eta_mass),
-        no_collapse_branch=Branch.W_REPULSIVE,
-        name="repulsive_source",
-        fingerprint="repulsive_source",
-    )
-
-
-_CATALOG = {
-    "transport": lambda: _catalog_transport(growth=False),
-    "growth_transport": lambda: _catalog_transport(growth=True),
-    "attractive_congested": _catalog_attractive_congested,
-    "repulsive_source": _catalog_repulsive_source,
-}
-
-CATALOG_NAMES = tuple(sorted(_CATALOG))
-
-
-def builtin_catalog(name: str) -> Scenario:
-    try:
-        return _CATALOG[name]()
-    except KeyError:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; valid names: {', '.join(CATALOG_NAMES)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
 # scenario files (JSON with expression strings)
 
 def _rows(path, where, rows, width):
@@ -398,7 +280,7 @@ SCHEMA = {
     "congestion": ("v", "v_sup", "vprime_bound", "decay_g"),
     "advection": ("V", "dxV", "F", "G", "lambda"),
     "potential": ("W", "dxW_neg", "dxW_pos", "dx2W", "atom_w", "time_factor"),
-    "source": ("f", "c_f", "drho_f_bound"),
+    "source": ("f", "c_f", "drho_f_bound", "eta_mass"),
     "metadata": ("name", "branch", "initial"),
 }
 
@@ -422,7 +304,8 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     never silently defaulted); model functions are expression
     strings in the documented grammar (variables: r for congestion and the
     radial envelopes, t/x for advection, x for the potential, t/x/rho for the
-    source).
+    source, t/r/X for ``source.eta_mass``).  The scenario's fingerprint is a
+    hash of the file's text.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -430,10 +313,19 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         doc = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
+
+    import hashlib
+
+    return _build(doc, path, hashlib.sha256(raw.encode()).hexdigest()[:16])
+
+
+def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
+    """The scenario and initial density of a parsed document; errors name
+    ``path: section.key``."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
     _reject_unknown(path, "top level", doc, SCHEMA)
-    doc.setdefault("metadata", {})
+    doc = {"metadata": {}, **doc}
     for section, keys in SCHEMA.items():
         if section not in doc:
             raise ScenarioFormatError(f"{path}: missing section {section!r}")
@@ -461,13 +353,10 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     dxn = expr("potential", "dxW_neg", ("x",), default="0")
     dxp = expr("potential", "dxW_pos", ("x",), default="0")
     time_factor = expr("potential", "time_factor", ("t",))
-    atom = pot_d.get("atom_w", None)
-    if atom is None:
+    atom_fn = expr("potential", "atom_w", ("t",))
+    if atom_fn is None:
         jump = float(dxp(0.0)) - float(dxn(0.0))
-        atom_fn = _const(jump) if time_factor is None else (lambda t: jump * time_factor(t))
-    else:
-        atom_fn = (_const(expressions.finite_float(atom, f"{path}: potential.atom_w"))
-                   if isinstance(atom, (int, float)) else expr("potential", "atom_w", ("t",)))
+        atom_fn = expressions.constant(jump) if time_factor is None else (lambda t: jump * time_factor(t))
     W = expr("potential", "W", ("x",), default="0")
     # dx2W is compiled, so a malformed one is an error, but nothing reads it:
     # dx2W integrals difference the gradient branches
@@ -486,6 +375,7 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         f=expr("source", "f", ("t", "x", "rho"), default="0"),
         c_f=expressions.finite_float(src_d.get("c_f", 0.0), f"{path}: source.c_f"),
         drho_f_bound=expr("source", "drho_f_bound", ("r",), default="0"),
+        eta_mass=expr("source", "eta_mass", ("t", "r", "X")),
     )
     branch_txt = str(meta.get("branch", "w_repulsive")).lower()
     try:
@@ -495,8 +385,6 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
             f"{path}: metadata.branch must be one of {[b.value for b in Branch]}"
         ) from None
 
-    import hashlib
-
     scenario = Scenario(
         congestion=congestion,
         advection=advection,
@@ -504,7 +392,7 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         source=source,
         no_collapse_branch=branch,
         name=str(meta.get("name", "custom")),
-        fingerprint=hashlib.sha256(raw.encode()).hexdigest()[:16],
+        fingerprint=fingerprint,
     )
 
     rho0 = None
@@ -519,3 +407,78 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         else:
             raise ScenarioFormatError(f"{path}: metadata.initial needs 'blocks' or 'samples'")
     return scenario, rho0
+
+
+# ---------------------------------------------------------------------------
+# builtin catalog: scenario documents, built by the same code as files
+
+_CATALOG = {
+    "transport": {
+        "congestion": {"v": "1", "v_sup": 1.0},
+        "advection": {"V": "1", "dxV": "0", "F": "1", "G": "1", "lambda": "1"},
+        "potential": {"W": "0"},
+        "source": {"f": "0*(x + rho)", "c_f": 0.0},
+        # v == 1 admits no superlinearly-dominating g with divergent 1/g
+        # integral, so the transport entries rely on w = 0 <= 0 instead
+        "metadata": {"name": "transport", "branch": "w_repulsive",
+                     # two-block step, total mass 1 (vacuum gap between the blocks)
+                     "initial": {"blocks": [[-1.0, -0.5, 1.0], [0.0, 1.0, 0.5]]}},
+    },
+    "growth_transport": {
+        "congestion": {"v": "1", "v_sup": 1.0},
+        "advection": {"V": "1", "dxV": "0", "F": "1", "G": "1", "lambda": "1"},
+        "potential": {"W": "0"},
+        "source": {"f": "rho + 0*x", "c_f": 1.0, "drho_f_bound": "1"},
+        "metadata": {"name": "growth_transport", "branch": "w_repulsive",
+                     "initial": {"blocks": [[-1.0, -0.5, 1.0], [0.0, 1.0, 0.5]]}},
+    },
+    "attractive_congested": {
+        "congestion": {"v": "max(1 - r, 0)", "v_sup": 1.0, "vprime_bound": "1",
+                       "decay_g": "2*r"},
+        "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+        "potential": {"W": "abs(x)", "dxW_neg": "-1", "dxW_pos": "1", "atom_w": 2.0},
+        "source": {"f": "0*(x + rho)", "c_f": 0.0},
+        # a generic asymmetric profile of mass 1: a single uniform block would
+        # evolve self-similarly under the congested attraction (the quantile
+        # discretizations of every N coincide exactly), hiding refinement effects
+        "metadata": {"name": "attractive_congested", "branch": "v_decays",
+                     "initial": {"blocks": [[-0.75, 0.0, 0.9], [0.0, 0.65, 0.5]]}},
+    },
+    "repulsive_source": {
+        "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+        "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+        "potential": {"W": "-abs(x)", "dxW_neg": "1", "dxW_pos": "-1", "atom_w": -2.0},
+        # |D_x f| <= rho |bump'|, and the bump's gradient has total variation 2 bump(0)
+        "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1",
+                   "eta_mass": "2*r*(1 - bump(min(abs(X), 1)))"},
+        "metadata": {"name": "repulsive_source", "branch": "w_repulsive",
+                     "initial": {"blocks": [[-2.0 / 3.0, 2.0 / 3.0, 0.75]]}},
+    },
+}
+
+CATALOG_NAMES = tuple(sorted(_CATALOG))
+
+
+def catalog_entry(name: str) -> tuple[Scenario, InitialDensity]:
+    """The catalog scenario ``name`` and its initial density; the scenario's
+    fingerprint is its name."""
+    try:
+        doc = _CATALOG[name]
+    except KeyError:
+        raise UnknownScenarioError(
+            f"unknown scenario {name!r}; valid names: {', '.join(CATALOG_NAMES)}"
+        ) from None
+    return _build(doc, f"catalog scenario {name!r}", name)
+
+
+def builtin_catalog(name: str) -> Scenario:
+    return catalog_entry(name)[0]
+
+
+def builtin_initial(name: str) -> InitialDensity:
+    """Default initial density paired with each catalog scenario."""
+    if name not in _CATALOG:
+        raise ScenarioFormatError(
+            f"no builtin initial density {name!r}; known: {list(CATALOG_NAMES)}"
+        )
+    return catalog_entry(name)[1]

@@ -166,6 +166,19 @@ def test_audit_flags_and_violation_exit(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--c-grid", "nan,0.5"), ("--c-grid", "inf"), ("--c-grid", "0,,1"), ("--c-grid", ""),
+    ("--phi-grid", "0x0"), ("--phi-grid", "3x-1"), ("--phi-grid", "0,,1"), ("--phi-grid", ""),
+])
+def test_audit_bad_grid_exit_2(tmp_path, capsys, flag, value):
+    # a NaN constant used to hide every residual (res_neg = 0) and a zero
+    # count to fail inside min(); each is a usage error naming its flag
+    assert main(["audit", "--scenario", "transport", "--n", "20", "--t-end", "0.2",
+                 flag, value, "--out", str(tmp_path / "out")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_malformed_scenario(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,26 @@ def test_entropy_support_check():
     with pytest.raises(ValueError):
         dg.entropy_residual(traj, builtin_catalog("attractive_congested"),
                             phis=[bad_phi], cs=[0.0])
+
+
+def test_entropy_rejects_empty_grids_and_non_finite_constants():
+    s = builtin_catalog("transport")
+    traj = catalog_run("transport", 20, t_end=0.2, k_snapshots=65)
+    for phis, cs in (([], None), (None, []), (None, [float("nan"), 0.5]), (None, [np.inf])):
+        with pytest.raises(ValueError):
+            dg.entropy_residual(traj, s, phis=phis, cs=cs)
+
+
+def test_entropy_non_finite_residual_gives_nan():
+    # min() and max() over residuals holding a NaN can return any finite one,
+    # or 0 for res_neg, hiding the failed ones
+    s = builtin_catalog("transport")
+    traj = catalog_run("transport", 20, t_end=0.2, k_snapshots=65)
+    nan_right = Source(f=lambda t, x, rho: np.where(x > 0.0, np.nan, 0.0 * rho),
+                       c_f=1.0, drho_f_bound=const(0.0))
+    rep = dg.entropy_residual(traj, dataclasses.replace(s, source=nan_right))
+    assert any(np.isnan(list(rep.residuals.values())))
+    assert np.isnan(rep.res_neg)
 
 
 def test_entropy_large_c_identity():

@@ -6,7 +6,7 @@ from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
 from pbal.dynamics import StageFailure, rhs_arrays
 from pbal.errors import CollisionExtinctionError
 from pbal.integrator import solve_scalar_ode, step_guard
-from pbal.scenario import Branch, Source, _abs_potential
+from pbal.scenario import Branch, Source
 
 from conftest import const, make_scenario, zero_field_scenario
 
@@ -136,7 +136,7 @@ def test_switch_halving_at_sign_change():
 def test_collision_raises_with_location():
     # attractive kink potential with v == 1 circumvents the no-collapse
     # protection: inner gaps close linearly, colliding at t = 0.5
-    s = make_scenario(potential=_abs_potential(+1.0), F=2.0,
+    s = make_scenario(potential=builtin_catalog("attractive_congested").potential, F=2.0,
                       branch=Branch.V_DECAYS, name="colliding")
     p0 = quantile_init(InitialDensity.from_blocks([(-0.5, 0.5, 1.0)]), 4)
     with pytest.raises(CollisionExtinctionError) as exc:

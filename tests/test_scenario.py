@@ -1,10 +1,11 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate,
+from pbal import (InitialDensity, SolverConfig, builtin_catalog, builtin_initial, integrate,
                   load_scenario, quantile_init, scenario_validate)
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
 from pbal.expressions import bump, compile_expression, piecewise_polynomial
@@ -69,6 +70,16 @@ def test_constant_broadcasts_against_every_argument():
     assert compile_expression("t", ("t", "x"))(0.5, y).tolist() == [0.5] * 5
 
 
+@pytest.mark.parametrize("text", ["t*x", "t", "3"])
+def test_expression_wrong_argument_count(text):
+    f = compile_expression(text, ("t", "x"))
+    assert np.shape(f(0.5, np.zeros(3))) == (3,)
+    with pytest.raises(TypeError):
+        f(0.5)
+    with pytest.raises(TypeError):
+        f(0.5, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("text, pieces", [
     ("-abs(x)", ((0.0, 1.0), (0.0, -1.0))),
     ("0.5*x**2", ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5))),
@@ -114,6 +125,50 @@ def test_catalog_attractive_metadata():
     r = np.linspace(0.0, 10.0, 2001)
     lhs = r + r**2 * s.congestion.v(r)
     assert np.all(lhs <= s.congestion.decay_g(r) + 1e-12)
+
+
+# The README's catalog table as formulas: v(r), V(t, x), W(x), f(t, x, rho),
+# eta_mass(t, r, X) (None: no TV envelope) and the initial blocks.
+_TWO_BLOCKS = [(-1.0, -0.5, 1.0), (0.0, 1.0, 0.5)]
+CATALOG_FORMULAS = {
+    "transport": (lambda r: 1.0 + 0 * r, lambda t, x: 1.0 + 0 * x, lambda x: 0 * x,
+                  lambda t, x, rho: 0 * x, None, _TWO_BLOCKS),
+    "growth_transport": (lambda r: 1.0 + 0 * r, lambda t, x: 1.0 + 0 * x, lambda x: 0 * x,
+                         lambda t, x, rho: rho + 0 * x, None, _TWO_BLOCKS),
+    "attractive_congested": (lambda r: np.maximum(1.0 - r, 0.0), lambda t, x: 0 * x, np.abs,
+                             lambda t, x, rho: 0 * x, None,
+                             [(-0.75, 0.0, 0.9), (0.0, 0.65, 0.5)]),
+    "repulsive_source": (lambda r: 1.0 / (1.0 + r), lambda t, x: 0 * x, lambda x: -np.abs(x),
+                         lambda t, x, rho: rho * bump(x),
+                         lambda t, r, X: 2.0 * r * (1.0 - bump(min(abs(X), 1.0))),
+                         [(-2.0 / 3.0, 2.0 / 3.0, 0.75)]),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_matches_readme_formulas(name):
+    v, V, W, f, eta, blocks = CATALOG_FORMULAS[name]
+    s = builtin_catalog(name)
+    r = np.linspace(0.0, 3.0, 13)
+    x = np.linspace(-2.5, 2.5, 21)
+    assert np.array_equal(s.congestion.v(r), v(r))
+    assert np.array_equal(s.advection.V(0.7, x), V(0.7, x))
+    assert np.array_equal(s.potential.W(x), W(x))
+    assert np.array_equal(s.source.f(0.7, x, 0.8 + 0 * x), f(0.7, x, 0.8 + 0 * x))
+    if eta is None:
+        assert s.source.eta_mass is None
+    else:
+        for R, X in [(0.5, 0.0), (1.5, 0.3), (2.0, 0.9), (1.0, 1.0), (1.0, 4.0)]:
+            assert s.source.eta_mass(0.7, R, X) == eta(0.7, R, X)
+    rho0 = builtin_initial(name)
+    want = InitialDensity.from_blocks(blocks)
+    assert np.array_equal(rho0.pdf(x), want.pdf(x))
+    assert rho0.support == want.support and rho0.total_mass == want.total_mass
+
+
+def test_catalog_fingerprint_is_its_name():
+    for name in CATALOG_NAMES:
+        assert builtin_catalog(name).fingerprint == name
 
 
 def test_catalog_unknown_name_lists_valid():
@@ -172,8 +227,8 @@ def test_validate_constant_source_fails_at_zero_density():
 
 def test_validate_branch_mismatch():
     # attractive atom on the repulsive branch
-    from pbal.scenario import _abs_potential
-    s = make_scenario(potential=_abs_potential(+1.0), F=2.0, branch=Branch.W_REPULSIVE)
+    s = make_scenario(potential=builtin_catalog("attractive_congested").potential, F=2.0,
+                      branch=Branch.W_REPULSIVE)
     violations = scenario_validate(s, default_sample_grid())
     assert any(v.assumption == "A5_W" for v in violations)
 
@@ -255,7 +310,7 @@ def test_load_scenario_accepts_every_schema_key(tmp_path):
         "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
         "potential": {"W": "abs(x)", "dxW_neg": "-1", "dxW_pos": "1", "dx2W": "0",
                       "atom_w": "2*(1 + t)", "time_factor": "1 + t"},
-        "source": {"f": "0", "c_f": 0.0, "drho_f_bound": "0"},
+        "source": {"f": "0", "c_f": 0.0, "drho_f_bound": "0", "eta_mass": "2*r*X + t"},
         "metadata": {"name": "every_key", "branch": "v_decays",
                      "initial": {"blocks": [[0.0, 1.0, 0.5]]}},
     }
@@ -266,6 +321,23 @@ def test_load_scenario_accepts_every_schema_key(tmp_path):
     s, rho0 = load_scenario(path)
     assert s.name == "every_key" and rho0 is not None
     assert s.potential.factor(1.0) == 2.0
+    assert s.source.eta_mass(1.0, 2.0, 3.0) == 13.0
+
+
+def test_source_without_eta_mass_has_no_tv_envelope(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SCENARIO_DOC))
+    s, _ = load_scenario(path)
+    assert s.source.eta_mass is None
+
+
+@pytest.mark.parametrize("eta", ["y", "r +", "9**9**9 + r"])
+def test_malformed_eta_mass_names_its_key(tmp_path, eta):
+    doc = dict(SCENARIO_DOC, source={"f": "0", "c_f": 0.0, "eta_mass": eta})
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioFormatError, match=f"{path}: source.eta_mass"):
+        load_scenario(path)
 
 
 def test_load_scenario_rejects_unknown_keys(tmp_path):
@@ -298,3 +370,16 @@ def test_load_scenario_bad_expression(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioFormatError):
         load_scenario(path)
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    # the documented example must stay a valid document of the current schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    example = section[section.index("```json") + len("```json"):]
+    example = example[:example.index("```")]
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    s, rho0 = load_scenario(path)
+    assert s.name == "congested_transport" and rho0 is not None
+    assert scenario_validate(s, default_sample_grid()) == []
