@@ -177,23 +177,8 @@ def cmd_audit(args):
     io.write_envelope_csv(os.path.join(args.out, "equicontinuity.csv"),
                           [(float(t), float(m)) for t, m in moduli],
                           header=("t", "modulus"))
-    # one row per snapshot, read off its bound records
-    by_t = {}
-    for r in bounds.records:
-        by_t.setdefault(r.t, {})[r.check] = r
-    rows = []
-    for t, rec in by_t.items():
-        tv = rec.get("tv") or rec["tv_raw"]
-        rows.append((
-            float(t), rec["mass_upper"].value, rec["mass_lower"].bound, rec["mass_upper"].bound,
-            rec["support_left"].value, rec["support_right"].value, rec["support_right"].bound,
-            rec["density_max"].value, rec["density_max"].bound, tv.value, tv.bound,
-        ))
-    io.write_envelope_csv(
-        os.path.join(args.out, "envelopes.csv"), rows,
-        header=("t", "mass", "mass_lo", "mass_hi", "x0", "xN", "S",
-                "rho_max", "R", "tv", "B"),
-    )
+    io.write_envelope_csv(os.path.join(args.out, "envelopes.csv"), bounds.rows,
+                          header=diagnostics.ENVELOPE_COLUMNS)
 
     print(f"audit {scenario.name} n={args.n}: bounds "
           f"{'ok' if bounds.ok else 'VIOLATED'}, good-v violations: {len(violations)}, "

@@ -241,17 +241,22 @@ class BoundRecord:
     ok: bool
 
 
+ENVELOPE_COLUMNS = ("t", "mass", "mass_lo", "mass_hi", "x0", "xN", "S",
+                    "rho_max", "R", "tv", "B")
+
+
 @dataclass
 class BoundsReport:
     records: list
     ok: bool
+    rows: list  # one tuple per snapshot, in ENVELOPE_COLUMNS order
 
 
 def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario,
                  rel_slack: float = 1e-6) -> BoundsReport:
     """Compare every snapshot against the envelope curves; violations are
     findings (records with ok=False), not errors."""
-    records = []
+    records, rows = [], []
     q0 = env.q0
 
     def add(t, check, value, bound, upper=True):
@@ -269,13 +274,14 @@ def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario,
         St = env.S(t)
         add(t, "support_right", float(p.x[-1]), St)
         add(t, "support_left", float(p.x[0]), -St, upper=False)
-        add(t, "density_max", float(np.max(p.heights)), env.R(t))
+        rho_max, R = float(np.max(p.heights)), env.R(t)
+        add(t, "density_max", rho_max, R)
         tv = total_variation(to_density(p))
-        if env.B is not None:
-            add(t, "tv", tv, env.B(t))
-        else:
-            add(t, "tv_raw", tv, np.inf)
-    return BoundsReport(records=records, ok=all(r.ok for r in records))
+        B = np.inf if env.B is None else env.B(t)
+        add(t, "tv_raw" if env.B is None else "tv", tv, B)
+        rows.append(tuple(float(v) for v in (t, mass, q0 / Q, q0 * Q, p.x[0], p.x[-1], St,
+                                             rho_max, R, tv, B)))
+    return BoundsReport(records=records, ok=all(r.ok for r in records), rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,7 @@ def _broadcast(value, args):
     shape = np.broadcast(*args).shape
     if not shape:
         return value
-    out = np.empty(shape)
-    out.fill(value)
-    return out
+    return np.full(shape, float(value))
 
 
 def finite_float(value, what):
@@ -175,8 +173,8 @@ def compile_expression(text, variables):
 
     The returned callable takes the variables positionally, in the order given:
     a ``lambda`` whose body is the whitelisted, folded expression and which sees
-    no builtins, only the grammar's functions.  When the expression leaves a
-    variable unused, a scalar result is broadcast against every argument.
+    no builtins, only the grammar's functions.  A scalar result is broadcast
+    against every argument.
     """
     if isinstance(text, (int, float)):
         return constant(finite_float(text, "a numeric expression"))
@@ -190,9 +188,6 @@ def compile_expression(text, variables):
     lam.body.body = body
     code = compile(ast.fix_missing_locations(lam), filename="<scenario>", mode="eval")
     fn = eval(code, {"__builtins__": {}, **_FUNCTIONS})  # noqa: S307 - AST whitelisted
-    used = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    if used >= set(variables):
-        return fn
 
     def broadcast(*args):
         result = fn(*args)

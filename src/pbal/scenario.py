@@ -477,8 +477,7 @@ def builtin_catalog(name: str) -> Scenario:
 
 def builtin_initial(name: str) -> InitialDensity:
     """Default initial density paired with each catalog scenario."""
-    if name not in _CATALOG:
-        raise ScenarioFormatError(
-            f"no builtin initial density {name!r}; known: {list(CATALOG_NAMES)}"
-        )
-    return catalog_entry(name)[1]
+    try:
+        return catalog_entry(name)[1]
+    except UnknownScenarioError as exc:
+        raise ScenarioFormatError(f"no builtin initial density: {exc.args[0]}") from None
