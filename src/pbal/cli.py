@@ -255,6 +255,15 @@ def build_parser():
                 f"expected comma-separated finite numbers, like 0,0.5; got {text!r}")
         return values
 
+    def finite_positive(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not (np.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+        return value
+
     def common(p, snapshots=11):
         p.add_argument("--scenario", required=True,
                        help=f"catalog name ({', '.join(CATALOG_NAMES)}) or scenario file")
@@ -294,7 +303,7 @@ def build_parser():
     common(p_val)
     p_val.add_argument("--n", type=positive_int, required=True)
     p_val.add_argument("--j", type=positive_int, required=True, help="grid cell count")
-    p_val.add_argument("--x-max", type=float, default=None, dest="x_max",
+    p_val.add_argument("--x-max", type=finite_positive, default=None, dest="x_max",
                        help="grid half-width (checked against the support envelope)")
     p_val.add_argument("--out", default=None)
     p_val.set_defaults(func=cmd_validate)

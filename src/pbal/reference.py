@@ -4,17 +4,21 @@ Forward-Euler upwind scheme whose interface flux mirrors the particle
 scheme's downstream congestion: the transported density comes from the upwind
 cell, the congestion factor from the cell the velocity points toward.
 Interface velocities use the same exact W-primitive convolution contract as
-the particle dynamics (with an FFT fast path on the uniform lattice, whose
-kernel spectrum ``fv_run`` builds once per run).
+the particle dynamics: the lattice edges are a step density's breakpoints, so
+a potential with polynomial pieces is convolved by the same O(J) prefix
+moments as the particles.  Any other kernel goes through an FFT on the
+uniform lattice, whose kernel spectrum ``fv_run`` builds once per run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import dynamics
 from .density import PiecewiseDensity
 from .errors import CFLError, GridEscapeError
 from .initial import InitialDensity
@@ -43,14 +47,25 @@ class GridState:
 
     @property
     def interfaces(self):
-        return self.x_left + self.dx * np.arange(self.j + 1)
+        return _lattice(self.x_left, self.dx, self.j)[0]
 
     @property
     def centers(self):
-        return self.x_left + self.dx * (np.arange(self.j) + 0.5)
+        return _lattice(self.x_left, self.dx, self.j)[1]
 
     def total_mass(self):
         return float(np.sum(self.cells) * self.dx)
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice(x_left, dx, j):
+    """Read-only interfaces and centres of a uniform lattice; a run steps on
+    one lattice, so they are built once, not on every step."""
+    interfaces = x_left + dx * np.arange(j + 1)
+    centers = x_left + dx * (np.arange(j) + 0.5)
+    interfaces.setflags(write=False)
+    centers.setflags(write=False)
+    return interfaces, centers
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,13 @@ class GridConfig:
     x_left: float
     x_right: float
     j: int
+
+    def __post_init__(self):
+        if self.j < 1 or not (np.isfinite(self.dx) and self.dx > 0.0):
+            raise ValueError(
+                f"grid [{self.x_left}, {self.x_right}] with {self.j} cells: the cell "
+                "width must be finite and positive"
+            )
 
     @property
     def dx(self):
@@ -88,14 +110,16 @@ def _fast_length(n):
 
 def kernel_spectrum(s: Scenario, dx: float, j: int):
     """``(n, rfft(kernel, n))`` of the lattice kernel W((d+1)dx) - W(d dx),
-    d = -J..J-1, or None when the potential is zero or the grid empty.
+    d = -J..J-1, or None when the grid is empty or the potential has
+    polynomial pieces (``interface_velocity`` then convolves by prefix
+    moments, which also covers the zero potential).
 
     It depends only on W, dx and J, so a run builds it once.  The transform
     length ``n`` is the smallest fast length holding the full linear
     convolution (3J - 1 terms).
     """
     pot = s.potential
-    if pot.is_zero or j == 0:
+    if pot.pieces is not None or j == 0:
         return None
     d = np.arange(-j, j)  # kernel index i - j for cells j = 1..J
     kernel = pot.W((d + 1) * dx) - pot.W(d * dx)
@@ -106,12 +130,17 @@ def kernel_spectrum(s: Scenario, dx: float, j: int):
 def interface_velocity(g: GridState, s: Scenario, spectrum=None) -> np.ndarray:
     """U = V - dxW * rho at the J+1 interfaces, exact for the step density.
 
-    On the uniform lattice the W-primitive differences form a discrete
-    convolution, evaluated by FFT; identical (to roundoff) to the direct sum.
-    ``spectrum`` is ``kernel_spectrum(s, g.dx, g.j)``, built here when omitted.
+    The interfaces are the breakpoints of the step density, so a potential
+    with polynomial pieces is convolved by ``dynamics.convolve_dxW_arrays``'
+    prefix moments in O(J).  For any other W the W-primitive differences form
+    a discrete convolution on the uniform lattice, evaluated by FFT; both are
+    identical (to roundoff) to the direct sum.  ``spectrum`` is
+    ``kernel_spectrum(s, g.dx, g.j)``, built here when omitted.
     """
     ifaces = g.interfaces
     V = np.asarray(s.advection.V(g.t, ifaces), dtype=float)
+    if s.potential.pieces is not None:
+        return V - dynamics.convolve_dxW_arrays(g.t, ifaces, g.cells, s)
     if spectrum is None:
         spectrum = kernel_spectrum(s, g.dx, g.j)
     if spectrum is None:
@@ -122,10 +151,16 @@ def interface_velocity(g: GridState, s: Scenario, spectrum=None) -> np.ndarray:
     return V - conv * s.potential.factor(g.t)
 
 
-def _flux_mirrored(U, rho_l, rho_r, v):
+def _flux_mirrored(U, rho_ext, v):
+    """Interface fluxes for the zero-padded cells ``rho_ext``; ``v`` is called
+    once on the padded density, as in ``dynamics.upwind_arrays``."""
+    rho_l, rho_r = rho_ext[:-1], rho_ext[1:]
+    vr = np.asarray(v(rho_ext), dtype=float)
+    if vr.ndim == 0:  # a constant v may return a scalar
+        vr = np.full(rho_ext.shape, vr)
     up = np.maximum(U, 0.0)
     dn = np.minimum(U, 0.0)
-    return up * rho_l * v(rho_r) + dn * rho_r * v(rho_l)
+    return up * rho_l * vr[1:] + dn * rho_r * vr[:-1]
 
 
 def fv_step(g: GridState, s: Scenario, dt: float,
@@ -140,8 +175,7 @@ def fv_step(g: GridState, s: Scenario, dt: float,
                        dt_required=dt_max)
 
     rho_ext = np.concatenate(([0.0], g.cells, [0.0]))
-    rho_l, rho_r = rho_ext[:-1], rho_ext[1:]
-    F = _flux_mirrored(U_if, rho_l, rho_r, s.congestion.v)
+    F = _flux_mirrored(U_if, rho_ext, s.congestion.v)
 
     new = g.cells - (dt / g.dx) * (F[1:] - F[:-1])
     if s.source.c_f != 0.0:
@@ -158,7 +192,7 @@ def fv_step(g: GridState, s: Scenario, dt: float,
 
 def initial_grid(rho0: InitialDensity, grid: GridConfig) -> GridState:
     """Exact cell averages of the initial density (CDF differences)."""
-    edges = grid.x_left + grid.dx * np.arange(grid.j + 1)
+    edges = _lattice(grid.x_left, grid.dx, grid.j)[0]
     cum = np.asarray(rho0.cdf(edges), dtype=float)
     return GridState(x_left=grid.x_left, dx=grid.dx, cells=np.diff(cum) / grid.dx, t=0.0)
 

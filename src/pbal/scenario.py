@@ -159,6 +159,34 @@ def scenario_validate(s: Scenario, sample_grid) -> list[Violation]:
         if val < -tol or val > con.v_sup + tol:
             out.append(Violation("A1", f"v({r})={val} outside [0, v_sup={con.v_sup}]", (r,)))
 
+    # Declared derivative bounds, by secant slopes between neighbouring sampled
+    # densities: by the mean value theorem a correct bound at the larger
+    # density is never exceeded, while an omitted bound (0) is.
+    R = np.array(rs)
+
+    def secants(values):
+        values = np.broadcast_to(np.asarray(values, dtype=float), R.shape)
+        return np.abs(np.diff(values)) / np.diff(R)
+
+    v_bounds = [float(con.vprime_bound(r)) for r in rs[1:]]
+    for k, slope in enumerate(secants(con.v(R))):
+        r1, r2 = rs[k], rs[k + 1]
+        if slope > v_bounds[k] + tol:
+            out.append(Violation(
+                "A1_vprime",
+                f"|v({r2}) - v({r1})|/({r2} - {r1}) = {slope} > vprime_bound({r2}) = {v_bounds[k]}",
+                (r1, r2)))
+    f_bounds = [float(src.drho_f_bound(r)) for r in rs[1:]]
+    for t, x in sorted({(t, x) for t, x, _ in grid}):
+        for k, slope in enumerate(secants(src.f(t, x, R))):
+            r1, r2 = rs[k], rs[k + 1]
+            if slope > f_bounds[k] + tol:
+                out.append(Violation(
+                    "A6_drho_f",
+                    f"|f({t},{x},{r2}) - f({t},{x},{r1})|/({r2} - {r1}) = {slope} "
+                    f"> drho_f_bound({r2}) = {f_bounds[k]}",
+                    (t, x, r1, r2)))
+
     # (A2)+(A4): advection growth and one-sided mild growth.
     for t, x, _ in grid:
         F, G, lam = float(adv.growth_F(t)), float(adv.growth_G(abs(x))), float(adv.growth_lambda(abs(x)))

@@ -229,6 +229,19 @@ def test_validate_grid_too_small(tmp_path, capsys):
     assert "envelope" in err
 
 
+@pytest.mark.parametrize("x_max", ["nan", "inf", "-1", "1e308"])
+def test_validate_bad_x_max_exit_2(tmp_path, capsys, x_max):
+    # NaN passed the envelope check and a half-width too large for a finite
+    # dx left the oracle with no step, so compare_l1 raised a KeyError
+    out = tmp_path / "val"
+    assert main(["validate", "--scenario", "repulsive_source", "--n", "50",
+                 "--j", "100", "--t-end", "0.1", "--x-max", x_max,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("--x-max" in err) if x_max != "1e308" else ("cell width" in err)
+    assert not out.exists()
+
+
 def test_validate_transport(tmp_path):
     # first-order upwind smears the two-block jumps; refinement must help
     finals = {}

@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from pbal import (InitialDensity, ParticleSystem, builtin_catalog,
                   builtin_initial, compare_l1, fv_run, fv_step, l1_distance,
                   to_density)
 from pbal.errors import CFLError, GridEscapeError
 from pbal.integrator import Trajectory
-from pbal import reference
-from pbal.reference import (GridConfig, GridState, grid_to_density,
+from pbal import dynamics, reference
+from pbal.expressions import compile_expression
+from pbal.reference import (GridConfig, GridState, _flux_mirrored, grid_to_density,
                             initial_grid, interface_velocity, kernel_spectrum)
-from pbal.scenario import Potential, Source
+from pbal.scenario import CATALOG_NAMES, Potential, Source
 
 from conftest import const, make_scenario, zero_field_scenario
 
@@ -120,8 +126,67 @@ def test_fft_convolution_matches_direct():
         assert np.array_equal(interface_velocity(g, s, spectrum), fast)
 
 
+_coef = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c0=_coef,
+    w_neg=st.lists(_coef, min_size=0, max_size=3),
+    w_pos=st.lists(_coef, min_size=0, max_size=3),
+    factor=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+    t=st.floats(0.0, 1.0),
+    j=st.integers(1, 400),
+    x_left=st.floats(-3.0, 1.0),
+    width=st.floats(0.5, 6.0),
+    block=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interface_velocity_matches_direct_sum(c0, w_neg, w_pos, factor, t, j, x_left,
+                                               width, block, seed):
+    # random W, polynomial of degree <= 3 on each side and continuous at 0, on
+    # a mostly-empty lattice: the prefix-moment path (pieces declared) and the
+    # FFT path (the same W without pieces) both equal the direct sum
+    neg, pos = (c0, *w_neg), (c0, *w_pos)
+    pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
+                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
+                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
+                    atom_w=lambda t: 0.0, pieces=(neg, pos),
+                    time_factor=None if factor is None else (lambda t: factor * (1.0 + t)))
+    start = int(block[0] * (j - 1))
+    stop = min(j, start + 1 + int(block[1] * j))
+    cells = np.zeros(j)
+    cells[start:stop] = np.random.default_rng(seed).uniform(0.0, 1.0, stop - start)
+    g = GridState(x_left, width / j, cells, t)
+    y = g.interfaces
+    wd = pot.W(y[:, None] - y[None, :])
+    U = -((wd[:, :-1] - wd[:, 1:]) @ cells) * pot.factor(t)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(U))))
+    for p in (pot, dataclasses.replace(pot, pieces=None)):
+        fast = interface_velocity(g, make_scenario(potential=p))
+        assert np.max(np.abs(fast - U)) <= bound
+
+
+@pytest.mark.parametrize("v", [
+    *(builtin_catalog(name).congestion.v for name in CATALOG_NAMES),
+    *(compile_expression(text, ("r",))
+      for text in ("1/(1 + r)**2", "max(1 - r, 0)", "exp(-r)", "bump(r/4)")),
+    lambda r: 0.5,
+], ids=[*CATALOG_NAMES, "inverse_square", "linear", "exp", "bump", "scalar"])
+def test_flux_one_v_call_matches_two(v):
+    # v on the padded density, sliced, gives the bits of v on each slice
+    rng = np.random.default_rng(3)
+    rho_ext = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 60), [0.0]))
+    rho_ext[10:20] = 0.0
+    U = rng.normal(size=61)
+    U[::7] = 0.0
+    rho_l, rho_r = rho_ext[:-1], rho_ext[1:]
+    two = np.maximum(U, 0.0) * rho_l * v(rho_r) + np.minimum(U, 0.0) * rho_r * v(rho_l)
+    assert np.array_equal(_flux_mirrored(U, rho_ext, v), two)
+
+
 def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
-    s = builtin_catalog("repulsive_source")
+    s = make_scenario(potential=_exponential_potential())
     rho0 = builtin_initial("repulsive_source")
     grid = GridConfig(x_left=-4.0, x_right=4.0, j=300)
     times = np.linspace(0.0, 0.5, 5)
@@ -141,6 +206,14 @@ def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
     assert len(cached.snapshots) == len(per_step.snapshots) == 5
     for a, b in zip(cached.snapshots, per_step.snapshots):
         assert a.t == b.t and np.array_equal(a.cells, b.cells)
+
+    # a potential with pieces is convolved by prefix moments: no spectrum at all
+    monkeypatch.setattr(reference, "interface_velocity", velocity)
+    spectra = []
+    monkeypatch.setattr(reference, "kernel_spectrum",
+                        lambda *a: spectra.append(original(*a)) or spectra[-1])
+    fv_run(rho0, builtin_catalog("repulsive_source"), grid, 0.5, snapshot_times=times)
+    assert spectra == [None]
 
 
 def test_grid_escape_raises():

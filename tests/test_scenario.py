@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 import time
 from pathlib import Path
 
@@ -286,6 +287,22 @@ REPULSIVE_SOURCE_DOC = {
     "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1"},
     "metadata": {"name": "repulsive_source_file", "branch": "w_repulsive"},
 }
+
+
+def test_validate_checks_omitted_derivative_bounds(tmp_path):
+    # an omitted vprime_bound or drho_f_bound loads as 0; every sampled secant
+    # of v = 1/(1 + r), and of f = rho bump(x) where bump(x) != 0, exceeds it
+    doc = dict(REPULSIVE_SOURCE_DOC, congestion={"v": "1/(1 + r)", "v_sup": 1.0},
+               source={"f": "rho*bump(x)", "c_f": 0.5})
+    path = tmp_path / "no_bounds.json"
+    path.write_text(json.dumps(doc))
+    s, _ = load_scenario(path)
+    kinds = Counter(v.assumption for v in scenario_validate(s, default_sample_grid()))
+    # 9 neighbouring density pairs; bump(x) != 0 at 2 of the 10 sampled x, all 10 t
+    assert kinds == {"A1_vprime": 9, "A6_drho_f": 9 * 2 * 10}
+
+    path.write_text(json.dumps(REPULSIVE_SOURCE_DOC))
+    assert scenario_validate(load_scenario(path)[0], default_sample_grid()) == []
 
 
 def test_scenario_file_matches_catalog_bitwise(tmp_path):

@@ -16,3 +16,28 @@ from perfbench import tracing  # noqa: E402
                          ids=lambda v: v)
 def test_tracer_target_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_fv_run_calls_traced_layers_through_their_modules(monkeypatch):
+    # the tracer wraps module attributes, so reference.interface_velocity_s and
+    # dynamics.convolve_s see the oracle only while fv_run and
+    # interface_velocity look these names up through their modules
+    from pbal import builtin_catalog, builtin_initial, dynamics, reference
+
+    counts = {"velocity": 0, "convolve": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reference, "interface_velocity",
+                        counting("velocity", reference.interface_velocity))
+    monkeypatch.setattr(dynamics, "convolve_dxW_arrays",
+                        counting("convolve", dynamics.convolve_dxW_arrays))
+    gtraj = reference.fv_run(builtin_initial("repulsive_source"),
+                             builtin_catalog("repulsive_source"),
+                             reference.GridConfig(x_left=-4.0, x_right=4.0, j=200), 0.5)
+    assert gtraj.steps > 0
+    assert counts == {"velocity": gtraj.steps, "convolve": gtraj.steps}
