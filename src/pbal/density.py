@@ -123,13 +123,21 @@ def total_variation(d: PiecewiseDensity) -> float:
     return float(np.sum(np.abs(np.diff(ext))))
 
 
-def step_cdf_arrays(x, rho, y, cum=None):
+def cell_index(x, y):
+    """Index i of the cell [x_i, x_{i+1}) holding each y, clipped to the
+    cells 0 .. len(x) - 2 (points outside the support get an end cell)."""
+    return np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
+
+
+def step_cdf_arrays(x, rho, y, cum=None, cell=None):
     """Cumulative mass of the step density (breakpoints x, heights rho) at y;
-    ``cum`` is its value ``[0, cumsum(rho * diff(x))]`` at x, if already built."""
+    ``cum`` is its value ``[0, cumsum(rho * diff(x))]`` at x and ``cell`` is
+    ``cell_index(x, y)``, each passed if already built."""
     if cum is None:
         cum = np.concatenate(([0.0], np.cumsum(rho * np.diff(x))))
-    idx = np.clip(np.searchsorted(x, y, side="right") - 1, 0, rho.size - 1)
-    inner = cum[idx] + rho[idx] * (np.clip(y, x[0], x[-1]) - x[idx])
+    if cell is None:
+        cell = cell_index(x, y)
+    inner = cum[cell] + rho[cell] * (np.clip(y, x[0], x[-1]) - x[cell])
     return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .density import (ParticleSystem, l1_distance, pushforward_affine,
                       to_density, total_variation, w1_distance)
-from .expressions import bump, bump_prime
+from .expressions import bump, bump_and_prime
 from .integrator import Trajectory, solve_scalar_ode
 from .scenario import Branch, Scenario
 
@@ -300,10 +300,12 @@ class TestFunction:
         return bump((t - self.t0) / self.tau) * bump((x - self.x0) / self.ell)
 
     def dt_phi(self, t, x):
-        return bump_prime((t - self.t0) / self.tau) / self.tau * bump((x - self.x0) / self.ell)
+        _, bt_p = bump_and_prime((t - self.t0) / self.tau)
+        return bt_p / self.tau * bump((x - self.x0) / self.ell)
 
     def dx_phi(self, t, x):
-        return bump((t - self.t0) / self.tau) * bump_prime((x - self.x0) / self.ell) / self.ell
+        _, bx_p = bump_and_prime((x - self.x0) / self.ell)
+        return bump((t - self.t0) / self.tau) * bx_p / self.ell
 
     @property
     def t_support(self):
@@ -352,7 +354,9 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     reconstruction breakpoints and capped at width w_max outside/inside.
 
     Gap [a, b] gets m equal panels with edges a + i (b - a)/m and the last
-    edge b, the same floats ``np.linspace(a, b, m + 1)`` gives.
+    edge b, the same floats ``np.linspace(a, b, m + 1)`` gives.  Every node
+    lies inside its gap, so one search per gap, at its left end (x_lo or a
+    particle), finds the cell of all the gap's nodes.
     """
     inner = p.x[(p.x > x_lo) & (p.x < x_hi)]
     pts = np.unique(np.concatenate(([x_lo, x_hi], inner)))
@@ -370,11 +374,13 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     nodes = (mid[:, None] + half[:, None] * dynamics.GL_NODES[None, :]).ravel()
     weights = (half[:, None] * dynamics.GL_WEIGHTS[None, :]).ravel()
 
-    rho = p.q / np.diff(p.x)
-    idx = np.searchsorted(p.x, nodes, side="right") - 1
+    gaps = np.diff(p.x)
+    rho = p.q / gaps
+    idx = np.repeat(np.searchsorted(p.x, a, side="right") - 1, m * dynamics.GL_NODES.size)
     inside = (idx >= 0) & (idx < rho.size)
-    rho_at = np.where(inside, rho[np.clip(idx, 0, rho.size - 1)], 0.0)
-    U = dynamics.u_field_arrays(p.t, p.x, rho, s, nodes)
+    cell = np.clip(idx, 0, rho.size - 1)
+    rho_at = np.where(inside, rho[cell], 0.0)
+    U = dynamics.u_field_arrays(p.t, p.x, rho, s, nodes, gaps=gaps, cell=cell)
     dxU = dynamics.dxU_field_arrays(p.t, p.x, rho, s, nodes, rho_at)
     fvals = np.asarray(s.source.f(p.t, nodes, rho_at), dtype=float)
     mrho = rho_at * np.asarray(s.congestion.v(rho_at), dtype=float)
@@ -423,8 +429,8 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     # time factors of every test function at every snapshot
     tau = np.array([tf.tau for tf in phis])
     ut = (times[:, None] - np.array([tf.t0 for tf in phis])) / tau
-    bt = bump(ut)
-    bt_p = bump_prime(ut, bt) / tau
+    bt, bt_p = bump_and_prime(ut)
+    bt_p = bt_p / tau
     live = (bt != 0.0) | (bt_p != 0.0)
     # distinct spatial bumps and the test functions that use each
     groups = {}
@@ -450,8 +456,8 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
                 continue
             sl = slice(starts[g], stops[g])
             u = (nodes[sl] - x0[g]) / ell[g]
-            bx = bump(u)
-            bx_p = bump_prime(u, bx) / ell[g]
+            bx, bx_p = bump_and_prime(u)
+            bx_p = bx_p / ell[g]
             Abx = A[:, sl] @ bx
             rest = B[:, sl] @ bx_p + C[:, sl] @ bx
             theta[js, :, k] = bt_p[k, js, None] * Abx + bt[k, js, None] * rest

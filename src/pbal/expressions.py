@@ -32,18 +32,18 @@ def bump(s):
     return out
 
 
-def bump_prime(s, b=None):
-    """Derivative of ``bump``; pass ``b = bump(s)`` to reuse its exponential."""
+def bump_and_prime(s):
+    """``(bump(s), bump'(s))`` in one pass over ``s``."""
     s = np.asarray(s, dtype=float)
     inside = np.abs(s) < 1.0
     ss = np.where(inside, s, 0.0)
     one = 1.0 - ss * ss
-    if b is None:
-        b = np.exp(1.0 - 1.0 / one)
-    out = np.where(inside, b * (-2.0 * ss / (one * one)), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    e = np.exp(1.0 - 1.0 / one)
+    b = np.where(inside, e, 0.0)
+    b_prime = np.where(inside, e * (-2.0 * ss / (one * one)), 0.0)
+    if b.ndim == 0:
+        return float(b), float(b_prime)
+    return b, b_prime
 
 
 def _broadcast(value, args):

@@ -104,15 +104,17 @@ class Trajectory:
         return np.array([p.t for p in self.snapshots])
 
 
-def step_guard(x_next):
+def step_guard(x_next, gaps=None):
     """Check a candidate state's ordering: every gap above
     ``COLLISION_GAP_FRACTION`` times the span, the test ``ParticleSystem`` applies.
 
     Returns ``(ok, reason, index)``: the index of the offending gap, None when
-    the state is accepted.  Mass positivity needs no check here: a state with
-    a non-positive cell mass fails its FSAL stage evaluation first.
+    the state is accepted.  ``gaps`` is ``np.diff(x_next)`` when the caller
+    already has it.  Mass positivity needs no check here: a state with a
+    non-positive cell mass fails its FSAL stage evaluation first.
     """
-    gaps = np.diff(x_next)
+    if gaps is None:
+        gaps = np.diff(x_next)
     span = x_next[-1] - x_next[0]
     if not np.all(gaps > COLLISION_GAP_FRACTION * span):
         i = int(np.argmin(gaps))
@@ -138,10 +140,11 @@ _SHRINK, _HALVE = "shrink", "halve"  # a judge's verdicts on a rejected step
 def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=()):
     """Dormand-Prince 5(4) steps from ``(t, y)`` through the increasing ``stops``.
 
-    ``f(t, y)`` returns ``(dy/dt, aux)``.  ``judge(t, h, y_new, aux, aux_new,
-    err, failure)`` holds the caller's rejection rules: None accepts the step,
-    ``_SHRINK``/``_HALVE`` reject it, raising stops.  ``failure`` is a stage's
-    ``stage_errors`` exception (``y_new``, ``aux_new``, ``err`` are None then).
+    ``f(t, y, dy)`` writes dy/dt into the array ``dy`` and returns ``aux``.
+    ``judge(t, h, y_new, aux, aux_new, err, failure)`` holds the caller's
+    rejection rules: None accepts the step, ``_SHRINK``/``_HALVE`` reject it,
+    raising stops.  ``failure`` is a stage's ``stage_errors`` exception
+    (``y_new``, ``aux_new``, ``err`` are None then).
     Yields ``(t, y, n)`` at the start and after every accepted step, ``n`` the
     number of stops reached, each exactly.
     """
@@ -154,20 +157,19 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
     yield t, y, j
     if j == len(stops):
         return
-    dy, aux = f(t, y)
     k = np.empty((7,) + np.shape(y))
+    aux = f(t, y, k[0, ...])  # k[i, ...] is a view also when y is a scalar
     err_old, after_reject = ERR_OLD_FLOOR, False
     h = min(h, max_step)
     while j < len(stops):
         remaining = stops[j] - t
         hit = h >= remaining - 1e-14 * max(1.0, abs(stops[j]))
         h_try = min(h, remaining)
-        k[0] = dy
         try:
             for i in range(1, 6):
-                k[i], _ = f(t + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]))
+                f(t + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]), k[i, ...])
             y_new = y + h_try * (k[:6].T @ _A[6])
-            k[6], aux_new = f(t + h_try, y_new)
+            aux_new = f(t + h_try, y_new, k[6, ...])
         except stage_errors as exc:
             verdict = judge(t, h_try, None, aux, None, None, exc)
         else:
@@ -178,7 +180,8 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
             h = max(h_try * (_growth(err, 1.0) if verdict is _SHRINK else 0.5), min_step)
             continue
         t = stops[j] if hit else t + h_try
-        y, dy, aux = y_new, k[6].copy(), aux_new  # a copy: a retry overwrites k[6]
+        y, aux = y_new, aux_new
+        k[0] = k[6]  # FSAL: the next step's first stage
         if h_try == h:
             # a step shortened onto a stop does not feed the controller
             growth = _growth(err, err_old)
@@ -195,16 +198,20 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     traj = Trajectory(steps=[] if cfg.store_steps else None)
     stats = traj.step_stats
 
-    def f_eval(ti, yi):
-        xdot, qdot, U, _ = dynamics.rhs_arrays(ti, yi[: n + 1], yi[n + 1:], s)
+    def f_eval(ti, yi, dy):
+        # aux is (U, gaps): the upwind switch test and the ordering guard
+        # read them off the FSAL stage of the candidate state
+        x = yi[: n + 1]
+        gaps = x[1:] - x[:-1]  # np.diff(x), without its call overhead
+        _, _, U, _ = dynamics.rhs_arrays(ti, x, yi[n + 1:], s, gaps=gaps, out=dy)
         stats.rhs_evals += 1
-        return np.concatenate((xdot, qdot)), U
+        return U, gaps
 
     def norm(y, y5, err_vec):
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         return float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
-    def judge(t, h, y5, U1, U7, err, failure):
+    def judge(t, h, y5, aux1, aux7, err, failure):
         at_floor = h <= min_step * (1 + 1e-9)
         if failure is not None:
             stats.rejected_guard += 1
@@ -216,9 +223,9 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
             verdict, index = _SHRINK, None
             why = f"step underflow at t = {t:.6g}: error control cannot converge"
         else:
-            ok, reason, index = step_guard(y5[: n + 1])
+            ok, reason, index = step_guard(y5[: n + 1], aux7[1])
             if ok:
-                if at_floor or not _switch_between(U1, U7):
+                if at_floor or not _switch_between(aux1[0], aux7[0]):
                     stats.accepted += 1
                     return None
                 # Upwind branch flips inside the step: halve until the endpoint
@@ -260,12 +267,15 @@ def solve_scalar_ode(g, t0, y0, t_eval, rel_tol=1e-8, abs_tol=1e-8, blowup=1e14)
     def norm(y, y5, err_vec):
         return abs(float(err_vec)) / (abs_tol + rel_tol * max(abs(y), abs(y5)))
 
+    def f(t, y, dy):
+        dy[...] = g(t, float(y))
+
     def judge(t, h, y5, _, __, err, failure):
         if not np.isfinite(y5) or abs(y5) > blowup:
             raise OverflowError  # blow-up: the rest of ``out`` stays inf
         return _SHRINK if err > 1.0 and h > min_step else None
 
-    steps = _dopri5(lambda t, y: (g(t, float(y)), None), float(t0), float(y0), t_eval,
+    steps = _dopri5(f, float(t0), float(y0), t_eval,
                     span / 50.0, np.inf, min_step, norm, judge)
     done = 0
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -55,6 +56,11 @@ def _degree(coef):
     return nonzero[-1] if nonzero else 0
 
 
+def _derivative(coef, scale=1):
+    """Ascending coefficients of the derivative of ``coef``, divided by ``scale``."""
+    return [k * coef[k] / scale for k in range(1, len(coef))] or [0.0]
+
+
 @dataclass(frozen=True)
 class Potential:
     """Interaction potential W with BV gradient split into one-sided branches.
@@ -77,14 +83,33 @@ class Potential:
     # exact prefix-moment sums instead of O(N^2) W-primitive differences.
     pieces: Optional[tuple] = None
 
-    @property
+    # The kernel data below depends on the pieces alone; each is built on
+    # first use and kept on the instance.
+    @functools.cached_property
     def is_zero(self):
         return self.pieces is not None and all(_degree(c) == 0 for c in self.pieces)
 
-    @property
+    @functools.cached_property
     def dx2W_zero(self):
         """True when D dxW is the atom alone (both pieces of degree <= 1)."""
         return self.pieces is not None and all(_degree(c) <= 1 for c in self.pieces)
+
+    @functools.cached_property
+    def moment_chain(self):
+        """``((g_jump, g_neg), ...)``, one pair per moment m = 0, 1, ...: the
+        m-th derivatives, divided by m!, of the gradient jump g+ - g- and of
+        the left gradient piece g-, as ascending coefficients; None without
+        pieces.  The prefix-moment convolution sums one term per pair."""
+        if self.pieces is None:
+            return None
+        g_neg = _derivative(self.pieces[0])
+        g_jump = [p - n for p, n in
+                  itertools.zip_longest(_derivative(self.pieces[1]), g_neg, fillvalue=0.0)]
+        chain = [(tuple(g_jump), tuple(g_neg))]
+        for m in range(1, len(g_jump)):
+            g_jump, g_neg = _derivative(g_jump, m), _derivative(g_neg, m)
+            chain.append((tuple(g_jump), tuple(g_neg)))
+        return tuple(chain)
 
     def factor(self, t):
         return 1.0 if self.time_factor is None else float(self.time_factor(t))

@@ -11,7 +11,8 @@ from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, u_field_array
                            upwind_arrays)
 from pbal.scenario import Branch, Source
 
-from conftest import catalog_run, const, make_scenario, zero_field_scenario
+from conftest import (catalog_run, const, make_scenario, quadratic_potential,
+                      zero_field_scenario)
 
 
 # ------------------------------------------------------------------ envelopes
@@ -359,6 +360,24 @@ def test_quadrature_nodes_match_linspace_panels():
             ref_nodes, ref_wts = _linspace_nodes(p, x_lo, x_hi, w_max)
             assert np.array_equal(nodes, ref_nodes)
             assert np.array_equal(wts, ref_wts)
+
+
+@pytest.mark.parametrize("potential", [None, quadratic_potential()])
+def test_quadrature_cells_match_node_search(potential):
+    # one search per gap spread to its nodes gives the bits of a search per node
+    traj = catalog_run("attractive_congested", 24, t_end=0.5, k_snapshots=65)
+    s = builtin_catalog("attractive_congested")
+    if potential is not None:
+        s = dataclasses.replace(s, potential=potential)
+    for p in traj.snapshots[::16]:
+        rho = p.q / np.diff(p.x)
+        for x_lo, x_hi, w_max in ((-1.3, 1.1, 0.037), (float(p.x[3]), float(p.x[-5]), 0.011),
+                                  (float(p.x[0]), float(p.x[-1]), 0.02), (-3.0, 3.0, 5.0)):
+            nodes, _, rho_at, U = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)[:4]
+            idx = np.searchsorted(p.x, nodes, side="right") - 1
+            inside = (idx >= 0) & (idx < rho.size)
+            assert np.array_equal(rho_at, np.where(inside, rho[np.clip(idx, 0, rho.size - 1)], 0.0))
+            assert np.array_equal(U, u_field_arrays(p.t, p.x, rho, s, nodes))
 
 
 # --------------------------------------------------------------- equicontinuity

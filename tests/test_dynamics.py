@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from pbal.diagnostics import good_v_violations_state
 from pbal import dynamics
 from pbal.scenario import Branch, Potential, Source, load_scenario
 
-from conftest import (catalog_run, make_scenario, quadratic_potential,
+from conftest import (catalog_run, const, make_scenario, quadratic_potential,
                       random_particles, zero_field_scenario)
 
 
@@ -329,6 +330,104 @@ def test_rhs_matches_searched_field_and_two_call_upwind(tmp_path, rng):
             assert np.array_equal(v_sel, v_ref), s.name
             assert np.array_equal(xdot, v_ref * U_ref), s.name
             assert np.array_equal(qdot, source_rate_arrays(0.4, p.x, rho, s))
+
+
+def _pin_scenarios():
+    """Degree-1 pieces with and without a source, degree-2 and degree-3
+    pieces (one with a time factor) and a W without pieces."""
+    source = Source(f=lambda t, x, rho: rho * np.cos(x + t), c_f=1.0, drho_f_bound=const(1.0))
+    cubic = ((0.0, 0.3, 0.5, -0.2), (0.0, -0.4, 0.5, 0.1))
+    cubic_pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, cubic[0]),
+                                               P.polyval(u, cubic[1])),
+                          dxW_neg=lambda u: P.polyval(u, P.polyder(cubic[0])),
+                          dxW_pos=lambda u: P.polyval(u, P.polyder(cubic[1])),
+                          atom_w=const(-0.7), time_factor=lambda t: 1.0 + t, pieces=cubic)
+    exp_pot = Potential(W=lambda u: np.exp(-np.abs(u)), dxW_neg=np.exp,
+                        dxW_pos=lambda u: -np.exp(-u), atom_w=const(-2.0))
+    v = compile_expression("1/(1 + r)", ("r",))
+    return [
+        builtin_catalog("attractive_congested"),
+        builtin_catalog("repulsive_source"),
+        make_scenario(v=v, potential=quadratic_potential(), V=lambda t, x: 0.3 * x,
+                      source=source),
+        make_scenario(v=v, potential=cubic_pot),
+        make_scenario(v=v, potential=exp_pot, source=source),
+    ]
+
+
+_PIN_SCENARIOS = _pin_scenarios()
+
+
+def _derivative_as_first_written(coef, scale=1):
+    return [k * coef[k] / scale for k in range(1, len(coef))] or [0.0]
+
+
+def _poly_as_first_written(coef, Y):
+    return coef[0] if len(coef) == 1 else P.polyval(Y, coef)
+
+
+def _rhs_as_first_written(t, x, q, s):
+    """rhs_arrays from its original formulas: ``np.diff`` per use, the
+    derivative chain rebuilt on every call, ``np.concatenate`` padding."""
+    assert np.all(np.diff(x) > 0.0) and np.all(q > 0.0)
+    rho = q / np.diff(x)
+    pot = s.potential
+    if pot.pieces is None:
+        wd = pot.W(x[:, None] - x[None, :])
+        conv = ((wd[:, :-1] - wd[:, 1:]) @ rho) * pot.factor(t)
+    else:
+        g_neg = _derivative_as_first_written(pot.pieces[0])
+        g_jump = [a - b for a, b in itertools.zip_longest(
+            _derivative_as_first_written(pot.pieces[1]), g_neg, fillvalue=0.0)]
+        shift = 0.5 * (x[0] + x[-1])
+        Y = x - shift
+        mass = rho * np.diff(x)
+        cum = np.concatenate(([0.0], np.cumsum(mass)))
+        conv = (_poly_as_first_written(g_jump, Y) * cum
+                + _poly_as_first_written(g_neg, Y) * float(np.sum(mass)))
+        for m in range(1, len(g_jump)):
+            g_jump = _derivative_as_first_written(g_jump, m)
+            g_neg = _derivative_as_first_written(g_neg, m)
+            X = x - shift
+            cell = rho * (X[1:] ** (m + 1) - X[:-1] ** (m + 1)) / (m + 1)
+            cum = np.concatenate(([0.0], np.cumsum(cell)))
+            conv = conv + (-1) ** m * (_poly_as_first_written(g_jump, Y) * cum
+                                       + _poly_as_first_written(g_neg, Y) * cum[-1])
+        conv = conv * pot.factor(t)
+    U = np.asarray(s.advection.V(t, x), dtype=float) - conv
+    rho_ext = np.concatenate(([0.0], rho, [0.0]))
+    vr = np.broadcast_to(np.asarray(s.congestion.v(rho_ext), dtype=float), rho_ext.shape)
+    v_sel = np.where(U >= 0.0, vr[1:], vr[:-1])
+    if s.source.c_f == 0.0:
+        qdot = np.zeros(rho.size)
+    else:
+        half = 0.5 * np.diff(x)
+        nodes = 0.5 * (x[1:] + x[:-1])[:, None] + half[:, None] * dynamics.GL_NODES[None, :]
+        vals = np.broadcast_to(np.asarray(s.source.f(t, nodes, rho[:, None]), dtype=float),
+                               nodes.shape)
+        qdot = (vals @ dynamics.GL_WEIGHTS) * half
+    return v_sel * U, qdot, U, v_sel
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(_PIN_SCENARIOS) - 1),
+    x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=41, unique=True),
+    masses=st.lists(st.floats(1e-3, 2.0), min_size=40, max_size=40),
+    t=st.floats(0.0, 2.0),
+)
+def test_rhs_bitwise_equals_original_formulas(which, x, masses, t):
+    s = _PIN_SCENARIOS[which]
+    x = np.sort(np.asarray(x))
+    assume(np.min(np.diff(x)) > 1e-9)
+    q = np.asarray(masses[: x.size - 1])
+    expected = _rhs_as_first_written(t, x, q, s)
+    for out in (None, np.full(x.size + q.size, np.nan)):
+        got = rhs_arrays(t, x, q, s, out=out)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b), s.name
+        if out is not None:
+            assert np.array_equal(out, np.concatenate(expected[:2]))
 
 
 # ---------------------------------------------------------------- dxU field

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
                   builtin_initial, integrate, quantile_init)
@@ -173,6 +175,46 @@ def test_config_validation():
         SolverConfig(t_end=-1.0).resolved()
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, snapshot_times=np.array([0.0, 2.0])).resolved()
+
+
+_two_blocks = st.tuples(
+    st.floats(-1.0, 0.0),   # left end
+    st.floats(0.2, 0.8),    # left width
+    st.floats(0.0, 0.4),    # vacuum between the blocks
+    st.floats(0.2, 0.8),    # right width
+    st.floats(0.1, 0.95),   # left height
+    st.floats(0.1, 0.95),   # right height
+)
+
+
+def _two_block_state(blocks, n):
+    a, w1, gap, w2, h1, h2 = blocks
+    b = a + w1 + gap
+    return quantile_init(InitialDensity.from_blocks([(a, a + w1, h1), (b, b + w2, h2)]), n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(blocks=_two_blocks, n=st.integers(2, 40))
+def test_masses_bitwise_fixed_without_source(blocks, n):
+    # c_f = 0 makes every stage's qdot exactly 0.0, so q + h * 0.0 keeps its bits
+    p0 = _two_block_state(blocks, n)
+    cfg = SolverConfig(t_end=0.3, snapshot_times=np.linspace(0.0, 0.3, 4), store_steps=True)
+    traj = integrate(p0, builtin_catalog("attractive_congested"), cfg)
+    for p in traj.steps + traj.snapshots:
+        assert np.array_equal(p.q, p0.q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(blocks=_two_blocks, n=st.integers(2, 40),
+       name=st.sampled_from(["attractive_congested", "repulsive_source"]))
+def test_every_accepted_step_passes_the_guard(blocks, n, name):
+    p0 = _two_block_state(blocks, n)
+    cfg = SolverConfig(t_end=0.3, snapshot_times=np.linspace(0.0, 0.3, 4), store_steps=True)
+    traj = integrate(p0, builtin_catalog(name), cfg)
+    assert len(traj.steps) == traj.step_stats.accepted + 1
+    for p in traj.steps:
+        ok, reason, _ = step_guard(np.array(p.x))
+        assert ok, reason
 
 
 # ------------------------------------------------------------ step control

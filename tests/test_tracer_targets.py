@@ -41,3 +41,26 @@ def test_fv_run_calls_traced_layers_through_their_modules(monkeypatch):
                              reference.GridConfig(x_left=-4.0, x_right=4.0, j=200), 0.5)
     assert gtraj.steps > 0
     assert counts == {"velocity": gtraj.steps, "convolve": gtraj.steps}
+
+
+def test_integrate_calls_rhs_through_its_module(monkeypatch):
+    # dynamics.rhs_calls counts the returning calls of the module attribute
+    # and dynamics.rhs_particles reads x as the second positional argument;
+    # integrator.rhs_evals must count the same calls
+    from pbal import SolverConfig, builtin_catalog, builtin_initial, dynamics, integrate
+    from pbal import quantile_init
+
+    calls = []
+    rhs = dynamics.rhs_arrays
+
+    def counting(*args, **kwargs):
+        result = rhs(*args, **kwargs)
+        calls.append(len(args[1]))
+        return result
+
+    monkeypatch.setattr(dynamics, "rhs_arrays", counting)
+    n = 200
+    p0 = quantile_init(builtin_initial("attractive_congested"), n)
+    traj = integrate(p0, builtin_catalog("attractive_congested"), SolverConfig(t_end=0.2))
+    assert traj.step_stats.rhs_evals > 0
+    assert calls == [n + 1] * traj.step_stats.rhs_evals
