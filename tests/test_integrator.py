@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
-                  builtin_initial, integrate, quantile_init)
+                  builtin_initial, integrate, integrator, quantile_init)
 from pbal.dynamics import StageFailure, rhs_arrays
 from pbal.errors import CollisionExtinctionError
 from pbal.integrator import solve_scalar_ode, step_guard
@@ -51,6 +51,20 @@ def test_guard_accepts_unchanged():
 def test_guard_rejects_swap():
     ok, reason, index = step_guard(np.array([0.5, 0.0, 1.0]))
     assert not ok and "ordering" in reason and index == 0
+
+
+def test_guard_reads_the_candidates_own_gaps(monkeypatch):
+    # the guard reuses the gaps of the FSAL stage, which evaluates the candidate
+    seen = []
+
+    def recording(x_next, gaps=None):
+        seen.append(gaps is not None and np.array_equal(gaps, np.diff(x_next)))
+        return step_guard(x_next, gaps)
+
+    monkeypatch.setattr(integrator, "step_guard", recording)
+    p0 = quantile_init(builtin_initial("attractive_congested"), 40)
+    traj = integrate(p0, builtin_catalog("attractive_congested"), SolverConfig(t_end=0.3))
+    assert len(seen) >= traj.step_stats.accepted > 0 and all(seen)
 
 
 def test_guard_rejects_negative_mass():
