@@ -381,7 +381,7 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     cell = np.clip(idx, 0, rho.size - 1)
     rho_at = np.where(inside, rho[cell], 0.0)
     U = dynamics.u_field_arrays(p.t, p.x, rho, s, nodes, gaps=gaps, cell=cell)
-    dxU = dynamics.dxU_field_arrays(p.t, p.x, rho, s, nodes, rho_at)
+    dxU = dynamics.dxU_field_arrays(p.t, p.x, rho, s, nodes, rho_at, gaps=gaps, cell=cell)
     fvals = np.asarray(s.source.f(p.t, nodes, rho_at), dtype=float)
     mrho = rho_at * np.asarray(s.congestion.v(rho_at), dtype=float)
     return nodes, weights, rho_at, U, dxU, fvals, mrho

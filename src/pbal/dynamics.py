@@ -59,10 +59,10 @@ def _poly(coef, Y):
 
 
 def _moment_convolution(x, rho, chain, y, gaps, cell):
-    """Prefix-moment form of the W-primitive differences for a W with
-    polynomial pieces, ``chain`` being its ``Potential.moment_chain``.
+    """Prefix-moment form of the primitive differences for a kernel with
+    polynomial pieces, ``chain`` being one of its ``Potential`` chains.
 
-    With g+ and g- the gradient pieces, Taylor expansion of g(Y - Z) about the
+    With g+ and g- the derivative pieces, Taylor expansion of g(Y - Z) about the
     support centre gives, with L_m(y) = int_{z<y} Z^m rho and T_m its total,
     sum_m (-1)^m / m! [(g+ - g-)^(m)(Y) L_m(y) + g-^(m)(Y) T_m], O(N) per moment.
     ``y = None`` evaluates at the particles, where L_m is the prefix sum itself
@@ -114,8 +114,15 @@ def convolve_dxW_generic(t, x, rho, s: Scenario, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if pot.is_zero:
         return np.zeros_like(y)
-    wd = pot.W(y[:, None] - x[None, :])
-    return ((wd[:, :-1] - wd[:, 1:]) @ rho) * pot.factor(t)
+    return _difference_convolution(pot.W, x, rho, y) * pot.factor(t)
+
+
+def _difference_convolution(F, x, rho, y):
+    """sum_j rho_j [F(y - x_j) - F(y - x_{j+1})] through the (len(y), N+1)
+    matrix of F values: the step density convolved with F', exact for an F
+    continuous at 0, whose derivative has no atom there."""
+    fd = F(y[:, None] - x[None, :])
+    return (fd[:, :-1] - fd[:, 1:]) @ rho
 
 
 def u_field_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None):
@@ -176,16 +183,23 @@ def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None):
     return xdot, qdot, U, v_sel
 
 
-def dxU_field_arrays(t, x, rho, s: Scenario, y, rho_at_y):
-    """dxU = dxV - dx2W * rhobar - w rhobar, all terms exact."""
+def dxU_field_arrays(t, x, rho, s: Scenario, y, rho_at_y, *, gaps=None, cell=None):
+    """dxU = dxV - dx2W * rhobar - w rhobar, all terms exact.  The dx2W term
+    convolves as dxW does: by ``Potential.dx2W_chain``, or else by differences
+    of G(u) = dxW_neg(min(u, 0)) + dxW_pos(max(u, 0)), the gradient without
+    its jump at 0 (the atom w).  ``gaps`` and ``cell`` are as for
+    ``convolve_dxW_arrays``."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    adv = s.advection
     pot = s.potential
-    out = np.asarray(adv.dxV(t, y), dtype=float).copy()
-    if not pot.is_zero:
-        if not pot.dx2W_zero:
-            a = y[:, None] - x[None, 1:]
-            b = y[:, None] - x[None, :-1]
-            out -= (pot.dx2W_integral(a, b) @ rho) * pot.factor(t)
-        out -= float(pot.atom_w(t)) * rho_at_y
+    out = np.asarray(s.advection.dxV(t, y), dtype=float).copy()
+    if pot.is_zero:
+        return out
+    if pot.pieces is None:
+        def G(u):
+            return pot.dxW_neg(np.minimum(u, 0.0)) + pot.dxW_pos(np.maximum(u, 0.0))
+        out -= _difference_convolution(G, x, rho, y) * pot.factor(t)
+    elif pot.dx2W_chain:
+        out -= _moment_convolution(x, rho, pot.dx2W_chain, y,
+                                   np.diff(x) if gaps is None else gaps, cell) * pot.factor(t)
+    out -= pot.atom_w(t) * rho_at_y
     return out

@@ -1,8 +1,8 @@
 """Model data: congestion, advection, interaction potential and source term.
 
-Each piece carries the envelope metadata (F, G, lambda, g, c_f, the atom
-weight of the potential) used by the a-priori bound diagnostics; the metadata
-is supplied explicitly, never inferred.  All callables must accept numpy
+Each piece carries the envelope metadata (F, G, lambda, g, c_f) used by the
+a-priori bound diagnostics, supplied explicitly; the potential's kernel terms
+alone are derived (see ``Potential``).  All callables must accept numpy
 arrays in their spatial/density arguments.
 """
 
@@ -51,81 +51,75 @@ class Advection:
     growth_lambda: Callable  # non-decreasing, 1/lambda non-integrable at infinity
 
 
-def _degree(coef):
-    nonzero = [k for k, c in enumerate(coef) if c != 0.0]
-    return nonzero[-1] if nonzero else 0
-
-
 def _derivative(coef, scale=1):
     """Ascending coefficients of the derivative of ``coef``, divided by ``scale``."""
     return [k * coef[k] / scale for k in range(1, len(coef))] or [0.0]
+
+
+def _moment_chain(k_neg, k_pos):
+    """``((g_jump, g_neg), ...)``, one pair per moment m = 0, 1, ...: the m-th
+    derivatives, divided by m!, of the jump g+ - g- and of g-, where g- and g+
+    are the derivatives of the polynomial pieces k- and k+ of a kernel K, as
+    ascending coefficients; empty when g- = g+ = 0.  The prefix-moment
+    convolution of a step density with K' sums one term per pair."""
+    g_neg = _derivative(k_neg)
+    g_jump = [p - n for p, n in itertools.zip_longest(_derivative(k_pos), g_neg, fillvalue=0.0)]
+    if not any(g_jump) and not any(g_neg):
+        return ()
+    chain = [(tuple(g_jump), tuple(g_neg))]
+    for m in range(1, len(g_jump)):
+        g_jump, g_neg = _derivative(g_jump, m), _derivative(g_neg, m)
+        chain.append((tuple(g_jump), tuple(g_neg)))
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
 class Potential:
     """Interaction potential W with BV gradient split into one-sided branches.
 
-    ``dxW_neg`` is the gradient on (-inf, 0], ``dxW_pos`` on [0, inf); the
-    value at the kink is never needed by the dynamics (convolutions difference
-    the W primitive), only by the gradient-derivative integrals.  ``atom_w(t)``
-    is the Dirac weight at 0 of the distributional derivative of the gradient,
-    i.e. the jump dxW(0+) - dxW(0-), possibly rescaled by ``time_factor``.
+    ``dxW_neg`` is the gradient on (-inf, 0], ``dxW_pos`` on [0, inf).  When
+    W is a polynomial on each side, ``pieces`` holds its ascending
+    coefficients (W_neg, W_pos), with equal constant terms (W is continuous
+    at 0), and is the one source of every kernel term: the branches are
+    derived from it, not given, and dxW and dx2W convolve by exact prefix
+    moments.  Any other W is given both branches and convolves by O(N^2)
+    differences.  The atom ``atom_w(t)`` is the branch jump at 0 times
+    ``factor(t)``.
     """
 
     W: Callable
-    dxW_neg: Callable
-    dxW_pos: Callable
-    atom_w: Callable  # t -> weight of the Dirac at 0
+    dxW_neg: Optional[Callable] = None
+    dxW_pos: Optional[Callable] = None
     time_factor: Optional[Callable] = None
-    # Ascending coefficients (W_neg, W_pos) of W on (-inf, 0] and [0, inf)
-    # when W is a polynomial on each side (equal constant terms: W is
-    # continuous at 0); None for any other W.  Convolutions with such a W are
-    # exact prefix-moment sums instead of O(N^2) W-primitive differences.
     pieces: Optional[tuple] = None
 
-    # The kernel data below depends on the pieces alone; each is built on
-    # first use and kept on the instance.
-    @functools.cached_property
-    def is_zero(self):
-        return self.pieces is not None and all(_degree(c) == 0 for c in self.pieces)
+    def __post_init__(self):
+        if (self.dxW_neg is None, self.dxW_pos is None) != (self.pieces is not None,) * 2:
+            raise ValueError("dxW_neg and dxW_pos are given exactly when W has no pieces")
+        for name, coef in zip(("dxW_neg", "dxW_pos"), self.pieces or ()):
+            object.__setattr__(self, name, functools.partial(P.polyval, c=_derivative(coef)))
 
-    @functools.cached_property
-    def dx2W_zero(self):
-        """True when D dxW is the atom alone (both pieces of degree <= 1)."""
-        return self.pieces is not None and all(_degree(c) <= 1 for c in self.pieces)
-
+    # The chains of dxW * rhobar and of (the absolutely continuous part of)
+    # dx2W * rhobar, None without pieces, each built on first use and kept.
     @functools.cached_property
     def moment_chain(self):
-        """``((g_jump, g_neg), ...)``, one pair per moment m = 0, 1, ...: the
-        m-th derivatives, divided by m!, of the gradient jump g+ - g- and of
-        the left gradient piece g-, as ascending coefficients; None without
-        pieces.  The prefix-moment convolution sums one term per pair."""
-        if self.pieces is None:
-            return None
-        g_neg = _derivative(self.pieces[0])
-        g_jump = [p - n for p, n in
-                  itertools.zip_longest(_derivative(self.pieces[1]), g_neg, fillvalue=0.0)]
-        chain = [(tuple(g_jump), tuple(g_neg))]
-        for m in range(1, len(g_jump)):
-            g_jump, g_neg = _derivative(g_jump, m), _derivative(g_neg, m)
-            chain.append((tuple(g_jump), tuple(g_neg)))
-        return tuple(chain)
+        return None if self.pieces is None else _moment_chain(*self.pieces)
+
+    @functools.cached_property
+    def dx2W_chain(self):
+        return None if self.pieces is None else _moment_chain(*map(_derivative, self.pieces))
+
+    @functools.cached_property
+    def is_zero(self):
+        return self.moment_chain == ()
 
     def factor(self, t):
         return 1.0 if self.time_factor is None else float(self.time_factor(t))
 
-    def dx2W_integral(self, a, b):
-        """Exact integral of dx2W over [a, b] (elementwise, a <= b).
-
-        Uses the one-sided gradient branches so the Dirac atom at 0 is never
-        silently picked up: on straddling intervals the two sides are joined
-        through the one-sided limits at 0.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        left = self.dxW_neg(np.minimum(b, 0.0)) - self.dxW_neg(np.minimum(a, 0.0))
-        right = self.dxW_pos(np.maximum(b, 0.0)) - self.dxW_pos(np.maximum(a, 0.0))
-        return left + right
+    def atom_w(self, t):
+        """Weight of the Dirac at 0 in D dxW: the jump dxW(0+) - dxW(0-),
+        times ``factor(t)``."""
+        return (float(self.dxW_pos(0.0)) - float(self.dxW_neg(0.0))) * self.factor(t)
 
 
 @dataclass(frozen=True)
@@ -221,23 +215,18 @@ def scenario_validate(s: Scenario, sample_grid) -> list[Violation]:
         if np.sign(x) * V > F * lam + tol:
             out.append(Violation("A4", f"sign(x)V({t},{x})={np.sign(x) * V} > F*lambda={F * lam}", (t, x)))
 
-    # (A3): gradient growth and atom consistency.
+    # (A3): gradient growth.
     for t, x, _ in grid:
         F, G = float(adv.growth_F(t)), float(adv.growth_G(abs(x)))
         fac = pot.factor(t)
         dw = float(pot.dxW_neg(x) if x < 0 else pot.dxW_pos(x)) * fac
         if abs(dw) > F * G + tol:
             out.append(Violation("A3", f"|dxW({x})|={abs(dw)} > F*G={F * G}", (t, x)))
-    for t in ts:
-        jump = (float(pot.dxW_pos(0.0)) - float(pot.dxW_neg(0.0))) * pot.factor(t)
-        atom = float(pot.atom_w(t))
-        if abs(jump - atom) > tol * max(1.0, abs(jump)):
-            out.append(Violation("A3", f"atom_w({t})={atom} != dxW jump {jump}", (t,)))
 
     # (A5): the declared no-collapse branch must be usable.
     if s.no_collapse_branch is Branch.W_REPULSIVE:
         for t in ts:
-            w = float(pot.atom_w(t))
+            w = pot.atom_w(t)
             if w > tol:
                 out.append(Violation("A5_W", f"atom_w({t})={w} > 0 on repulsive branch", (t,)))
     else:
@@ -293,38 +282,52 @@ def _expr(path, doc, section, key, variables, default=None, required=False):
         raise ScenarioFormatError(f"{path}: {section}.{key}: {exc}") from None
 
 
-# Points (mirrored for dxW_neg) and times at which declared gradient branches
-# and atoms are checked against the polynomial pieces of W.
+# Points (mirrored for dxW_neg) and times at which declared kernel keys are
+# checked.  Without pieces, W's gradient is its central difference at the
+# points away from 0, with error _FD_STEP^2/6 |W'''| + 1e-16 |W| / _FD_STEP:
+# far inside _FD_TOL for kernels of moderate size.
 _CHECK_X = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
-_CHECK_T = (0.0, 0.5, 1.0, 2.0)
+_CHECK_T = np.array([0.0, 0.5, 1.0, 2.0])
 _CHECK_TOL = 1e-9
+_FD_STEP, _FD_TOL = 1e-5, 1e-6
 
 
-def _mismatch(got, want):
-    """Elementwise: ``got`` is not within the check tolerance of ``want`` (NaN included)."""
-    return ~(np.abs(got - want) <= _CHECK_TOL * np.maximum(1.0, np.abs(want)))
+def _check(path, key, declared, points, want, tol=_CHECK_TOL):
+    """Reject a declared kernel key whose values at ``points`` are not within
+    ``tol`` of ``want``, relative to max(1, |want|) (NaN included)."""
+    got = np.broadcast_to(np.asarray(declared(points), dtype=float), points.shape)
+    bad = ~(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ScenarioFormatError(f"{path}: potential.{key}({points[k]:g}) = {got[k]:g} "
+                                  f"contradicts W, which gives {want[k]:g}")
 
 
-def _check_against_pieces(pot: Potential, path):
-    """Reject declared gradient branches or an atom that contradict W."""
-    grads = [P.polyder(np.asarray(c, dtype=float)) for c in pot.pieces]
-    for name, branch, grad, xs in (("dxW_neg", pot.dxW_neg, grads[0], -_CHECK_X),
-                                   ("dxW_pos", pot.dxW_pos, grads[1], _CHECK_X)):
-        got = np.broadcast_to(np.asarray(branch(xs), dtype=float), xs.shape)
-        want = P.polyval(xs, grad)
-        bad = _mismatch(got, want)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise ScenarioFormatError(
-                f"{path}: {name}({xs[k]:g}) = {got[k]:g} contradicts W, whose gradient there is {want[k]:g}"
-            )
-    jump = float(grads[1][0] - grads[0][0])
-    for t in _CHECK_T:
-        got, want = float(pot.atom_w(t)), jump * pot.factor(t)
-        if _mismatch(got, want):
-            raise ScenarioFormatError(
-                f"{path}: atom_w({t:g}) = {got:g} contradicts the gradient jump of W at 0, {want:g}"
-            )
+def _potential(path, expr, body):
+    """The potential of a ``potential`` section.  A declared branch or atom is
+    compiled only to be checked against the potential's own value."""
+    W = expr("potential", "W", ("x",), default="0")
+    pieces = expressions.piecewise_polynomial(body.get("W", "0"), "x")
+    declared = {key: expr("potential", key, ("x",), required=pieces is None)
+                for key in ("dxW_neg", "dxW_pos")}
+    atom_w = expr("potential", "atom_w", ("t",))
+    time_factor = expr("potential", "time_factor", ("t",))
+    # dx2W is compiled, so a malformed one is an error, but nothing reads it
+    expr("potential", "dx2W", ("x",))
+    if pieces is None:
+        potential = Potential(W=W, time_factor=time_factor, **declared)
+    else:
+        potential = Potential(W=W, time_factor=time_factor, pieces=pieces)
+    for key, xs in (("dxW_neg", -_CHECK_X), ("dxW_pos", _CHECK_X)):
+        if pieces is None:  # central differences of W, away from the kink
+            xs = xs[1:]
+            _check(path, key, declared[key], xs,
+                   (W(xs + _FD_STEP) - W(xs - _FD_STEP)) / (2.0 * _FD_STEP), _FD_TOL)
+        elif declared[key] is not None:
+            _check(path, key, declared[key], xs, getattr(potential, key)(xs))
+    if atom_w is not None:
+        _check(path, "atom_w", atom_w, _CHECK_T, np.array([potential.atom_w(t) for t in _CHECK_T]))
+    return potential
 
 
 # The keys each section of a scenario document may hold; ``metadata`` is the
@@ -402,28 +405,7 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
         growth_G=expr("advection", "G", ("r",), default="1"),
         growth_lambda=expr("advection", "lambda", ("r",), default="1"),
     )
-    w_expr = pot_d.get("W", "0")
-    dxn = expr("potential", "dxW_neg", ("x",), default="0")
-    dxp = expr("potential", "dxW_pos", ("x",), default="0")
-    time_factor = expr("potential", "time_factor", ("t",))
-    atom_fn = expr("potential", "atom_w", ("t",))
-    if atom_fn is None:
-        jump = float(dxp(0.0)) - float(dxn(0.0))
-        atom_fn = expressions.constant(jump) if time_factor is None else (lambda t: jump * time_factor(t))
-    W = expr("potential", "W", ("x",), default="0")
-    # dx2W is compiled, so a malformed one is an error, but nothing reads it:
-    # dx2W integrals difference the gradient branches
-    expr("potential", "dx2W", ("x",))
-    potential = Potential(
-        W=W,
-        dxW_neg=dxn,
-        dxW_pos=dxp,
-        atom_w=atom_fn,
-        time_factor=time_factor,
-        pieces=expressions.piecewise_polynomial(w_expr, "x"),
-    )
-    if potential.pieces is not None:
-        _check_against_pieces(potential, path)
+    potential = _potential(path, expr, pot_d)
     source = Source(
         f=expr("source", "f", ("t", "x", "rho"), default="0"),
         c_f=expressions.finite_float(src_d.get("c_f", 0.0), f"{path}: source.c_f"),
@@ -489,7 +471,7 @@ _CATALOG = {
         "congestion": {"v": "max(1 - r, 0)", "v_sup": 1.0, "vprime_bound": "1",
                        "decay_g": "2*r"},
         "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
-        "potential": {"W": "abs(x)", "dxW_neg": "-1", "dxW_pos": "1", "atom_w": 2.0},
+        "potential": {"W": "abs(x)"},
         "source": {"f": "0*(x + rho)", "c_f": 0.0},
         # a generic asymmetric profile of mass 1: a single uniform block would
         # evolve self-similarly under the congested attraction (the quantile
@@ -500,7 +482,7 @@ _CATALOG = {
     "repulsive_source": {
         "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
         "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
-        "potential": {"W": "-abs(x)", "dxW_neg": "1", "dxW_pos": "-1", "atom_w": -2.0},
+        "potential": {"W": "-abs(x)"},
         # |D_x f| <= rho |bump'|, and the bump's gradient has total variation 2 bump(0)
         "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1",
                    "eta_mass": "2*r*(1 - bump(min(abs(X), 1)))"},

@@ -27,8 +27,7 @@ def zero_source():
 
 def zero_potential():
     z = const(0.0)
-    return Potential(W=z, dxW_neg=z, dxW_pos=z, atom_w=z,
-                     pieces=((0.0,), (0.0,)))
+    return Potential(W=z, pieces=((0.0,), (0.0,)))
 
 
 def make_scenario(v=None, v_sup=1.0, vprime=0.0, decay_g=None, V=None, dxV=None,
@@ -55,9 +54,7 @@ def zero_field_scenario():
 
 def quadratic_potential():
     """W(x) = x^2 / 2: gradient x, second derivative 1, no atom."""
-    ident = lambda x: np.asarray(x, dtype=float)
     return Potential(W=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-                     dxW_neg=ident, dxW_pos=ident, atom_w=const(0.0),
                      pieces=((0.0, 0.0, 0.5), (0.0, 0.0, 0.5)))
 
 

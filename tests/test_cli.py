@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pbal.cli import main
+from pbal.scenario import load_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -219,6 +220,53 @@ def test_inconsistent_potential_exit_2(tmp_path, capsys):
         assert main(["run", "--scenario", str(path), "--n", "10",
                      "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+
+def _with_potential(tmp_path, potential, name="scenario.json"):
+    doc = json.loads(_file_scenario(tmp_path).read_text())
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(doc, potential=potential)))
+    return path
+
+
+_EXP_POTENTIAL = {"W": "exp(-abs(x))", "dxW_neg": "exp(x)", "dxW_pos": "-exp(-x)"}
+
+
+@pytest.mark.parametrize("key", ["dxW_neg", "dxW_pos"])
+def test_potential_without_pieces_needs_both_branches(tmp_path, capsys, key):
+    # nothing derives the branches of a W without polynomial pieces; an
+    # omitted one is an error, never a gradient of 0
+    path = _with_potential(tmp_path, {k: v for k, v in _EXP_POTENTIAL.items() if k != key})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"missing required field potential.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, wrong", [("dxW_neg", "-exp(x)"), ("dxW_pos", "exp(-x)"),
+                                        ("dxW_pos", "-exp(-1.001*x)")])
+def test_branch_contradicting_W_without_pieces_exit_2(tmp_path, capsys, key, wrong):
+    path = _with_potential(tmp_path, dict(_EXP_POTENTIAL, **{key: wrong}))
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"potential.{key}(" in capsys.readouterr().err
+    s, _ = load_scenario(_with_potential(tmp_path, _EXP_POTENTIAL))
+    assert s.potential.pieces is None and s.potential.atom_w(0.0) == -2.0
+
+
+def test_audit_of_W_alone_equals_declared_branches(tmp_path):
+    # the branches and the atom of a W with pieces are derived from it
+    W = "-abs(x) + 0.5*x**2"
+    outs = []
+    for k, potential in enumerate(({"W": W}, {"W": W, "dxW_neg": "x + 1",
+                                               "dxW_pos": "x - 1", "atom_w": -2.0})):
+        path = _with_potential(tmp_path, potential, f"scenario{k}.json")
+        outs.append(tmp_path / f"audit{k}")
+        assert main(["audit", "--scenario", str(path), "--n", "20", "--t-end", "0.5",
+                     "--snapshots", "9", "--out", str(outs[-1])]) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir()) and "entropy.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_validate_grid_too_small(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbal import (ParticleSystem, PiecewiseDensity, cdf, l1_distance,
                   pushforward_affine, quantile, to_density, total_mass,
@@ -251,3 +253,49 @@ def test_l1_pushforward_mass_difference(rng):
         p_to = ParticleSystem(0.0, x_to, q_to)
         d = l1_distance(pushforward_affine(p_from, p_to), to_density(p_to))
         assert d == pytest.approx(np.sum(np.abs(p_from.q - q_to)), rel=1e-12)
+
+
+@st.composite
+def step_densities(draw, max_cells=6):
+    """A step density of 1..max_cells cells, positive heights, starting in [-2, 2]."""
+    n = draw(st.integers(1, max_cells))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    heights = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    return block(draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(gaps))), heights)
+
+
+def _l1_brute_force(a, b):
+    # |a - b| = a + b - 2 min(a, b); min(a, b) is min(h, k) on the overlap of
+    # every pair of cells
+    overlap = 0.0
+    for a0, a1, h in zip(a.breakpoints[:-1], a.breakpoints[1:], a.heights):
+        for b0, b1, k in zip(b.breakpoints[:-1], b.breakpoints[1:], b.heights):
+            overlap += max(0.0, min(a1, b1) - max(a0, b0)) * min(h, k)
+    return total_mass(a) + total_mass(b) - 2.0 * overlap
+
+
+def _w1_brute_force(a, b):
+    # W1 = int_0^M |Q_a(m) - Q_b(m)| dm; between merged mass levels both
+    # quantile functions are affine, so the integrand is |affine|, split at
+    # its root
+    cum_a = np.concatenate(([0.0], np.cumsum(a.heights * np.diff(a.breakpoints))))
+    cum_b = np.concatenate(([0.0], np.cumsum(b.heights * np.diff(b.breakpoints))))
+    levels = np.union1d(cum_a, cum_b)
+    d = np.interp(levels, cum_a, a.breakpoints) - np.interp(levels, cum_b, b.breakpoints)
+    total = 0.0
+    for m0, m1, d0, d1 in zip(levels[:-1], levels[1:], d[:-1], d[1:]):
+        if d0 * d1 >= 0.0:
+            total += 0.5 * (abs(d0) + abs(d1)) * (m1 - m0)
+        else:
+            root = m0 + (m1 - m0) * d0 / (d0 - d1)
+            total += 0.5 * abs(d0) * (root - m0) + 0.5 * abs(d1) * (m1 - root)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=step_densities(), b=step_densities())
+def test_distances_match_brute_force(a, b):
+    assert abs(l1_distance(a, b) - _l1_brute_force(a, b)) <= 1e-12 * (
+        total_mass(a) + total_mass(b))
+    b = block(b.breakpoints, b.heights * (total_mass(a) / total_mass(b)))
+    assert abs(w1_distance(a, b) - _w1_brute_force(a, b)) <= 1e-12 * max(1.0, _w1_brute_force(a, b))

@@ -92,9 +92,7 @@ def test_convolve_polynomial_pieces_match_generic(c0, w_neg, w_pos, x, heights,
     # random W, polynomial of degree <= 3 on each side and continuous at 0
     neg, pos = (c0, *w_neg), (c0, *w_pos)
     pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
-                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
-                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
-                    atom_w=lambda t: 0.0, pieces=(neg, pos))
+                    pieces=(neg, pos))
     s = make_scenario(potential=pot)
     x = np.sort(np.asarray(x))
     assume(np.min(np.diff(x)) > 1e-9)
@@ -122,9 +120,7 @@ def test_particle_path_equals_search_path(c0, w_neg, w_pos, x, heights, factor):
     # adds a partial-cell term that is exactly 0.0 there, so the bits agree
     neg, pos = (c0, *w_neg), (c0, *w_pos)
     pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
-                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
-                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
-                    atom_w=lambda t: 0.0, pieces=(neg, pos),
+                    pieces=(neg, pos),
                     time_factor=None if factor is None else (lambda t: factor * (1.0 + t)))
     s = make_scenario(potential=pot)
     x = np.sort(np.asarray(x))
@@ -339,11 +335,9 @@ def _pin_scenarios():
     cubic = ((0.0, 0.3, 0.5, -0.2), (0.0, -0.4, 0.5, 0.1))
     cubic_pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, cubic[0]),
                                                P.polyval(u, cubic[1])),
-                          dxW_neg=lambda u: P.polyval(u, P.polyder(cubic[0])),
-                          dxW_pos=lambda u: P.polyval(u, P.polyder(cubic[1])),
-                          atom_w=const(-0.7), time_factor=lambda t: 1.0 + t, pieces=cubic)
+                          time_factor=lambda t: 1.0 + t, pieces=cubic)
     exp_pot = Potential(W=lambda u: np.exp(-np.abs(u)), dxW_neg=np.exp,
-                        dxW_pos=lambda u: -np.exp(-u), atom_w=const(-2.0))
+                        dxW_pos=lambda u: -np.exp(-u))
     v = compile_expression("1/(1 + r)", ("r",))
     return [
         builtin_catalog("attractive_congested"),
@@ -463,6 +457,52 @@ def test_dxU_kink_potential():
     assert got[2] == pytest.approx(0.0, abs=1e-14)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    c0=_coef,
+    w_neg=st.lists(_coef, min_size=0, max_size=4),
+    w_pos=st.lists(_coef, min_size=0, max_size=4),
+    x=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=31, unique=True),
+    heights=st.lists(st.floats(0.05, 2.0), min_size=30, max_size=30),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    outside=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4),
+    factor=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+)
+def test_dxU_pieces_match_generic(c0, w_neg, w_pos, x, heights, fractions, outside, factor):
+    # random W, polynomial of degree <= 4 on each side and continuous at 0:
+    # the dx2W term by the chain of the gradient pieces equals the
+    # differences of G(u) = dxW_neg(min(u, 0)) + dxW_pos(max(u, 0)), the path
+    # the same W takes without pieces
+    neg, pos = (c0, *w_neg), (c0, *w_pos)
+    time_factor = None if factor is None else (lambda t: factor * (1.0 + t))
+    pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
+                    time_factor=time_factor, pieces=(neg, pos))
+    generic = Potential(W=pot.W, dxW_neg=pot.dxW_neg, dxW_pos=pot.dxW_pos,
+                        time_factor=time_factor)
+    x = np.sort(np.asarray(x))
+    assume(np.min(np.diff(x)) > 1e-9)
+    p = ParticleSystem(0.7, x, np.asarray(heights[: x.size - 1]) * np.diff(x))
+    cells = np.arange(len(fractions)) % p.n
+    y = np.concatenate((x, x[cells] + np.asarray(fractions) * np.diff(x)[cells],
+                        x[0] - np.asarray(outside), x[-1] + np.asarray(outside)))
+    fast = dxU_at(p, make_scenario(potential=pot), y)
+    slow = dxU_at(p, make_scenario(potential=generic), y)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
+
+
+def test_kernels_with_pieces_never_build_the_difference_matrix(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("difference matrix built for a kernel with pieces")
+
+    monkeypatch.setattr(dynamics, "_difference_convolution", refuse)
+    for s in _PIN_SCENARIOS[:4]:
+        assert s.potential.pieces is not None
+        p = random_particles(rng, 20)
+        y = np.linspace(p.x[0] - 0.5, p.x[-1] + 0.5, 57)
+        assert np.all(np.isfinite(dxU_at(p, s, y)))
+        assert np.all(np.isfinite(rhs_arrays(0.3, p.x, p.q, s)[0]))
+
+
 # ------------------------------------------------------- structural checks
 
 @st.composite
@@ -492,9 +532,7 @@ def random_models(draw):
 
 def _model_scenario(knots, values, neg, pos, V):
     pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
-                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
-                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
-                    atom_w=lambda t: 0.0, pieces=(neg, pos))
+                    pieces=(neg, pos))
     return make_scenario(v=lambda r: np.interp(r, knots, values), potential=pot,
                          V=lambda t, x: np.full(np.shape(x), V))
 

@@ -94,16 +94,14 @@ def test_symmetry_preserved_repulsive():
 
 def _time_factor_potential():
     # W = |x| scaled by 1 + t
-    return Potential(W=lambda x: np.abs(x), dxW_neg=const(-1.0), dxW_pos=const(1.0),
-                     atom_w=lambda t: 2.0 * (1.0 + t),
-                     time_factor=lambda t: 1.0 + t, pieces=((0.0, -1.0), (0.0, 1.0)))
+    return Potential(W=lambda x: np.abs(x), time_factor=lambda t: 1.0 + t,
+                     pieces=((0.0, -1.0), (0.0, 1.0)))
 
 
 def _exponential_potential():
     # W = exp(-|x|): no polynomial pieces
     return Potential(W=lambda x: np.exp(-np.abs(x)),
-                     dxW_neg=lambda x: np.exp(x), dxW_pos=lambda x: -np.exp(-x),
-                     atom_w=const(-2.0))
+                     dxW_neg=lambda x: np.exp(x), dxW_pos=lambda x: -np.exp(-x))
 
 
 def test_fft_convolution_matches_direct():
@@ -149,9 +147,7 @@ def test_interface_velocity_matches_direct_sum(c0, w_neg, w_pos, factor, t, j, x
     # FFT path (the same W without pieces) both equal the direct sum
     neg, pos = (c0, *w_neg), (c0, *w_pos)
     pot = Potential(W=lambda u: np.where(u < 0.0, P.polyval(u, neg), P.polyval(u, pos)),
-                    dxW_neg=lambda u: P.polyval(u, P.polyder(neg)),
-                    dxW_pos=lambda u: P.polyval(u, P.polyder(pos)),
-                    atom_w=lambda t: 0.0, pieces=(neg, pos),
+                    pieces=(neg, pos),
                     time_factor=None if factor is None else (lambda t: factor * (1.0 + t)))
     start = int(block[0] * (j - 1))
     stop = min(j, start + 1 + int(block[1] * j))

@@ -13,7 +13,7 @@ from pbal.expressions import bump, compile_expression, piecewise_polynomial
 from pbal.scenario import SCHEMA, Branch, CATALOG_NAMES, default_sample_grid
 
 from conftest import make_scenario
-from pbal.scenario import Source
+from pbal.scenario import Potential, Source
 
 
 # ------------------------------------------------------------- expressions
@@ -184,6 +184,17 @@ def test_all_catalog_scenarios_validate_clean():
     assert len(grid) == 1000
     for name in CATALOG_NAMES:
         assert scenario_validate(builtin_catalog(name), grid) == [], name
+
+
+def test_potential_branches_are_given_exactly_without_pieces():
+    W, pieces = np.abs, ((0.0, -1.0), (0.0, 1.0))
+    with pytest.raises(ValueError):
+        Potential(W=W, dxW_neg=np.sign, dxW_pos=np.sign, pieces=pieces)
+    with pytest.raises(ValueError):
+        Potential(W=W, dxW_neg=np.sign)
+    pot = Potential(W=W, time_factor=lambda t: 1.0 + t, pieces=pieces)
+    assert pot.dxW_neg(-2.0) == -1.0 and pot.dxW_pos(3.0) == 1.0
+    assert pot.atom_w(1.0) == 4.0
 
 
 def test_atom_consistency_limit():
