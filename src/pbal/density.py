@@ -19,6 +19,14 @@ from .errors import DegenerateStateError, MassMismatchError
 COLLISION_GAP_FRACTION = 1e-12
 
 
+def collision_gap(x, gaps):
+    """Index of the smallest of the ``gaps`` of ``x`` when one (or a NaN) is not
+    above ``COLLISION_GAP_FRACTION`` times the span, else None."""
+    if np.all(gaps > COLLISION_GAP_FRACTION * (x[-1] - x[0])):
+        return None
+    return int(np.argmin(gaps))
+
+
 def _readonly(a):
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
@@ -43,12 +51,10 @@ class ParticleSystem:
         if self.q.size < 1:
             raise DegenerateStateError("at least one cell is required")
         gaps = np.diff(self.x)
-        span = self.x[-1] - self.x[0]
-        if not np.all(gaps > COLLISION_GAP_FRACTION * span):
-            i = int(np.argmin(gaps))
-            raise DegenerateStateError(
-                f"particle collision: gap {gaps[i]:.3e} at index {i} (span {span:.3e})"
-            )
+        i = collision_gap(self.x, gaps)
+        if i is not None:
+            raise DegenerateStateError(f"particle collision: gap {gaps[i]:.3e} at index {i} "
+                                       f"(span {self.x[-1] - self.x[0]:.3e})")
         if not np.all(self.q > 0.0):
             i = int(np.argmin(self.q))
             raise DegenerateStateError(f"non-positive mass q[{i}] = {self.q[i]:.3e}")

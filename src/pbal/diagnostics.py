@@ -252,16 +252,15 @@ class BoundsReport:
     rows: list  # one tuple per snapshot, in ENVELOPE_COLUMNS order
 
 
-def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario,
-                 rel_slack: float = 1e-6) -> BoundsReport:
-    """Compare every snapshot against the envelope curves; violations are
-    findings (records with ok=False), not errors."""
+def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario) -> BoundsReport:
+    """Compare every snapshot against the envelope curves, each up to 1e-6
+    relative; violations are findings (records with ok=False), not errors."""
     records, rows = [], []
     q0 = env.q0
 
     def add(t, check, value, bound, upper=True):
         margin = (bound - value) if upper else (value - bound)
-        tol = rel_slack * max(1.0, abs(bound)) if np.isfinite(bound) else 0.0
+        tol = 1e-6 * max(1.0, abs(bound)) if np.isfinite(bound) else 0.0
         records.append(BoundRecord(t, check, float(value), float(bound),
                                    float(margin), bool(margin >= -tol)))
 
@@ -516,12 +515,13 @@ class GoodVViolation:
     rhs: float
 
 
-def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid, slack=1e-10):
-    """Check the four structural inequalities on one state.
+def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid):
+    """Check the four structural inequalities on one state, each up to 1e-10.
 
     They are algebraic consequences of the monotone congestion and the
     downstream upwinding, so any violation flags a wrong upwind choice.
     """
+    slack = 1e-10
     x = np.asarray(x, dtype=float)
     q = np.asarray(q, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -560,18 +560,17 @@ def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid, slack=1e-10):
     return out
 
 
-def good_v_audit(traj: Trajectory, s: Scenario, c_grid=None, slack=1e-10):
+def good_v_audit(traj: Trajectory, s: Scenario):
     """Audit every stored state (all accepted steps when recorded, else the
-    snapshots) against the four inequality families."""
+    snapshots) against the four inequality families, on ``_c_grid``'s constants."""
     states = traj.steps if traj.steps else traj.snapshots
-    if c_grid is None:
-        c_grid = _c_grid(states)
+    c_grid = _c_grid(states)
     violations = []
     for p in states:
         rho = p.heights
         U = dynamics.u_field_arrays(p.t, p.x, rho, s)
         v_sel = dynamics.upwind_arrays(rho, s, U)
         violations.extend(
-            good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v, c_grid, slack)
+            good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v, c_grid)
         )
     return violations

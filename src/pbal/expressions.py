@@ -99,59 +99,54 @@ _FUNCTIONS = {
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
-
-
-def _check_node(node, variables):
-    if isinstance(node, ast.Expression):
-        _check_node(node.body, variables)
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _ALLOWED_BINOPS):
-            raise ScenarioFormatError(f"operator not allowed: {ast.dump(node.op)}")
-        _check_node(node.left, variables)
-        _check_node(node.right, variables)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, _ALLOWED_UNARY):
-            raise ScenarioFormatError(f"operator not allowed: {ast.dump(node.op)}")
-        _check_node(node.operand, variables)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            raise ScenarioFormatError("only abs/min/max/exp/bump calls are allowed")
-        if node.keywords:
-            raise ScenarioFormatError("keyword arguments are not allowed")
-        for arg in node.args:
-            _check_node(arg, variables)
-    elif isinstance(node, ast.Name):
-        if node.id not in variables:
-            raise ScenarioFormatError(f"unknown name {node.id!r}; allowed: {sorted(variables)}")
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ScenarioFormatError(f"constant not allowed: {node.value!r}")
-    else:
-        raise ScenarioFormatError(f"syntax not allowed: {type(node).__name__}")
-
-
+_TOO_DEEP = "expression is nested too deeply or too long to compile"
 _FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
          ast.Div: operator.truediv, ast.Pow: operator.pow,
          ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
 class _FloatConstants(ast.NodeTransformer):
-    """Numbers as floats, and operators on constants folded into constants."""
+    """One walk over a parsed expression: syntax outside the grammar is a
+    format error, numbers become floats, and operators on constants are
+    folded into constants."""
 
-    def __init__(self, text):
+    def __init__(self, text, variables):
         self.text = text
+        self.variables = variables
+
+    def generic_visit(self, node):  # every node type without a visit_ method
+        raise ScenarioFormatError(f"syntax not allowed: {type(node).__name__}")
+
+    def visit_Name(self, node):
+        if node.id not in self.variables:
+            raise ScenarioFormatError(f"unknown name {node.id!r}; allowed: {sorted(self.variables)}")
+        return node
 
     def visit_Constant(self, node):
+        if not isinstance(node.value, (int, float)):
+            raise ScenarioFormatError(f"constant not allowed: {node.value!r}")
         return self._constant(node, float, node.value)
 
+    def visit_Call(self, node):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+            raise ScenarioFormatError("only abs/min/max/exp/bump calls are allowed")
+        if node.keywords:
+            raise ScenarioFormatError("keyword arguments are not allowed")
+        node.args = [self.visit(arg) for arg in node.args]
+        return node
+
     def visit_UnaryOp(self, node):
-        self.generic_visit(node)
+        if not isinstance(node.op, _ALLOWED_UNARY):
+            raise ScenarioFormatError(f"operator not allowed: {ast.dump(node.op)}")
+        node.operand = self.visit(node.operand)
         if isinstance(node.operand, ast.Constant):
             return self._constant(node, _FOLD[type(node.op)], node.operand.value)
         return node
 
     def visit_BinOp(self, node):
-        self.generic_visit(node)
+        if not isinstance(node.op, _ALLOWED_BINOPS):
+            raise ScenarioFormatError(f"operator not allowed: {ast.dump(node.op)}")
+        node.left, node.right = self.visit(node.left), self.visit(node.right)
         if isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
             return self._constant(node, _FOLD[type(node.op)], node.left.value, node.right.value)
         return node
@@ -180,13 +175,13 @@ def compile_expression(text, variables):
         return constant(finite_float(text, "a numeric expression"))
     try:
         tree = ast.parse(text, mode="eval")
+        lam = ast.parse(f"lambda {', '.join(variables)}: 0", mode="eval")
+        lam.body.body = _FloatConstants(text, set(variables)).visit(tree.body)
+        code = compile(ast.fix_missing_locations(lam), filename="<scenario>", mode="eval")
     except SyntaxError as exc:
         raise ScenarioFormatError(f"cannot parse expression {text!r}: {exc}") from exc
-    _check_node(tree, set(variables))
-    body = _FloatConstants(text).visit(tree).body
-    lam = ast.parse(f"lambda {', '.join(variables)}: 0", mode="eval")
-    lam.body.body = body
-    code = compile(ast.fix_missing_locations(lam), filename="<scenario>", mode="eval")
+    except (RecursionError, MemoryError):
+        raise ScenarioFormatError(_TOO_DEEP) from None
     fn = eval(code, {"__builtins__": {}, **_FUNCTIONS})  # noqa: S307 - AST whitelisted
 
     def broadcast(*args):
@@ -303,6 +298,8 @@ def piecewise_polynomial(text, var):
         neg, pos = _pieces(ast.parse(str(text), mode="eval").body, var)
     except (SyntaxError, _NotPolynomial, ArithmeticError, ValueError):
         return None
+    except (RecursionError, MemoryError):
+        raise ScenarioFormatError(_TOO_DEEP) from None
     if not np.all(np.isfinite(neg + pos)):
         return None
     return tuple(neg), tuple(pos)

@@ -12,11 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .density import ParticleSystem, PiecewiseDensity, cdf as pw_cdf
+from .density import ParticleSystem, PiecewiseDensity, cdf as pw_cdf, collision_gap
 from .errors import InitCollisionError, ScenarioFormatError
 
-# Quadrature resolution for CDFs of generic callables.
-CDF_PANELS = 1 << 16
 BISECT_TOL = 1e-14
 
 
@@ -28,8 +26,6 @@ class InitialDensity:
     cdf: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     total_mass: float
-    sup_bound: float | None = None
-    tv_bound: float | None = None
 
     def __post_init__(self):
         a, b = self.support
@@ -56,15 +52,8 @@ class InitialDensity:
             heights.append(h)
             pts.append(b)
         step = PiecewiseDensity(np.array(pts), np.array(heights))
-        ext = np.concatenate(([0.0], step.heights, [0.0]))
-        return InitialDensity(
-            pdf=step,
-            cdf=lambda y: pw_cdf(step, y),
-            support=step.support,
-            total_mass=float(np.sum(step.heights * np.diff(step.breakpoints))),
-            sup_bound=float(np.max(step.heights)),
-            tv_bound=float(np.sum(np.abs(np.diff(ext)))),
-        )
+        return InitialDensity(pdf=step, cdf=lambda y: pw_cdf(step, y), support=step.support,
+                              total_mass=float(np.sum(step.heights * np.diff(step.breakpoints))))
 
     @staticmethod
     def from_samples(xs, ys) -> "InitialDensity":
@@ -95,39 +84,11 @@ class InitialDensity:
             out = np.where(y >= xs[-1], cum[-1], out)
             return float(out) if out.ndim == 0 else out
 
-        tv = float(np.abs(ys[0]) + np.sum(np.abs(np.diff(ys))) + np.abs(ys[-1]))
-        return InitialDensity(
-            pdf=pdf,
-            cdf=cdf_fn,
-            support=(float(xs[0]), float(xs[-1])),
-            total_mass=float(cum[-1]),
-            sup_bound=float(np.max(ys)),
-            tv_bound=tv,
-        )
-
-    @staticmethod
-    def from_callable(pdf, support, antiderivative=None) -> "InitialDensity":
-        """Closed-form density on ``support``; trapezoid CDF unless an exact
-        antiderivative (vanishing at the left endpoint) is supplied."""
-        a, b = float(support[0]), float(support[1])
-        if antiderivative is not None:
-            mass = float(antiderivative(b) - antiderivative(a))
-
-            def cdf_fn(y):
-                y = np.asarray(y, dtype=float)
-                out = antiderivative(np.clip(y, a, b)) - antiderivative(a)
-                return float(out) if out.ndim == 0 else out
-
-            return InitialDensity(pdf=pdf, cdf=cdf_fn, support=(a, b), total_mass=mass)
-        xs = np.linspace(a, b, CDF_PANELS + 1)
-        return InitialDensity.from_samples(xs, np.maximum(np.asarray(pdf(xs), dtype=float), 0.0))
-
-    def quantile(self, m: float) -> float:
-        """Leftmost x with CDF(x) >= m, by bisection on [a, b]."""
-        return float(self.quantiles([m])[0])
+        return InitialDensity(pdf=pdf, cdf=cdf_fn, support=(float(xs[0]), float(xs[-1])),
+                              total_mass=float(cum[-1]))
 
     def quantiles(self, levels) -> np.ndarray:
-        """``quantile`` of every mass level at once.
+        """The leftmost x with CDF(x) >= m for every mass level m, by bisection.
 
         All levels bisect together, one vectorized CDF call per halving, and
         each stops on its own under the ``BISECT_TOL`` width test.
@@ -158,10 +119,8 @@ def quantile_init(rho0: InitialDensity, n: int) -> ParticleSystem:
     x = np.empty(n + 1)
     x[0], x[n] = a, b
     x[1:n] = rho0.quantiles(np.arange(1, n) * mass / n)
-    gaps = np.diff(x)
-    span = b - a
-    if np.any(gaps <= 1e-12 * span):
-        i = int(np.argmin(gaps))
+    i = collision_gap(x, np.diff(x))
+    if i is not None:
         raise InitCollisionError(
             f"quantile levels {i} and {i + 1} nearly coincide at x = {x[i]:.6g}; "
             "increase N or perturb the initial density (interior vacuum / spike)"

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics
-from .density import COLLISION_GAP_FRACTION, ParticleSystem
+from .density import ParticleSystem, collision_gap
 from .errors import CollisionExtinctionError
 from .scenario import Scenario
 
@@ -105,8 +105,8 @@ class Trajectory:
 
 
 def step_guard(x_next, gaps=None):
-    """Check a candidate state's ordering: every gap above
-    ``COLLISION_GAP_FRACTION`` times the span, the test ``ParticleSystem`` applies.
+    """Check a candidate state's ordering by ``density.collision_gap``, the
+    test ``ParticleSystem`` applies.
 
     Returns ``(ok, reason, index)``: the index of the offending gap, None when
     the state is accepted.  ``gaps`` is ``np.diff(x_next)`` when the caller
@@ -115,9 +115,8 @@ def step_guard(x_next, gaps=None):
     """
     if gaps is None:
         gaps = np.diff(x_next)
-    span = x_next[-1] - x_next[0]
-    if not np.all(gaps > COLLISION_GAP_FRACTION * span):
-        i = int(np.argmin(gaps))
+    i = collision_gap(x_next, gaps)
+    if i is not None:
         return False, f"ordering: gap {gaps[i]:.3e} at index {i}", i
     return True, "", None
 

@@ -53,9 +53,6 @@ class GridState:
     def centers(self):
         return _lattice(self.x_left, self.dx, self.j)[1]
 
-    def total_mass(self):
-        return float(np.sum(self.cells) * self.dx)
-
 
 @functools.lru_cache(maxsize=8)
 def _lattice(x_left, dx, j):
@@ -90,10 +87,6 @@ class GridConfig:
 class GridTrajectory:
     snapshots: list = field(default_factory=list)
     steps: int = 0
-
-    @property
-    def times(self):
-        return np.array([g.t for g in self.snapshots])
 
 
 def _fast_length(n):
@@ -234,20 +227,18 @@ def grid_to_density(g: GridState) -> PiecewiseDensity:
     return PiecewiseDensity(g.interfaces, g.cells)
 
 
-def _at_time(snapshots, t, tol=1e-9):
-    """The snapshot taken at time ``t`` (relative tolerance ``tol``)."""
+def _at_time(snapshots, t):
+    """The snapshot taken at time ``t`` (relative tolerance 1e-9)."""
     for snap in snapshots:
-        if abs(snap.t - t) <= tol * max(1.0, abs(t)):
+        if abs(snap.t - t) <= 1e-9 * max(1.0, abs(t)):
             return snap
     raise KeyError(f"no snapshot at t = {t}")
 
 
-def compare_l1(traj, gtraj: GridTrajectory, times=None):
-    """Exact L1 distance between particle and grid reconstructions at shared times."""
+def compare_l1(traj, gtraj: GridTrajectory, times):
+    """Exact L1 distance between particle and grid reconstructions at ``times``."""
     from .density import l1_distance, to_density
 
-    if times is None:
-        times = traj.times
     out = []
     for t in np.asarray(times, dtype=float):
         p = _at_time(traj.snapshots, t)

@@ -282,25 +282,36 @@ def _expr(path, doc, section, key, variables, default=None, required=False):
         raise ScenarioFormatError(f"{path}: {section}.{key}: {exc}") from None
 
 
-# Points (mirrored for dxW_neg) and times at which declared kernel keys are
-# checked.  Without pieces, W's gradient is its central difference at the
-# points away from 0, with error _FD_STEP^2/6 |W'''| + 1e-16 |W| / _FD_STEP:
-# far inside _FD_TOL for kernels of moderate size.
+# Points (mirrored for dxW_neg) and times at which declared derivatives are
+# checked.  W's gradient without pieces, and dxV, are central differences, with
+# error _FD_STEP^2/6 |W'''| + 1e-16 |W| / _FD_STEP, far inside _FD_TOL for kernels
+# of moderate size; a kink (one-sided differences _KINK_TOL apart) is skipped.
 _CHECK_X = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
 _CHECK_T = np.array([0.0, 0.5, 1.0, 2.0])
 _CHECK_TOL = 1e-9
-_FD_STEP, _FD_TOL = 1e-5, 1e-6
+_FD_STEP, _FD_TOL, _KINK_TOL = 1e-5, 1e-6, 1e-3
 
 
-def _check(path, key, declared, points, want, tol=_CHECK_TOL):
-    """Reject a declared kernel key whose values at ``points`` are not within
-    ``tol`` of ``want``, relative to max(1, |want|) (NaN included)."""
-    got = np.broadcast_to(np.asarray(declared(points), dtype=float), points.shape)
+def _check(path, key, of, declared, points, want, tol=_CHECK_TOL):
+    """Reject a declared ``key`` whose values at ``points`` (argument arrays) are not
+    within ``tol`` of ``want``, what ``of`` gives, relative to max(1, |want|) (NaN included)."""
+    got = np.broadcast_to(np.asarray(declared(*points), dtype=float), want.shape)
     bad = ~(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise ScenarioFormatError(f"{path}: potential.{key}({points[k]:g}) = {got[k]:g} "
-                                  f"contradicts W, which gives {want[k]:g}")
+        at = ", ".join(f"{p[k]:g}" for p in points)
+        raise ScenarioFormatError(f"{path}: {key}({at}) = {got[k]:g} "
+                                  f"contradicts {of}, which gives {want[k]:g}")
+
+
+def _check_slope(path, key, of, declared, fn, *points):
+    """``_check`` a declared derivative in the last argument against central
+    differences of ``fn`` at the ``points``, except at a kink: one-sided differences
+    more than _KINK_TOL apart, relative to max(1, |slope|) (a NaN is no kink)."""
+    left, mid, right = (fn(*points[:-1], points[-1] + d) for d in (-_FD_STEP, 0.0, _FD_STEP))
+    slope = (right - left) / (2.0 * _FD_STEP)
+    keep = ~(np.abs(right - 2.0 * mid + left) > _KINK_TOL * _FD_STEP * np.maximum(1.0, np.abs(slope)))
+    _check(path, key, of, declared, tuple(p[keep] for p in points), slope[keep], _FD_TOL)
 
 
 def _potential(path, expr, body):
@@ -319,14 +330,13 @@ def _potential(path, expr, body):
     else:
         potential = Potential(W=W, time_factor=time_factor, pieces=pieces)
     for key, xs in (("dxW_neg", -_CHECK_X), ("dxW_pos", _CHECK_X)):
-        if pieces is None:  # central differences of W, away from the kink
-            xs = xs[1:]
-            _check(path, key, declared[key], xs,
-                   (W(xs + _FD_STEP) - W(xs - _FD_STEP)) / (2.0 * _FD_STEP), _FD_TOL)
+        if pieces is None:  # central differences of W, away from the kink at 0
+            _check_slope(path, f"potential.{key}", "W", declared[key], W, xs[1:])
         elif declared[key] is not None:
-            _check(path, key, declared[key], xs, getattr(potential, key)(xs))
+            _check(path, f"potential.{key}", "W", declared[key], (xs,), getattr(potential, key)(xs))
     if atom_w is not None:
-        _check(path, "atom_w", atom_w, _CHECK_T, np.array([potential.atom_w(t) for t in _CHECK_T]))
+        _check(path, "potential.atom_w", "W", atom_w, (_CHECK_T,),
+               np.array([potential.atom_w(t) for t in _CHECK_T]))
     return potential
 
 
@@ -405,6 +415,8 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
         growth_G=expr("advection", "G", ("r",), default="1"),
         growth_lambda=expr("advection", "lambda", ("r",), default="1"),
     )
+    ts, xs = np.meshgrid(_CHECK_T, np.concatenate((-_CHECK_X[:0:-1], _CHECK_X)))
+    _check_slope(path, "advection.dxV", "V", advection.dxV, advection.V, ts.ravel(), xs.ravel())
     potential = _potential(path, expr, pot_d)
     source = Source(
         f=expr("source", "f", ("t", "x", "rho"), default="0"),
@@ -412,6 +424,9 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
         drho_f_bound=expr("source", "drho_f_bound", ("r",), default="0"),
         eta_mass=expr("source", "eta_mass", ("t", "r", "X")),
     )
+    if source.c_f == 0.0:  # no source: the dynamics, the oracle and the envelopes skip f
+        points = tuple(np.array(default_sample_grid()).T)
+        _check(path, "source.f", "source.c_f = 0", source.f, points, np.zeros(points[0].size), 0.0)
     branch_txt = str(meta.get("branch", "w_repulsive")).lower()
     try:
         branch = Branch(branch_txt)

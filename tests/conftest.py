@@ -63,7 +63,7 @@ def random_particles(rng, n, lo=-2.0, hi=2.0, t=0.0):
     while np.min(np.diff(x)) < 1e-6 * (x[-1] - x[0]):
         x = np.sort(rng.uniform(lo, hi, n + 1))
     q = rng.uniform(0.1, 1.0, n)
-    from pbal import ParticleSystem
+    from pbal.density import ParticleSystem
     return ParticleSystem(t=t, x=x, q=q)
 
 

@@ -115,7 +115,9 @@ def test_sweep_stationary_bounded_by_init_quantization(tmp_path):
     _, rows = read_csv_rows(out / "sweep.csv")
     dists = {int(r[0]): float(r[1]) for r in rows}
 
-    from pbal import InitialDensity, l1_distance, quantile_init, to_density
+    from pbal import quantile_init
+    from pbal.density import l1_distance, to_density
+    from pbal.initial import InitialDensity
     rho0 = InitialDensity.from_blocks([(-1.0, -0.5, 1.0), (0.0, 1.0, 0.5)])
     exact = to_density(quantile_init(rho0, 4000))  # fine proxy for rho0
     for n, d in dists.items():
@@ -158,7 +160,7 @@ def test_audit_flags_and_violation_exit(tmp_path, monkeypatch):
 
     from pbal import diagnostics as dg
 
-    def fake_audit(traj, s, c_grid=None, slack=1e-10):
+    def fake_audit(traj, s):
         return [dg.GoodVViolation(0.0, "constant", 0, 0.5, 1.0, 0.0)]
 
     monkeypatch.setattr("pbal.cli.diagnostics.good_v_audit", fake_audit)
@@ -419,6 +421,61 @@ def test_unused_dx2W_is_still_checked(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--n", "10",
                  "--out", str(tmp_path / "out")]) == 2
     assert f"{path}: potential.dx2W" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("V", ["+".join(["x"] * 5000), "-" * 200_000 + "x"],
+                         ids=["5000-term-sum", "200000-minus-chain"])
+def test_too_deep_expression_exit_2(tmp_path, capsys, V):
+    # parsing, walking or compiling runs out of stack (RecursionError) or of
+    # parser memory (MemoryError): a format error naming the key, no traceback
+    path = _file_scenario(tmp_path, advection={"V": V})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: advection.V: expression is nested too deeply" in capsys.readouterr().err
+
+
+def _run_with(tmp_path, section, body):
+    """Exit code of a short run of the file scenario with ``section`` replaced."""
+    doc = json.loads(_file_scenario(tmp_path).read_text())
+    path = tmp_path / "replaced.json"
+    path.write_text(json.dumps(dict(doc, **{section: body})))
+    return main(["run", "--scenario", str(path), "--n", "10", "--t-end", "0.2",
+                 "--out", str(tmp_path / "out")])
+
+
+def test_source_without_c_f_exit_2(tmp_path, capsys):
+    # c_f = 0 (the default) declares no source: the dynamics, the oracle and
+    # the envelopes skip f, so f = rho would be dropped without a word
+    assert _run_with(tmp_path, "source", {"f": "rho"}) == 2
+    assert "source.c_f" in capsys.readouterr().err
+    assert _run_with(tmp_path, "source", {"f": "0*(x + rho)"}) == 0
+
+
+@pytest.mark.parametrize("dxV, code", [(None, 2), ("-1", 0), ("5", 2)],
+                         ids=["omitted", "right", "wrong"])
+def test_dxV_checked_against_V(tmp_path, capsys, dxV, code):
+    # an omitted dxV is "0", checked like a declared one
+    advection = {"V": "-x", "F": "2", "G": "1 + r", "lambda": "1"}
+    if dxV is not None:
+        advection["dxV"] = dxV
+    assert _run_with(tmp_path, "advection", advection) == code
+    assert ("advection.dxV(" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("potential", [
+    {"W": "min(x, 1)", "dxW_neg": "1", "dxW_pos": "min(1, max(0, 1 + 1e9*(1 - x)))"},
+    {"W": "abs(x - 1)", "dxW_neg": "-1", "dxW_pos": "(x - 1)/abs(x - 1)"},
+], ids=["min", "abs"])
+def test_kernel_branches_skip_the_kinks_of_W(tmp_path, capsys, potential):
+    # at x = 1 the one-sided differences of W disagree: a branch may take
+    # either side's value there (or none), and the point is not checked
+    s, _ = load_scenario(_with_potential(tmp_path, potential))
+    assert s.potential.pieces is None and s.potential.atom_w(0.0) == 0.0
+    # a branch that is wrong at a smooth point is still rejected
+    path = _with_potential(tmp_path, dict(potential, dxW_pos="1"), "wrong.json")
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "potential.dxW_pos(" in capsys.readouterr().err
 
 
 def test_sweep_integrates_a_repeated_n_once(tmp_path, monkeypatch):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbal import (ParticleSystem, PiecewiseDensity, cdf, l1_distance,
-                  pushforward_affine, quantile, to_density, total_mass,
-                  total_variation, w1_distance)
+from pbal.density import (ParticleSystem, PiecewiseDensity, cdf, l1_distance,
+                          pushforward_affine, quantile, to_density, total_mass,
+                          total_variation, w1_distance)
 from pbal.errors import DegenerateStateError, MassMismatchError
 
 from conftest import random_particles

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
-                  builtin_initial, integrate, quantile_init)
+from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
 from pbal import diagnostics as dg
+from pbal.density import ParticleSystem
+from pbal.initial import InitialDensity
 from pbal.diagnostics import _snapshot_quadrature
 from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, u_field_arrays,
                            upwind_arrays)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pbal import InitialDensity, builtin_initial, quantile_init, to_density, total_variation
+from pbal import builtin_initial, quantile_init
+from pbal.density import to_density, total_variation
 from pbal.errors import InitCollisionError, ScenarioFormatError
-from pbal.initial import BISECT_TOL
+from pbal.initial import BISECT_TOL, InitialDensity
 
 
 def test_uniform_quantiles():
@@ -42,10 +43,12 @@ def test_support_is_convex_hull():
 
 def test_height_and_tv_bounds():
     rho0 = builtin_initial("transport")
+    step = rho0.pdf  # the blocks' step density
+    sup_bound, tv_bound = np.max(step.heights), total_variation(step)
     for n in (16, 64, 256):
         d = to_density(quantile_init(rho0, n))
-        assert np.max(d.heights) <= rho0.sup_bound + 1e-8 * rho0.total_mass
-        assert total_variation(d) <= rho0.tv_bound + 1e-8 * rho0.total_mass
+        assert np.max(d.heights) <= sup_bound + 1e-8 * rho0.total_mass
+        assert total_variation(d) <= tv_bound + 1e-8 * rho0.total_mass
 
 
 def _l1_against(rho0, d, n_grid=200_001):
@@ -55,12 +58,15 @@ def _l1_against(rho0, d, n_grid=200_001):
     return float(np.trapezoid(np.abs(np.asarray(rho0.pdf(xs)) - d(xs)), xs))
 
 
+def _sampled_hat():
+    """The hat density on [-1, 1], mass 1, sampled on 2**16 panels."""
+    xs = np.linspace(-1.0, 1.0, (1 << 16) + 1)
+    return InitialDensity.from_samples(xs, np.maximum(1.0 - np.abs(xs), 0.0))
+
+
 def test_l1_convergence_lipschitz_hat():
     # hat density on [-1, 1], mass 1, Lipschitz
-    hat = InitialDensity.from_callable(
-        lambda x: np.maximum(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0),
-        support=(-1.0, 1.0),
-    )
+    hat = _sampled_hat()
     assert hat.total_mass == pytest.approx(1.0, rel=1e-8)
     errs = []
     for n in (100, 200, 400, 800):
@@ -99,7 +105,7 @@ def test_from_samples_matches_blocks():
     d = InitialDensity.from_samples(xs, ys)
     assert d.total_mass == pytest.approx(1.0, rel=1e-12)
     assert d.cdf(0.0) == pytest.approx(0.5, rel=1e-12)
-    assert d.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert d.quantiles([0.5])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unknown_builtin():
@@ -137,7 +143,7 @@ def _assert_matches_scalar(rho0, n):
         return
     assert np.array_equal(quantile_init(rho0, n).x, ref)
     for m in (-0.5, 0.0, 0.3 * mass, mass, 2.0 * mass):
-        assert rho0.quantile(m) == _scalar_quantile(rho0, m)
+        assert float(rho0.quantiles([m])[0]) == _scalar_quantile(rho0, m)
 
 
 _settings = settings(max_examples=40, deadline=None)
@@ -185,18 +191,20 @@ def test_quantile_init_samples_match_scalar_bisection(start, steps, values, n):
     n=_n,
 )
 def test_quantile_init_antiderivative_matches_scalar_bisection(a, width, k, n):
-    # pdf e^{kx}, exact antiderivative e^{kx}/k
-    rho0 = InitialDensity.from_callable(
-        lambda x: np.exp(k * np.asarray(x, dtype=float)),
-        support=(a, a + width),
-        antiderivative=lambda x: np.exp(k * np.asarray(x, dtype=float)) / k,
-    )
+    # pdf e^{kx}, exact CDF from the antiderivative e^{kx}/k
+    b = a + width
+
+    def primitive(x):
+        return np.exp(k * np.asarray(x, dtype=float)) / k
+
+    def cdf(y):
+        out = primitive(np.clip(np.asarray(y, dtype=float), a, b)) - primitive(a)
+        return float(out) if out.ndim == 0 else out
+
+    rho0 = InitialDensity(pdf=lambda x: np.exp(k * np.asarray(x, dtype=float)), cdf=cdf,
+                          support=(a, b), total_mass=float(primitive(b) - primitive(a)))
     _assert_matches_scalar(rho0, n)
 
 
 def test_quantile_init_sampled_callable_matches_scalar_bisection():
-    hat = InitialDensity.from_callable(
-        lambda x: np.maximum(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0),
-        support=(-1.0, 1.0),
-    )
-    _assert_matches_scalar(hat, 37)
+    _assert_matches_scalar(_sampled_hat(), 37)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbal import (InitialDensity, ParticleSystem, SolverConfig, builtin_catalog,
-                  builtin_initial, integrate, integrator, quantile_init)
+from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate, integrator,
+                  quantile_init)
+from pbal.density import ParticleSystem
+from pbal.initial import InitialDensity
 from pbal.dynamics import StageFailure, rhs_arrays
 from pbal.errors import CollisionExtinctionError
 from pbal.integrator import solve_scalar_ode, step_guard

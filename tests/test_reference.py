@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from pbal import (InitialDensity, ParticleSystem, builtin_catalog,
-                  builtin_initial, compare_l1, fv_run, fv_step, l1_distance,
-                  to_density)
+from pbal import builtin_catalog, builtin_initial
+from pbal.density import ParticleSystem, l1_distance, to_density
+from pbal.initial import InitialDensity
+from pbal.reference import compare_l1, fv_run, fv_step
 from pbal.errors import CFLError, GridEscapeError
 from pbal.integrator import Trajectory
 from pbal import dynamics, reference
@@ -67,11 +68,11 @@ def test_mass_conservation_many_steps():
     rho0 = InitialDensity.from_blocks([(0.0, 1.0, 1.0)])
     grid = GridConfig(x_left=-1.0, x_right=15.0, j=1600)
     g = initial_grid(rho0, grid)
-    m0 = g.total_mass()
+    m0 = float(np.sum(g.cells) * g.dx)
     dt = 0.45 * g.dx  # speed 1
     for _ in range(1000):
         g = fv_step(g, s, dt)
-    assert g.total_mass() == pytest.approx(m0, rel=1e-12)
+    assert float(np.sum(g.cells) * g.dx) == pytest.approx(m0, rel=1e-12)
 
 
 def test_positivity_under_cfl():

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbal import (InitialDensity, SolverConfig, builtin_catalog, builtin_initial, integrate,
-                  load_scenario, quantile_init, scenario_validate)
+from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init,
+                  scenario_validate)
+from pbal.initial import InitialDensity
+from pbal.scenario import load_scenario
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
 from pbal.expressions import bump, compile_expression, piecewise_polynomial
 from pbal.scenario import SCHEMA, Branch, CATALOG_NAMES, default_sample_grid
