@@ -130,7 +130,9 @@ def u_field_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None):
     ``gaps`` and ``cell`` are passed on to ``convolve_dxW_arrays``."""
     if y is not None:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-    V = s.advection.V(t, x if y is None else y)
+    V = getattr(s.advection.V, "constant", None)  # a constant is subtracted as a scalar
+    if V is None:
+        V = s.advection.V(t, x if y is None else y)
     conv = convolve_dxW_arrays(t, x, rho, s, y, gaps=gaps, cell=cell)
     return np.subtract(V, conv, out=conv, dtype=float)
 

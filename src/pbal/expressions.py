@@ -6,7 +6,9 @@ standard mollifier ``exp(1 - 1/(1 - s^2))`` on ``|s| < 1``, zero outside.
 All functions are numpy-vectorized so compiled expressions accept arrays.
 Numbers are compiled as floats and constant subexpressions are folded at
 compile time, so evaluation never does big-int arithmetic and a constant
-that overflows (``9**9**9``) is a format error, not a hang.
+that overflows (``9**9**9``) is a format error, not a hang.  ``constant`` is
+the value of a body folded to a number, else None; ``bind`` fixes a variable
+to an array, evaluating once every part that reads only it.
 ``piecewise_polynomial`` reads the one-sided polynomial pieces of an
 expression, when it has them, as coefficient data.
 """
@@ -46,15 +48,6 @@ def bump_and_prime(s):
     return b, b_prime
 
 
-def _broadcast(value, args):
-    """``value`` as is when the arguments broadcast to a scalar, else a float
-    array of the broadcast shape of all the arguments."""
-    shape = np.broadcast(*args).shape
-    if not shape:
-        return value
-    return np.full(shape, float(value))
-
-
 def finite_float(value, what):
     """``value`` as a float; a value that is not a number, is too large for a
     float, or is NaN or infinite is a format error naming ``what``."""
@@ -63,16 +56,10 @@ def finite_float(value, what):
     except OverflowError:
         raise ScenarioFormatError(f"{what} is too large for a float") from None
     except (TypeError, ValueError):
-        raise ScenarioFormatError(f"{what} is not a real number: {value!r}") from None
+        raise ScenarioFormatError(f"{what} is not a real number: {_quote(value)}") from None
     if not np.isfinite(out):
         raise ScenarioFormatError(f"{what} is not finite: {out}")
     return out
-
-
-def constant(value):
-    """Callable of any arguments returning ``value``, broadcast against them."""
-    v = float(value)
-    return lambda *args: _broadcast(v, args)
 
 
 def _minimum(*args):
@@ -100,6 +87,14 @@ _FUNCTIONS = {
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
 _TOO_DEEP = "expression is nested too deeply or too long to compile"
+
+
+def _quote(value):
+    """``repr(value)`` for a message, cut to its first 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}..."
+
+
 _FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
          ast.Div: operator.truediv, ast.Pow: operator.pow,
          ast.USub: operator.neg, ast.UAdd: operator.pos}
@@ -119,12 +114,12 @@ class _FloatConstants(ast.NodeTransformer):
 
     def visit_Name(self, node):
         if node.id not in self.variables:
-            raise ScenarioFormatError(f"unknown name {node.id!r}; allowed: {sorted(self.variables)}")
+            raise ScenarioFormatError(f"unknown name {_quote(node.id)}; allowed: {sorted(self.variables)}")
         return node
 
     def visit_Constant(self, node):
         if not isinstance(node.value, (int, float)):
-            raise ScenarioFormatError(f"constant not allowed: {node.value!r}")
+            raise ScenarioFormatError(f"constant not allowed: {_quote(node.value)}")
         return self._constant(node, float, node.value)
 
     def visit_Call(self, node):
@@ -156,39 +151,84 @@ class _FloatConstants(ast.NodeTransformer):
             value = op(*values)
         except ArithmeticError as exc:
             raise ScenarioFormatError(
-                f"expression {self.text!r} has a constant part with no float value: {exc}"
+                f"expression {_quote(self.text)} has a constant part with no float value: {exc}"
             ) from None
         # a negative number to a fractional power is complex: not a real number
-        value = finite_float(value, f"a constant part of expression {self.text!r}")
+        value = finite_float(value, f"a constant part of expression {_quote(self.text)}")
         return ast.copy_location(ast.Constant(value), node)
 
 
-def compile_expression(text, variables):
-    """Compile ``text`` into a vectorized callable of the named ``variables``.
+class Expression:
+    """A vectorized callable of ``variables``, taken positionally: a ``lambda``
+    whose body is the whitelisted, folded expression and which sees no
+    builtins, only the grammar's functions and the ``fixed`` values.  A scalar
+    result is broadcast against every argument, ``fixed`` included."""
 
-    The returned callable takes the variables positionally, in the order given:
-    a ``lambda`` whose body is the whitelisted, folded expression and which sees
-    no builtins, only the grammar's functions.  A scalar result is broadcast
-    against every argument.
-    """
-    if isinstance(text, (int, float)):
-        return constant(finite_float(text, "a numeric expression"))
-    try:
-        tree = ast.parse(text, mode="eval")
-        lam = ast.parse(f"lambda {', '.join(variables)}: 0", mode="eval")
-        lam.body.body = _FloatConstants(text, set(variables)).visit(tree.body)
-        code = compile(ast.fix_missing_locations(lam), filename="<scenario>", mode="eval")
-    except SyntaxError as exc:
-        raise ScenarioFormatError(f"cannot parse expression {text!r}: {exc}") from exc
-    except (RecursionError, MemoryError):
-        raise ScenarioFormatError(_TOO_DEEP) from None
-    fn = eval(code, {"__builtins__": {}, **_FUNCTIONS})  # noqa: S307 - AST whitelisted
+    def __init__(self, text, variables, fixed=None):
+        self.text, self.variables, fixed = text, tuple(variables), fixed or {}
+        try:
+            if isinstance(text, (int, float)):
+                body = ast.Constant(finite_float(text, "a numeric expression"))
+            else:
+                body = _FloatConstants(text, set(variables)).visit(ast.parse(text, mode="eval").body)
+            self.constant = body.value if isinstance(body, ast.Constant) else None
+            env = {"__builtins__": {}, **_FUNCTIONS, **fixed}
+            lam = ast.parse(f"lambda {', '.join(v for v in variables if v not in fixed)}: 0",
+                            mode="eval")
+            lam.body.body = _bind(body, env) if fixed else body
+            code = compile(ast.fix_missing_locations(lam), filename="<scenario>", mode="eval")
+        except SyntaxError as exc:
+            raise ScenarioFormatError(f"cannot parse expression {_quote(text)}: {exc}") from exc
+        except (RecursionError, MemoryError):
+            raise ScenarioFormatError(_TOO_DEEP) from None
+        self._fn, self._fixed = eval(code, env), tuple(fixed.values())  # noqa: S307
 
-    def broadcast(*args):
-        result = fn(*args)
-        return _broadcast(result, args) if np.isscalar(result) else result
+    def __call__(self, *args):
+        result = self._fn(*args)
+        if not np.isscalar(result):
+            return result
+        shape = np.broadcast(*args, *self._fixed).shape
+        return np.full(shape, float(result)) if shape else result
 
-    return broadcast
+
+compile_expression = Expression  # text (a string or a number) and variable names
+
+
+def _bind(body, env):
+    """``body`` with each largest operation or call that reads no variable
+    outside ``env`` replaced by a new name in ``env`` for its value."""
+    nodes = list(ast.walk(body))  # breadth first: an operand after its operation
+    free = {}  # whether a node reads a variable outside env
+    for node in reversed(nodes):
+        free[node] = (isinstance(node, ast.Name) and node.id not in env
+                      or any(free[c] for c in ast.iter_child_nodes(node)))
+
+    def fold(node):
+        if free[node] or not isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)):
+            return node
+        key = f"_{len(env)}"
+        env[key] = eval(compile(ast.Expression(node), "<scenario>", "eval"), env)  # noqa: S307
+        return ast.Name(key, ast.Load())
+
+    for node in nodes:
+        if free[node]:  # then no operation above it was folded
+            for field, value in ast.iter_fields(node):
+                if isinstance(value, list):
+                    value[:] = map(fold, value)
+                elif isinstance(value, ast.expr):
+                    setattr(node, field, fold(value))
+    return fold(body)
+
+
+def bind(fn, index, values):
+    """``fn`` with its argument at ``index`` fixed to ``values``.  An
+    ``Expression`` evaluates here, once, each part that reads no other
+    variable, by the unbound call's float operations in the same order, so a
+    call returns that call's bits and shape (maybe the same array each time:
+    do not write to it).  Any other callable gets a closure."""
+    if isinstance(fn, Expression):
+        return Expression(fn.text, fn.variables, {fn.variables[index]: values})
+    return lambda *rest: fn(*rest[:index], values, *rest[index:])
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Forward-Euler upwind scheme whose interface flux mirrors the particle
 scheme's downstream congestion: the transported density comes from the upwind
 cell, the congestion factor from the cell the velocity points toward.
-Interface velocities use the same exact W-primitive convolution contract as
-the particle dynamics: the lattice edges are a step density's breakpoints, so
-a potential with polynomial pieces is convolved by the same O(J) prefix
-moments as the particles.  Any other kernel goes through an FFT on the
-uniform lattice, whose kernel spectrum ``fv_run`` builds once per run.
+Interface velocities follow the particles' exact W-primitive contract: the
+lattice edges are a step density's breakpoints, so polynomial pieces convolve
+by the same O(J) prefix moments, and other kernels by FFT.  What the lattice
+holds fixed is evaluated once per run: the kernel spectrum, and the parts of V
+and f that read only x (``expressions.bind``).  A step whose cells are not
+finite raises ``NumericalFailureError``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, expressions
 from .density import PiecewiseDensity
-from .errors import CFLError, GridEscapeError
+from .errors import CFLError, GridEscapeError, NumericalFailureError
 from .initial import InitialDensity
 from .scenario import Scenario
 
@@ -35,11 +36,13 @@ class GridState:
     t: float
 
     def __post_init__(self):
-        arr = np.array(self.cells, dtype=float)
-        arr.setflags(write=False)
+        arr = np.asarray(self.cells, dtype=float)
+        if arr.flags.writeable or arr.base is not None:  # keep only a read-only owner
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
-        if np.any(arr < 0):
-            raise ValueError("cell averages must be non-negative")
+        if not np.all(arr >= 0):
+            raise ValueError("cell averages must be non-negative numbers")
 
     @property
     def j(self):
@@ -56,13 +59,14 @@ class GridState:
 
 @functools.lru_cache(maxsize=8)
 def _lattice(x_left, dx, j):
-    """Read-only interfaces and centres of a uniform lattice; a run steps on
-    one lattice, so they are built once, not on every step."""
+    """Read-only interfaces, centres and interface gaps of a uniform lattice;
+    a run steps on one lattice, so they are built once, not on every step."""
     interfaces = x_left + dx * np.arange(j + 1)
     centers = x_left + dx * (np.arange(j) + 0.5)
-    interfaces.setflags(write=False)
-    centers.setflags(write=False)
-    return interfaces, centers
+    gaps = np.diff(interfaces)
+    for a in (interfaces, centers, gaps):
+        a.setflags(write=False)
+    return interfaces, centers, gaps
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def kernel_spectrum(s: Scenario, dx: float, j: int):
     return n, np.fft.rfft(kernel, n)
 
 
-def interface_velocity(g: GridState, s: Scenario, spectrum=None) -> np.ndarray:
+def interface_velocity(g: GridState, s: Scenario, spectrum=None, *, V=None) -> np.ndarray:
     """U = V - dxW * rho at the J+1 interfaces, exact for the step density.
 
     The interfaces are the breakpoints of the step density, so a potential
@@ -128,20 +132,23 @@ def interface_velocity(g: GridState, s: Scenario, spectrum=None) -> np.ndarray:
     prefix moments in O(J).  For any other W the W-primitive differences form
     a discrete convolution on the uniform lattice, evaluated by FFT; both are
     identical (to roundoff) to the direct sum.  ``spectrum`` is
-    ``kernel_spectrum(s, g.dx, g.j)``, built here when omitted.
+    ``kernel_spectrum(s, g.dx, g.j)``, built here when omitted; ``V``, when
+    given, is ``s.advection.V`` bound to the interfaces (a callable of t).
     """
-    ifaces = g.interfaces
-    V = np.asarray(s.advection.V(g.t, ifaces), dtype=float)
+    ifaces, _, gaps = _lattice(g.x_left, g.dx, g.j)
+    Vt = getattr(s.advection.V, "constant", None)  # a constant is subtracted as a scalar
+    if Vt is None:
+        Vt = np.asarray(s.advection.V(g.t, ifaces) if V is None else V(g.t), dtype=float)
     if s.potential.pieces is not None:
-        return V - dynamics.convolve_dxW_arrays(g.t, ifaces, g.cells, s)
+        return Vt - dynamics.convolve_dxW_arrays(g.t, ifaces, g.cells, s, gaps=gaps)
     if spectrum is None:
         spectrum = kernel_spectrum(s, g.dx, g.j)
     if spectrum is None:
-        return V
+        return Vt - np.zeros(ifaces.size)
     n, kernel_hat = spectrum
     jj = g.j
     conv = np.fft.irfft(np.fft.rfft(g.cells, n) * kernel_hat, n)[jj - 1: 2 * jj]
-    return V - conv * s.potential.factor(g.t)
+    return Vt - conv * s.potential.factor(g.t)
 
 
 def _flux_mirrored(U, rho_ext, v):
@@ -162,6 +169,11 @@ def fv_step(g: GridState, s: Scenario, dt: float,
     if U_if is None:
         U_if = interface_velocity(g, s)
     speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
+    return _step(g, s, dt, U_if, speed, lambda t, rho: s.source.f(t, g.centers, rho))
+
+
+def _step(g, s, dt, U_if, speed, f):
+    """``fv_step`` given ``speed = max|U_if| v_sup`` and ``f`` bound to the centres."""
     dt_max = np.inf if speed == 0.0 else CFL * g.dx / speed
     if dt > dt_max * (1 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds CFL limit; required dt <= {dt_max:.3e}",
@@ -172,14 +184,18 @@ def fv_step(g: GridState, s: Scenario, dt: float,
 
     new = g.cells - (dt / g.dx) * (F[1:] - F[:-1])
     if s.source.c_f != 0.0:
-        new = new + dt * np.asarray(s.source.f(g.t, g.centers, g.cells), dtype=float)
+        new = new + dt * np.asarray(f(g.t, g.cells), dtype=float)
     new = np.maximum(new, 0.0)  # clip roundoff-level negatives only
 
-    mass_scale = max(float(np.max(new)), 1e-300)
+    peak = float(np.max(new))  # NaN or inf exactly when a cell is not finite
+    if not np.isfinite(peak):
+        raise NumericalFailureError(f"finite-volume cells not finite at t = {g.t + dt:.6g}")
+    mass_scale = max(peak, 1e-300)
     if new[0] > 1e-10 * mass_scale or new[-1] > 1e-10 * mass_scale:
         raise GridEscapeError(
             f"support reached the grid boundary at t = {g.t:.6g}; enlarge the domain"
         )
+    new.setflags(write=False)  # GridState keeps it without a copy
     return GridState(x_left=g.x_left, dx=g.dx, cells=new, t=g.t + dt)
 
 
@@ -203,17 +219,19 @@ def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
     targets = list(np.sort(np.asarray(snapshot_times, dtype=float)))
     state = initial_grid(rho0, grid)
     spectrum = kernel_spectrum(s, state.dx, state.j)
+    V = expressions.bind(s.advection.V, 1, state.interfaces)
+    f = expressions.bind(s.source.f, 1, state.centers)
     traj = GridTrajectory()
     while targets and abs(targets[0] - state.t) <= 1e-14:
         traj.snapshots.append(state)
         targets.pop(0)
     while state.t < t_end * (1 - 1e-15):
-        U_if = interface_velocity(state, s, spectrum)
+        U_if = interface_velocity(state, s, spectrum, V=V)
         speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
         dt = t_end - state.t if speed == 0.0 else CFL * state.dx / speed
         next_stop = targets[0] if targets else t_end
         dt = min(dt, next_stop - state.t)
-        state = fv_step(state, s, dt, U_if=U_if)
+        state = _step(state, s, dt, U_if, speed, f)
         traj.steps += 1
         if abs(state.t - next_stop) <= 1e-13 * max(1.0, next_stop):
             state = GridState(state.x_left, state.dx, state.cells, next_stop)

@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
-from pbal.expressions import constant as const
 from pbal.scenario import Advection, Branch, Congestion, Potential, Scenario, Source
+
+
+def const(value):
+    """Callable of any arguments returning ``value``, broadcast against them."""
+    def f(*args):
+        shape = np.broadcast(*args).shape
+        return np.full(shape, float(value)) if shape else float(value)
+    return f
 
 
 def ones_like_v(r):

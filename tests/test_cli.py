@@ -434,6 +434,32 @@ def test_too_deep_expression_exit_2(tmp_path, capsys, V):
     assert f"{path}: advection.V: expression is nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("V", [
+    "x + 1/(1 - 1)*0." + "0" * 200_000,
+    "x + (" + " " * 200_000,
+    "x + y" + "y" * 200_000,
+], ids=["folds-to-no-float", "unparsable", "unknown-name"])
+def test_long_expression_error_is_bounded(tmp_path, capsys, V):
+    # the message quotes a bounded prefix of a 200,000-character expression
+    path = _file_scenario(tmp_path, advection={"V": V})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: advection.V" in err and len(err.encode()) < 1024
+
+
+def test_non_finite_oracle_exit_3(tmp_path, capsys):
+    # rho/rho is NaN on the oracle's empty cells (the particles have none):
+    # a numerical failure naming t, not a missing snapshot
+    path = _file_scenario(tmp_path, source={"f": "rho*bump(x)*(rho/rho)"})
+    with np.errstate(invalid="ignore"):
+        code = main(["validate", "--scenario", str(path), "--n", "50", "--j", "400",
+                     "--t-end", "0.2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "cells not finite at t = " in err and "Traceback" not in err
+
+
 def _run_with(tmp_path, section, body):
     """Exit code of a short run of the file scenario with ``section`` replaced."""
     doc = json.loads(_file_scenario(tmp_path).read_text())

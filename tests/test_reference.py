@@ -12,8 +12,8 @@ from pbal.initial import InitialDensity
 from pbal.reference import compare_l1, fv_run, fv_step
 from pbal.errors import CFLError, GridEscapeError
 from pbal.integrator import Trajectory
-from pbal import dynamics, reference
-from pbal.expressions import compile_expression
+from pbal import dynamics, expressions, reference
+from pbal.expressions import bump, compile_expression
 from pbal.reference import (GridConfig, GridState, _flux_mirrored, grid_to_density,
                             initial_grid, interface_velocity, kernel_spectrum)
 from pbal.scenario import CATALOG_NAMES, Potential, Source
@@ -194,9 +194,10 @@ def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
     cached = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
     assert len(built) == 1  # once per run
 
+    # the per-step run ignores everything fv_run fixes: the spectrum and the bound V
     velocity = reference.interface_velocity
     monkeypatch.setattr(reference, "interface_velocity",
-                        lambda g, s, spectrum=None: velocity(g, s))
+                        lambda g, s, spectrum=None, *, V=None: velocity(g, s))
     per_step = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
     assert len(built) == 2 + per_step.steps  # fv_run's unused one, then one per step
     assert cached.steps == per_step.steps
@@ -211,6 +212,67 @@ def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
                         lambda *a: spectra.append(original(*a)) or spectra[-1])
     fv_run(rho0, builtin_catalog("repulsive_source"), grid, 0.5, snapshot_times=times)
     assert spectra == [None]
+
+
+def _wrapped(s):
+    """``s`` with its V and f behind plain Python callables, which bind cannot see into."""
+    V, f = s.advection.V, s.source.f
+    return dataclasses.replace(
+        s, advection=dataclasses.replace(s.advection, V=lambda t, x: V(t, x)),
+        source=dataclasses.replace(s.source, f=lambda t, x, rho: f(t, x, rho)))
+
+
+def _file_source(s):
+    """``s`` with a source and a field that read t, x and rho in several parts."""
+    return dataclasses.replace(
+        s, advection=dataclasses.replace(
+            s.advection, V=compile_expression("0.1*t - 0.2*bump(x/3)*x", ("t", "x"))),
+        source=dataclasses.replace(s.source, f=compile_expression(
+            "exp(-t)*rho*bump(x) + 0.1*bump(2*x)", ("t", "x", "rho"))))
+
+
+@pytest.mark.parametrize("make", [lambda s: s, _file_source], ids=["catalog", "file-source"])
+def test_fv_run_bound_expressions_match_plain_callables(make):
+    # fv_run evaluates the x-only parts of V and f once, on its lattice; the
+    # cells are bitwise those of a run that evaluates the whole expressions
+    s = make(builtin_catalog("repulsive_source"))
+    rho0 = builtin_initial("repulsive_source")
+    grid = GridConfig(x_left=-4.0, x_right=4.0, j=400)
+    times = np.linspace(0.0, 0.5, 6)
+    bound = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
+    plain = fv_run(rho0, _wrapped(s), grid, 0.5, snapshot_times=times)
+    assert bound.steps == plain.steps > 0
+    for a, b in zip(bound.snapshots, plain.snapshots, strict=True):
+        assert a.t == b.t and a.cells.tobytes() == b.cells.tobytes()
+
+
+def test_fv_run_evaluates_bump_once_per_run(monkeypatch):
+    # the lattice is fixed, so bump(x) over its centres is evaluated once per
+    # run, not on every finite-volume step
+    j = 400
+    calls = []
+
+    def counting(s):
+        calls.append(np.size(s))
+        return bump(s)
+
+    monkeypatch.setitem(expressions._FUNCTIONS, "bump", counting)
+    base = builtin_catalog("repulsive_source")
+    s = dataclasses.replace(base, source=dataclasses.replace(
+        base.source, f=compile_expression("rho*bump(x)", ("t", "x", "rho"))))
+    gtraj = fv_run(builtin_initial("repulsive_source"), s,
+                   GridConfig(x_left=-4.0, x_right=4.0, j=j), 0.2)
+    assert gtraj.steps > 1
+    assert calls == [j]
+
+
+def test_grid_state_rejects_nan_and_keeps_its_own_cells():
+    with pytest.raises(ValueError, match="non-negative"):
+        GridState(0.0, 0.5, np.array([1.0, np.nan]), 0.0)
+    cells = np.array([1.0, 2.0])
+    g = GridState(0.0, 0.5, cells, 0.0)
+    cells[0] = 5.0  # a writable array is copied
+    assert g.cells.tolist() == [1.0, 2.0] and not g.cells.flags.writeable
 
 
 def test_grid_escape_raises():

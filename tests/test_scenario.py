@@ -5,13 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init,
                   scenario_validate)
 from pbal.initial import InitialDensity
 from pbal.scenario import load_scenario
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
-from pbal.expressions import bump, compile_expression, piecewise_polynomial
+from pbal.expressions import bind, bump, compile_expression, piecewise_polynomial
 from pbal.scenario import SCHEMA, Branch, CATALOG_NAMES, default_sample_grid
 
 from conftest import make_scenario
@@ -81,6 +83,67 @@ def test_expression_wrong_argument_count(text):
         f(0.5)
     with pytest.raises(TypeError):
         f(0.5, 1.0, 2.0)
+
+
+def _grammar(leaves):
+    """Expression texts of the grammar built from ``leaves``."""
+    def grow(parts):
+        binop = st.tuples(parts, st.sampled_from("+-*/"), parts).map(" ".join)
+        power = st.tuples(parts, st.sampled_from(["2", "0.5", "3"]))
+        call = st.tuples(st.sampled_from(["abs", "exp", "bump"]), parts)
+        many = st.tuples(st.sampled_from(["min", "max"]),
+                         st.lists(parts, min_size=1, max_size=3).map(", ".join))
+        return st.one_of(binop.map("({})".format), power.map(lambda p: "({})**{}".format(*p)),
+                         st.one_of(call, many).map(lambda p: "{}({})".format(*p)),
+                         parts.map("-({})".format))
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+_numbers = st.sampled_from(["0", "0.5", "2", "1.5", "0.25"])
+_any_expression = st.one_of(
+    _grammar(st.one_of(st.sampled_from(["t", "x", "rho", "x"]), _numbers)),
+    _grammar(st.one_of(st.just("x"), _numbers)),  # x-only
+    _grammar(_numbers),  # constants only
+)
+
+
+def _outcome(call):
+    """Type, shape and bytes of ``call()``'s result, or the name of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = call()
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc).__name__
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_any_expression, t=st.floats(-1.0, 2.0), seed=st.integers(0, 2**32 - 1),
+       rho_shape=st.sampled_from([(), (7,), (2, 1)]))
+def test_bound_expression_is_bitwise_the_unbound_call(text, t, seed, rho_shape):
+    # every part that reads only x (or nothing) is evaluated at bind time, by
+    # the same float operations: the bound call returns the same bits, in the
+    # same shape and type, as the unbound one (or raises the same error)
+    try:
+        f = compile_expression(text, ("t", "x", "rho"))
+    except ScenarioFormatError:  # a constant part without a float value
+        return
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate(([0.0, -1.0, 1.0], rng.uniform(-2.0, 2.0, 4)))
+    xs.setflags(write=False)
+    rho = rng.uniform(0.0, 2.0, rho_shape) if rho_shape else float(rng.uniform(0.0, 2.0))
+    unbound = _outcome(lambda: f(t, xs, rho))
+    assert _outcome(lambda: bind(f, 1, xs)(t, rho)) == unbound
+    assert _outcome(lambda: bind(lambda *a: f(*a), 1, xs)(t, rho)) == unbound
+
+
+def test_constant_expressions_report_their_value():
+    assert compile_expression("0", ("t", "x")).constant == 0.0
+    assert compile_expression(2, ("t", "x")).constant == 2.0
+    assert compile_expression("2*(1 + 0.5)", ("t", "x")).constant == 3.0
+    assert compile_expression("0*x", ("t", "x")).constant is None
+    assert bind(compile_expression("x", ("t", "x")), 1, np.zeros(3)).constant is None
+    assert bind(compile_expression("1", ("t", "x")), 1, np.zeros(3)).constant == 1.0
 
 
 @pytest.mark.parametrize("text, pieces", [
