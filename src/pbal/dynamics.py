@@ -157,10 +157,12 @@ def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None):
     src = s.source
     if src.c_f == 0.0:
         return np.zeros(rho.size)
-    mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * (np.diff(x) if gaps is None else gaps)
-    nodes = mid[:, None] + half[:, None] * GL_NODES[None, :]
-    vals = np.broadcast_to(np.asarray(src.f(t, nodes, rho[:, None]), dtype=float), nodes.shape)
+    nodes = np.multiply.outer(half, GL_NODES)
+    nodes += (0.5 * (x[1:] + x[:-1]))[:, None]  # the cell midpoints
+    vals = np.asarray(src.f(t, nodes, rho[:, None]), dtype=float)
+    if vals.shape != nodes.shape:  # a source that does not read x
+        vals = np.broadcast_to(vals, nodes.shape)
     return (vals @ GL_WEIGHTS) * half
 
 

@@ -25,27 +25,32 @@ from .errors import ScenarioFormatError
 
 def bump(s):
     """Smooth bump supported on (-1, 1), normalized so bump(0) = 1."""
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    ss = np.where(inside, s, 0.0)
-    out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - ss * ss)), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return bump_and_prime(s, prime=False)[0]
 
 
-def bump_and_prime(s):
-    """``(bump(s), bump'(s))`` in one pass over ``s``."""
+def bump_and_prime(s, prime=True):
+    """``(bump(s), bump'(s))``, or ``(bump(s),)`` when not ``prime``, by one pass
+    of in-place operations: on |s| < 1 exp(1 - 1/(1 - s^2)) and
+    e * (-2 s / (1 - s^2)^2) by the float operations of these formulas;
+    exactly 0.0 elsewhere, NaN and inf included."""
     s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    ss = np.where(inside, s, 0.0)
-    one = 1.0 - ss * ss
-    e = np.exp(1.0 - 1.0 / one)
-    b = np.where(inside, e, 0.0)
-    b_prime = np.where(inside, e * (-2.0 * ss / (one * one)), 0.0)
-    if b.ndim == 0:
-        return float(b), float(b_prime)
-    return b, b_prime
+    x = s.reshape(s.shape or 1)  # so that every ufunc below returns an array
+    inside = np.abs(x) < 1.0
+    # -0.0 outside keeps every step finite (1 - ss^2 = 1) and makes -2 ss/.. +0.0
+    ss = np.where(inside, x, -0.0)
+    one = np.multiply(ss, ss, out=None if prime else ss)
+    np.subtract(1.0, one, out=one)
+    b = np.divide(1.0, one, out=None if prime else one)
+    np.subtract(1.0, b, out=b)
+    np.exp(b, out=b)
+    b = np.where(inside, b, 0.0)  # fresh: zeroing in place raised the peak RSS of validate
+    out = (b,)
+    if prime:
+        np.multiply(ss, -2.0, out=ss)
+        np.multiply(one, one, out=one)
+        np.divide(ss, one, out=ss)
+        out += (np.multiply(b, ss, out=ss),)
+    return tuple(float(a[0]) for a in out) if s.ndim == 0 else out
 
 
 def finite_float(value, what):
@@ -127,6 +132,10 @@ class _FloatConstants(ast.NodeTransformer):
             raise ScenarioFormatError("only abs/min/max/exp/bump calls are allowed")
         if node.keywords:
             raise ScenarioFormatError("keyword arguments are not allowed")
+        name, n, least = node.func.id, len(node.args), node.func.id in ("min", "max")
+        if n == 0 or n > 1 and not least:
+            arity = "at least" if least else "exactly"
+            raise ScenarioFormatError(f"{name}() takes {arity} one argument, got {n}")
         node.args = [self.visit(arg) for arg in node.args]
         return node
 

@@ -151,16 +151,22 @@ def interface_velocity(g: GridState, s: Scenario, spectrum=None, *, V=None) -> n
     return Vt - conv * s.potential.factor(g.t)
 
 
-def _flux_mirrored(U, rho_ext, v):
-    """Interface fluxes for the zero-padded cells ``rho_ext``; ``v`` is called
-    once on the padded density, as in ``dynamics.upwind_arrays``."""
-    rho_l, rho_r = rho_ext[:-1], rho_ext[1:]
+def _flux_mirrored(U, rho_ext, v, out=None):
+    """Interface fluxes up * rho_l * v_r + dn * rho_r * v_l for the zero-padded
+    cells ``rho_ext``, in the first of the two ``U``-sized buffers ``out``;
+    ``v`` is called once on the padded density, as in ``dynamics.upwind_arrays``."""
+    F, G = (np.empty(U.size), np.empty(U.size)) if out is None else out
     vr = np.asarray(v(rho_ext), dtype=float)
     if vr.ndim == 0:  # a constant v may return a scalar
         vr = np.full(rho_ext.shape, vr)
-    up = np.maximum(U, 0.0)
-    dn = np.minimum(U, 0.0)
-    return up * rho_l * vr[1:] + dn * rho_r * vr[:-1]
+    np.maximum(U, 0.0, out=F)
+    F *= rho_ext[:-1]
+    F *= vr[1:]
+    np.minimum(U, 0.0, out=G)
+    G *= rho_ext[1:]
+    G *= vr[:-1]
+    F += G
+    return F
 
 
 def fv_step(g: GridState, s: Scenario, dt: float,
@@ -169,23 +175,33 @@ def fv_step(g: GridState, s: Scenario, dt: float,
     if U_if is None:
         U_if = interface_velocity(g, s)
     speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
-    return _step(g, s, dt, U_if, speed, lambda t, rho: s.source.f(t, g.centers, rho))
+    return _step(g, s, dt, U_if, speed, lambda t, rho: s.source.f(t, g.centers, rho),
+                 _buffers(g.j))
 
 
-def _step(g, s, dt, U_if, speed, f):
-    """``fv_step`` given ``speed = max|U_if| v_sup`` and ``f`` bound to the centres."""
+def _buffers(j):
+    """A step's scratch arrays, which a run reuses: padded cells and two fluxes."""
+    return np.zeros(j + 2), np.empty(j + 1), np.empty(j + 1)
+
+
+def _step(g, s, dt, U_if, speed, f, buffers):
+    """``fv_step`` given ``speed = max|U_if| v_sup``, ``f`` bound to the centres
+    and ``_buffers(g.j)``; the new cells are a fresh array, as snapshots keep it."""
     dt_max = np.inf if speed == 0.0 else CFL * g.dx / speed
     if dt > dt_max * (1 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds CFL limit; required dt <= {dt_max:.3e}",
                        dt_required=dt_max)
 
-    rho_ext = np.concatenate(([0.0], g.cells, [0.0]))
-    F = _flux_mirrored(U_if, rho_ext, s.congestion.v)
+    rho_ext, F, G = buffers
+    rho_ext[1:-1] = g.cells
+    _flux_mirrored(U_if, rho_ext, s.congestion.v, out=(F, G))
 
-    new = g.cells - (dt / g.dx) * (F[1:] - F[:-1])
+    change = np.subtract(F[1:], F[:-1], out=G[1:])
+    change *= dt / g.dx
+    new = g.cells - change
     if s.source.c_f != 0.0:
-        new = new + dt * np.asarray(f(g.t, g.cells), dtype=float)
-    new = np.maximum(new, 0.0)  # clip roundoff-level negatives only
+        new += np.multiply(dt, np.asarray(f(g.t, g.cells), dtype=float), out=change)
+    np.maximum(new, 0.0, out=new)  # clip roundoff-level negatives only
 
     peak = float(np.max(new))  # NaN or inf exactly when a cell is not finite
     if not np.isfinite(peak):
@@ -195,8 +211,10 @@ def _step(g, s, dt, U_if, speed, f):
         raise GridEscapeError(
             f"support reached the grid boundary at t = {g.t:.6g}; enlarge the domain"
         )
-    new.setflags(write=False)  # GridState keeps it without a copy
-    return GridState(x_left=g.x_left, dx=g.dx, cells=new, t=g.t + dt)
+    new.setflags(write=False)
+    state = object.__new__(GridState)  # its checks of ``new`` are the ones above
+    state.__dict__.update(x_left=g.x_left, dx=g.dx, cells=new, t=g.t + dt)
+    return state
 
 
 def initial_grid(rho0: InitialDensity, grid: GridConfig) -> GridState:
@@ -221,6 +239,7 @@ def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
     spectrum = kernel_spectrum(s, state.dx, state.j)
     V = expressions.bind(s.advection.V, 1, state.interfaces)
     f = expressions.bind(s.source.f, 1, state.centers)
+    buffers = _buffers(state.j)
     traj = GridTrajectory()
     while targets and abs(targets[0] - state.t) <= 1e-14:
         traj.snapshots.append(state)
@@ -231,7 +250,7 @@ def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
         dt = t_end - state.t if speed == 0.0 else CFL * state.dx / speed
         next_stop = targets[0] if targets else t_end
         dt = min(dt, next_stop - state.t)
-        state = _step(state, s, dt, U_if, speed, f)
+        state = _step(state, s, dt, U_if, speed, f, buffers)
         traj.steps += 1
         if abs(state.t - next_stop) <= 1e-13 * max(1.0, next_stop):
             state = GridState(state.x_left, state.dx, state.cells, next_stop)

@@ -4,11 +4,16 @@ All randomized tests use explicitly seeded generators; there is no hidden
 randomness anywhere in the scheme itself.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
-from pbal.scenario import Advection, Branch, Congestion, Potential, Scenario, Source
+from pbal.scenario import Advection, Branch, Congestion, Potential, Scenario, Source, load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def const(value):
@@ -94,3 +99,15 @@ def catalog_run(name, n, t_end=1.0, k_snapshots=65, store_steps=False,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def benchmark_file_scenario(tmp_path, seed=1, index=0):
+    """``(scenario, initial density)`` of the file that the benchmark's
+    ``validate_file_kernel`` workload writes for ``seed`` and input ``index``."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench import inputs
+
+    path = tmp_path / f"benchmark_{seed}_{index}.json"
+    inputs.write_scenario(path, seed, index)
+    return load_scenario(path)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pbal.cli import main
+from pbal.expressions import compile_expression
 from pbal.scenario import load_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -404,6 +405,30 @@ def test_expression_error_names_its_key(tmp_path, capsys, V):
     assert main(["run", "--scenario", str(path), "--n", "10",
                  "--out", str(tmp_path / "out")]) == 2
     assert f"{path}: advection.V" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, text, message", [
+    ("advection", "V", "min()", "min() takes at least one argument, got 0"),
+    ("advection", "V", "max()", "max() takes at least one argument, got 0"),
+    ("advection", "V", "abs()", "abs() takes exactly one argument, got 0"),
+    ("advection", "V", "abs(x, 1)", "abs() takes exactly one argument, got 2"),
+    ("advection", "V", "exp(x, x)", "exp() takes exactly one argument, got 2"),
+    ("source", "f", "rho*bump(x, 1)", "bump() takes exactly one argument, got 2"),
+    ("source", "f", "rho*bump()", "bump() takes exactly one argument, got 0"),
+], ids=["min-0", "max-0", "abs-0", "abs-2", "exp-2", "bump-2", "bump-0"])
+def test_call_with_wrong_argument_count_exit_2(tmp_path, capsys, section, key, text, message):
+    # caught when the expression compiles, not as an IndexError or TypeError
+    # when the loader or the solver first calls it
+    path = _file_scenario(tmp_path, **{section: {key: text}})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {section}.{key}: {message}" in err and "Traceback" not in err
+
+
+def test_min_and_max_take_one_or_more_arguments():
+    e = compile_expression("min(x) + max(x, 2*x, -x)", ("x",))
+    assert np.array_equal(e(np.array([-1.0, 2.0])), [0.0, 6.0])
 
 
 def test_overflowing_constant_exit_2(tmp_path, capsys):

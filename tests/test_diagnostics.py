@@ -1,11 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
 from pbal import diagnostics as dg
-from pbal.density import ParticleSystem
+from pbal.density import (ParticleSystem, l1_distance, pushforward_affine, to_density,
+                          w1_distance)
+from pbal.expressions import compile_expression
 from pbal.initial import InitialDensity
 from pbal.diagnostics import _snapshot_quadrature
 from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, u_field_arrays,
@@ -59,6 +62,77 @@ def test_envelope_Q_scalar_F():
     src = Source(f=lambda t, x, rho: 0.0 * rho, c_f=1.0, drho_f_bound=const(0.0))
     s = make_scenario(F=lambda t: 3.0, source=src)
     assert dg.envelope_Q(s, 0.5) == pytest.approx(np.exp(1.5), rel=1e-14)
+
+
+def _constant_F_scenario(text, c_f=0.5):
+    src = Source(f=lambda t, x, rho: 0.0 * rho, c_f=c_f, drho_f_bound=const(0.0))
+    return make_scenario(F=compile_expression(text, ("t",)), source=src)
+
+
+def _envelope_times():
+    return np.concatenate([np.linspace(0.0, t_end, dg.ENVELOPE_GRID)[1:]
+                           for t_end in (1.0, 2.0, 0.3)])
+
+
+@pytest.mark.parametrize("F", ["1", "2"])
+def test_envelope_Q_constant_F_is_bitwise_the_quadrature(monkeypatch, F):
+    # a constant F is read as data, Q = exp(c_f (F t)); for F in {1, 2} (every
+    # catalog scenario with a source, and the benchmark's file) the
+    # Gauss-Kronrod sum is F t exactly, so Q keeps its bits
+    s = _constant_F_scenario(F)
+    gk = [math.exp(0.5 * dg._integrate_gk(s.advection.growth_F, 0.0, t))
+          for t in _envelope_times()]
+    monkeypatch.setattr(dg, "_integrate_gk", None)  # never called for a constant F
+    assert [dg.envelope_Q(s, t) for t in _envelope_times()] == gk
+
+
+@pytest.mark.parametrize("F", ["0.3", "0.7", "2.5"])
+def test_envelope_Q_constant_F_within_two_ulp_of_the_quadrature(F):
+    # other constants: F t and the Gauss-Kronrod sum differ by rounding only
+    s = _constant_F_scenario(F)
+    for t in _envelope_times():
+        exact, gk = float(F) * t, dg._integrate_gk(s.advection.growth_F, 0.0, t)
+        assert abs(exact - gk) <= 2 * np.spacing(exact)
+        assert dg.envelope_Q(s, t) == math.exp(0.5 * exact)
+
+
+def test_envelope_Q_time_dependent_F_uses_the_quadrature(monkeypatch):
+    s = _constant_F_scenario("1 + t")
+    calls = []
+    gk = dg._integrate_gk
+    monkeypatch.setattr(dg, "_integrate_gk", lambda *a: calls.append(a) or gk(*a))
+    assert dg.envelope_Q(s, 0.8) == math.exp(0.5 * gk(s.advection.growth_F, 0.0, 0.8))
+    assert len(calls) == 1
+
+
+def _called(fn):
+    """``fn`` behind a plain callable, so that its constant value is not read as data."""
+    return None if fn is None else (lambda *args: fn(*args))
+
+
+@pytest.mark.parametrize("name", ["repulsive_source", "growth_transport", "attractive_congested"])
+def test_envelopes_read_constants_as_data_bitwise(name):
+    # the rates read a constant F, G, lambda, bound or eta once; the curves
+    # keep the bits of rates that call them (F is 1 or 2, so Q is exact too)
+    s = builtin_catalog(name)
+    called = dataclasses.replace(
+        s,
+        advection=dataclasses.replace(
+            s.advection, growth_F=_called(s.advection.growth_F),
+            growth_G=_called(s.advection.growth_G),
+            growth_lambda=_called(s.advection.growth_lambda)),
+        congestion=dataclasses.replace(
+            s.congestion, vprime_bound=_called(s.congestion.vprime_bound),
+            decay_g=_called(s.congestion.decay_g)),
+        source=dataclasses.replace(
+            s.source, drho_f_bound=_called(s.source.drho_f_bound),
+            eta_mass=_called(s.source.eta_mass)))
+    p0 = quantile_init(builtin_initial(name), 40)
+    data, calls = dg.compute_envelopes(s, p0, 1.0), dg.compute_envelopes(called, p0, 1.0)
+    for a, b in ((data.S, calls.S), (data.R, calls.R), (data.B, calls.B)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.ys.tobytes() == b.ys.tobytes()
 
 
 def test_envelope_S_zero_field():
@@ -404,6 +478,19 @@ def test_equicontinuity_growth_formula():
     for t, m in dg.equicontinuity_modulus(traj, h):
         expected = np.exp(t) * h + (np.exp(t + h) - np.exp(t))
         assert m == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["repulsive_source", "attractive_congested"])
+def test_equicontinuity_equals_the_two_distances(name):
+    # the L1 term is summed over p1.x, the partition both of its densities
+    # share; W1 + L1 keep the bits of the two general distance calls
+    traj = catalog_run(name, 80, k_snapshots=17)
+    want = []
+    for p0, p1 in zip(traj.snapshots[:-1], traj.snapshots[1:]):
+        pushed = pushforward_affine(p0, p1)
+        w1 = w1_distance(to_density(p0), pushed)
+        want.append((float(p0.t), float(w1 + l1_distance(pushed, to_density(p1)))))
+    assert dg.equicontinuity_modulus(traj, 1.0 / 16) == want
 
 
 def test_equicontinuity_h_mismatch():

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from pbal import builtin_catalog
+from pbal import builtin_catalog, builtin_initial, quantile_init
 from pbal.density import ParticleSystem, to_density
 from pbal.dynamics import (convolve_dxW_arrays, convolve_dxW_generic, dxU_field_arrays,
                            rhs_arrays, source_rate_arrays, u_field_arrays, upwind_arrays)
@@ -16,8 +16,8 @@ from pbal.diagnostics import good_v_violations_state
 from pbal import dynamics
 from pbal.scenario import Branch, Potential, Source, load_scenario
 
-from conftest import (catalog_run, const, make_scenario, quadratic_potential,
-                      random_particles, zero_field_scenario)
+from conftest import (benchmark_file_scenario, catalog_run, const, make_scenario,
+                      quadratic_potential, random_particles, zero_field_scenario)
 
 
 def quad_scenario(V=None, dxV=None):
@@ -423,6 +423,36 @@ def test_rhs_bitwise_equals_original_formulas(which, x, masses, t):
             assert np.array_equal(a, b), s.name
         if out is not None:
             assert np.array_equal(out, np.concatenate(expected[:2]))
+
+
+def _source_as_first_written(t, x, rho, s):
+    mid = 0.5 * (x[1:] + x[:-1])
+    half = 0.5 * np.diff(x)
+    nodes = mid[:, None] + half[:, None] * dynamics.GL_NODES[None, :]
+    vals = np.broadcast_to(np.asarray(s.source.f(t, nodes, rho[:, None]), dtype=float),
+                           nodes.shape)
+    return (vals @ dynamics.GL_WEIGHTS) * half
+
+
+@pytest.mark.parametrize("n", [800, 3200])
+@pytest.mark.parametrize("which", ["repulsive_source", "benchmark_file"])
+def test_source_quadrature_bitwise_equals_the_8_node_formula(tmp_path, rng, which, n):
+    # the node values are built with fewer temporaries; the rule and every
+    # float operation stay, so the cell rates keep their bits
+    if which == "repulsive_source":
+        s, rho0 = builtin_catalog(which), builtin_initial(which)
+    else:
+        s, rho0 = benchmark_file_scenario(tmp_path)
+    x = quantile_init(rho0, n).x
+    gaps = np.diff(x)
+    moved = x.copy()  # each inner particle moved by up to 0.3 of its smaller gap
+    moved[1:-1] += 0.3 * rng.uniform(-1.0, 1.0, n - 1) * np.minimum(gaps[:-1], gaps[1:])
+    for x in (x, moved):
+        rho = rng.uniform(0.1, 1.0, n) / np.diff(x)
+        for t in (0.0, 0.37):
+            want = _source_as_first_written(t, x, rho, s).tobytes()
+            assert source_rate_arrays(t, x, rho, s).tobytes() == want
+            assert source_rate_arrays(t, x, rho, s, gaps=np.diff(x)).tobytes() == want
 
 
 # ---------------------------------------------------------------- dxU field

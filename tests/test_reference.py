@@ -18,7 +18,7 @@ from pbal.reference import (GridConfig, GridState, _flux_mirrored, grid_to_densi
                             initial_grid, interface_velocity, kernel_spectrum)
 from pbal.scenario import CATALOG_NAMES, Potential, Source
 
-from conftest import const, make_scenario, zero_field_scenario
+from conftest import benchmark_file_scenario, const, make_scenario, zero_field_scenario
 
 
 def test_zero_fields_state_unchanged():
@@ -273,6 +273,66 @@ def test_grid_state_rejects_nan_and_keeps_its_own_cells():
     g = GridState(0.0, 0.5, cells, 0.0)
     cells[0] = 5.0  # a writable array is copied
     assert g.cells.tolist() == [1.0, 2.0] and not g.cells.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan], ids=["tiny-negative", "negative", "NaN"])
+def test_grid_state_from_outside_keeps_its_checks(bad):
+    # steps skip GridState's checks, which they have just done; any other
+    # caller keeps them, a read-only array included
+    cells = np.array([1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="non-negative"):
+        GridState(0.0, 0.5, cells, 0.0)
+    cells.setflags(write=False)
+    with pytest.raises(ValueError, match="non-negative"):
+        GridState(0.0, 0.5, cells, 0.0)
+
+
+def _step_as_first_written(g, s, dt, U_if, speed, f):
+    """``reference._step`` with a fresh array for the padded density, every
+    flux term and the update, and a validated ``GridState``."""
+    dt_max = np.inf if speed == 0.0 else reference.CFL * g.dx / speed
+    if dt > dt_max * (1 + 1e-12):
+        raise CFLError(f"dt = {dt:.3e} exceeds CFL limit", dt_required=dt_max)
+    rho_ext = np.concatenate(([0.0], g.cells, [0.0]))
+    vr = np.asarray(s.congestion.v(rho_ext), dtype=float)
+    if vr.ndim == 0:
+        vr = np.full(rho_ext.shape, vr)
+    F = (np.maximum(U_if, 0.0) * rho_ext[:-1] * vr[1:]
+         + np.minimum(U_if, 0.0) * rho_ext[1:] * vr[:-1])
+    new = g.cells - (dt / g.dx) * (F[1:] - F[:-1])
+    if s.source.c_f != 0.0:
+        new = new + dt * np.asarray(f(g.t, g.cells), dtype=float)
+    new = np.maximum(new, 0.0)
+    assert np.all(np.isfinite(new)) and new[0] == new[-1] == 0.0
+    return GridState(x_left=g.x_left, dx=g.dx, cells=new, t=g.t + dt)
+
+
+@pytest.mark.parametrize("which", ["repulsive_source", "file-source", "benchmark_file",
+                                   "attractive_congested"])
+def test_fv_run_equals_the_first_step_cell_for_cell(tmp_path, monkeypatch, which):
+    # fv_run's steps work in buffers it reuses; the float operations and
+    # their order are those of the step as first written
+    if which == "benchmark_file":
+        s, rho0 = benchmark_file_scenario(tmp_path)
+    else:
+        name = "repulsive_source" if which == "file-source" else which
+        s, rho0 = builtin_catalog(name), builtin_initial(name)
+        s = _file_source(s) if which == "file-source" else s
+    grid = GridConfig(x_left=-4.0, x_right=4.0, j=800)
+    times = np.linspace(0.0, 0.5, 6)
+    reused = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
+    monkeypatch.setattr(reference, "_step", lambda g, s, dt, U, speed, f, buffers:
+                        _step_as_first_written(g, s, dt, U, speed, f))
+    fresh = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
+    assert reused.steps == fresh.steps > 0
+    for a, b in zip(reused.snapshots, fresh.snapshots, strict=True):
+        assert a.t == b.t and a.cells.tobytes() == b.cells.tobytes()
+    # every stored array is its own read-only owner of finite, non-negative cells
+    cells = [g.cells for g in reused.snapshots]
+    assert len({id(c) for c in cells}) == len(cells) == times.size
+    for c in cells:
+        assert not c.flags.writeable and c.base is None
+        assert np.all(np.isfinite(c)) and np.all(c >= 0.0)
 
 
 def test_grid_escape_raises():

@@ -13,7 +13,7 @@ from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate, qua
 from pbal.initial import InitialDensity
 from pbal.scenario import load_scenario
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
-from pbal.expressions import bind, bump, compile_expression, piecewise_polynomial
+from pbal.expressions import bind, bump, bump_and_prime, compile_expression, piecewise_polynomial
 from pbal.scenario import SCHEMA, Branch, CATALOG_NAMES, default_sample_grid
 
 from conftest import make_scenario
@@ -166,6 +166,70 @@ def test_bump_shape():
     assert bump(0.0) == pytest.approx(1.0)
     assert bump(1.0) == 0.0
     assert bump(-2.0) == 0.0
+
+
+def _bump_as_first_written(s):
+    s = np.asarray(s, dtype=float)
+    inside = np.abs(s) < 1.0
+    ss = np.where(inside, s, 0.0)
+    out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - ss * ss)), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bump_and_prime_as_first_written(s):
+    s = np.asarray(s, dtype=float)
+    inside = np.abs(s) < 1.0
+    ss = np.where(inside, s, 0.0)
+    one = 1.0 - ss * ss
+    e = np.exp(1.0 - 1.0 / one)
+    b = np.where(inside, e, 0.0)
+    b_prime = np.where(inside, e * (-2.0 * ss / (one * one)), 0.0)
+    return (float(b), float(b_prime)) if b.ndim == 0 else (b, b_prime)
+
+
+def _bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+_BUMP_EDGES = [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-200, 1e200, -1.8e308,
+               *(sign * np.nextafter(1.0, to) for sign in (1.0, -1.0) for to in (0.0, 2.0)),
+               0.9995, 0.99949, 0.999]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                 st.floats(-1.0, 1.0), st.sampled_from(_BUMP_EDGES)),
+                       min_size=0, max_size=40),
+       shape=st.sampled_from(["flat", "column", "scalar"]))
+def test_bump_kernel_is_bitwise_the_first_formulas(values, shape):
+    # the one in-place kernel does the textbook float operations on |s| < 1
+    # and gives exactly +0.0 elsewhere, NaN and inf included, in the shape
+    # and type of the np.where formulas
+    if shape == "scalar":
+        s = values[0] if values else 0.5
+    else:
+        s = np.asarray(values, dtype=float).reshape((-1, 1) if shape == "column" else -1)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # no warning on any input
+        got = bump(s), bump_and_prime(s)
+    want = _bump_as_first_written(s), _bump_and_prime_as_first_written(s)
+    assert _bits(got[0]) == _bits(want[0])
+    assert type(got[1]) is tuple and len(got[1]) == 2
+    assert [_bits(a) for a in got[1]] == [_bits(a) for a in want[1]]
+
+
+def test_bump_kernel_edges_and_zero_d_input():
+    s = np.array(_BUMP_EDGES)
+    assert bump(s).tobytes() == _bump_as_first_written(s).tobytes()
+    for got, want in zip(bump_and_prime(s), _bump_and_prime_as_first_written(s)):
+        assert got.tobytes() == want.tobytes()
+    outside = ~(np.abs(s) < 1.0)
+    assert np.all(bump(s)[outside] == 0.0) and not np.any(np.signbit(bump(s)[outside]))
+    assert not np.any(np.signbit(bump_and_prime(s)[1][outside]))
+    for v in _BUMP_EDGES:
+        assert _bits(bump(np.float64(v))) == _bits(_bump_as_first_written(v))
+        assert _bits(bump(np.array(v))) == _bits(_bump_as_first_written(v))
+        assert [_bits(a) for a in bump_and_prime(v)] == \
+            [_bits(a) for a in _bump_and_prime_as_first_written(v)]
 
 
 # ----------------------------------------------------------------- catalog
