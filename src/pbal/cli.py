@@ -48,17 +48,13 @@ def _resolve_scenario(ref, initial_path=None):
     return scenario, rho0
 
 
-def _snapshot_grid(t_end, count):
-    return np.linspace(0.0, t_end, count)
-
-
 def _solver_config(args, snapshots=None, store_steps=False):
     return SolverConfig(
         t_end=args.t_end,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         snapshot_times=snapshots if snapshots is not None
-        else _snapshot_grid(args.t_end, args.snapshots),
+        else np.linspace(0.0, args.t_end, args.snapshots),
         store_steps=store_steps,
     )
 
@@ -148,7 +144,7 @@ def cmd_sweep(args):
 
 def cmd_audit(args):
     scenario, rho0 = _resolve_scenario(args.scenario, args.initial)
-    snaps = _snapshot_grid(args.t_end, max(args.snapshots, 65))
+    snaps = np.linspace(0.0, args.t_end, max(args.snapshots, 65))
     cfg = _solver_config(args, snapshots=snaps, store_steps=True)
     traj = _run_one(scenario, rho0, args.n, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -202,7 +198,7 @@ def cmd_validate(args):
     half = args.x_max if args.x_max is not None else float(np.ceil(required + margin))
     grid = GridConfig(x_left=-half, x_right=half, j=args.j)
 
-    snaps = _snapshot_grid(args.t_end, args.snapshots)
+    snaps = np.linspace(0.0, args.t_end, args.snapshots)
     cfg = _solver_config(args, snapshots=snaps)
     traj = _run_one(scenario, rho0, args.n, cfg, p0=p0)
     gtraj = fv_run(rho0, scenario, grid, args.t_end, snapshot_times=snaps)

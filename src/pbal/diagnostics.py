@@ -36,13 +36,13 @@ class Curve:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        finite = np.isfinite(self.ys)
-        if finite.all():
+        tb = self.blowup_time
+        if tb is None:
             out = np.interp(t, self.ts, self.ys)
         else:
-            k = int(np.argmin(finite))  # first non-finite sample
+            k = int(np.searchsorted(self.ts, tb))  # the samples before it, ts increasing
             below = np.interp(t, self.ts[:k], self.ys[:k]) if k else np.inf
-            out = np.where(t >= self.ts[k], np.inf, below)
+            out = np.where(t >= tb, np.inf, below)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -90,16 +90,16 @@ def _gk15(F, a, b):
     return k, abs(k - g)
 
 
-def _integrate_gk(F, a, b, tol=1e-10, limit=50):
+def _integrate_gk(F, a, b):
     """Globally adaptive Gauss-Kronrod (7, 15) quadrature of a vectorized F.
 
     Bisects the panel with the largest error estimate until the summed
-    estimate is below ``tol`` absolute or relative, or ``limit`` panels.
+    estimate is below 1e-10 absolute or relative, or there are 50 panels.
     """
     val, err = _gk15(F, a, b)
     panels = [(-err, a, b, val)]
     total, total_err = val, err
-    while total_err > tol * max(1.0, abs(total)) and len(panels) < limit:
+    while total_err > 1e-10 * max(1.0, abs(total)) and len(panels) < 50:
         _, lo, hi, _ = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
         for x0, x1 in ((lo, mid), (mid, hi)):
@@ -366,7 +366,7 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     particle), finds the cell of all the gap's nodes.
     """
     inner = p.x[(p.x > x_lo) & (p.x < x_hi)]
-    pts = np.unique(np.concatenate(([x_lo, x_hi], inner)))
+    pts = np.concatenate(([x_lo], inner, [x_hi]))  # sorted and distinct: x_lo < x_hi
     a, b = pts[:-1], pts[1:]
     m = np.maximum(1, np.ceil((b - a) / w_max)).astype(np.intp)
     gap = np.repeat(np.arange(a.size), m)
@@ -416,6 +416,9 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
         cs = _c_grid(traj.snapshots)
     if not phis or not cs:
         raise ValueError("need at least one test function and one entropy constant")
+    for tf in phis:
+        if not (0.0 < tf.tau < math.inf and 0.0 < tf.ell < math.inf):
+            raise ValueError(f"test function widths must be finite and positive, got {tf}")
     cs = [float(c) for c in cs]
     if not all(map(math.isfinite, cs)):
         raise ValueError(f"entropy constants must be finite, got {cs}")
@@ -543,29 +546,30 @@ def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid):
     v_rho = np.asarray(v_callable(rho), dtype=float)
     out = []
 
+    def emit(family, hits, lhs, rhs, shift=1, c=None):
+        rhs = np.broadcast_to(rhs, lhs.shape)
+        out.extend(GoodVViolation(t, family, int(i) + shift, c, float(lhs[i]), float(rhs[i]))
+                   for i in np.flatnonzero(hits))
+
     is_max = (rho >= rho_ext[:-2]) & (rho >= rho_ext[2:])
     is_min = (rho <= rho_ext[:-2]) & (rho <= rho_ext[2:])
     lhs_max = dxdot
     rhs_max = v_rho * dU
-    for i in np.nonzero(is_max & (lhs_max < rhs_max - slack))[0]:
-        out.append(GoodVViolation(t, "max", int(i) + 1, None, float(lhs_max[i]), float(rhs_max[i])))
-    for i in np.nonzero(is_min & (lhs_max > rhs_max + slack))[0]:
-        out.append(GoodVViolation(t, "min", int(i) + 1, None, float(lhs_max[i]), float(rhs_max[i])))
+    emit("max", is_max & (lhs_max < rhs_max - slack), lhs_max, rhs_max)
+    emit("min", is_min & (lhs_max > rhs_max + slack), lhs_max, rhs_max)
 
     sig = np.sign(rho_ext[1:] - rho_ext[:-1])
     dsig = sig[1:] - sig[:-1]
     lhs_step = dsig * dxdot
     rhs_step = dsig * v_rho * dU
-    for i in np.nonzero(lhs_step > rhs_step + slack)[0]:
-        out.append(GoodVViolation(t, "step", int(i) + 1, None, float(lhs_step[i]), float(rhs_step[i])))
+    emit("step", lhs_step > rhs_step + slack, lhs_step, rhs_step)
 
     for c in c_grid:
         c = float(c)
         vc = float(v_callable(c))
         d = np.sign(rho_ext[1:] - c) - np.sign(rho_ext[:-1] - c)
         lhs_c = d * (v_sel - vc) * U
-        for i in np.nonzero(lhs_c > slack)[0]:
-            out.append(GoodVViolation(t, "constant", int(i), c, float(lhs_c[i]), 0.0))
+        emit("constant", lhs_c > slack, lhs_c, 0.0, shift=0, c=c)
     return out
 
 

@@ -16,6 +16,7 @@ expression, when it has them, as coefficient data.
 from __future__ import annotations
 
 import ast
+import functools
 import operator
 
 import numpy as np
@@ -67,24 +68,10 @@ def finite_float(value, what):
     return out
 
 
-def _minimum(*args):
-    out = args[0]
-    for a in args[1:]:
-        out = np.minimum(out, a)
-    return out
-
-
-def _maximum(*args):
-    out = args[0]
-    for a in args[1:]:
-        out = np.maximum(out, a)
-    return out
-
-
 _FUNCTIONS = {
     "abs": np.abs,
-    "min": _minimum,
-    "max": _maximum,
+    "min": lambda *args: functools.reduce(np.minimum, args),
+    "max": lambda *args: functools.reduce(np.maximum, args),
     "exp": np.exp,
     "bump": bump,
 }

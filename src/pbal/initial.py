@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .density import ParticleSystem, PiecewiseDensity, cdf as pw_cdf, collision_gap
+from .density import total_mass as pw_mass
 from .errors import InitCollisionError, ScenarioFormatError
 
 BISECT_TOL = 1e-14
@@ -31,8 +32,8 @@ class InitialDensity:
         a, b = self.support
         if not b > a:
             raise ValueError(f"empty support [{a}, {b}]")
-        if not self.total_mass > 0.0:
-            raise ValueError("total mass must be positive")
+        if not 0.0 < self.total_mass < np.inf:
+            raise ValueError(f"total mass must be finite and positive, got {self.total_mass}")
 
     @staticmethod
     def from_blocks(blocks) -> "InitialDensity":
@@ -52,8 +53,10 @@ class InitialDensity:
             heights.append(h)
             pts.append(b)
         step = PiecewiseDensity(np.array(pts), np.array(heights))
+        with np.errstate(over="ignore"):  # a mass that overflows is rejected as inf
+            mass = pw_mass(step)
         return InitialDensity(pdf=step, cdf=lambda y: pw_cdf(step, y), support=step.support,
-                              total_mass=float(np.sum(step.heights * np.diff(step.breakpoints))))
+                              total_mass=mass)
 
     @staticmethod
     def from_samples(xs, ys) -> "InitialDensity":
@@ -62,13 +65,16 @@ class InitialDensity:
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
             raise ValueError("need matching 1-d arrays with at least two samples")
-        if np.any(np.diff(xs) <= 0):
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("sample positions and values must be finite")
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("sample positions must be strictly increasing")
         if np.any(ys < 0):
             raise ValueError("sample values must be non-negative")
-        panel = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
-        cum = np.concatenate(([0.0], np.cumsum(panel)))
-        slope = np.diff(ys) / np.diff(xs)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN mass is rejected
+            panel = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
+            cum = np.concatenate(([0.0], np.cumsum(panel)))
+            slope = np.diff(ys) / np.diff(xs)
 
         def pdf(y):
             y = np.asarray(y, dtype=float)
@@ -130,7 +136,10 @@ def quantile_init(rho0: InitialDensity, n: int) -> ParticleSystem:
 
 def load_initial_csv(path) -> InitialDensity:
     """Two-column CSV (position, value) with linear interpolation."""
-    data = np.loadtxt(path, delimiter=",", dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ScenarioFormatError(f"{path}: expected two columns (position, value)")
-    return InitialDensity.from_samples(data[:, 0], data[:, 1])
+    try:
+        data = np.loadtxt(path, delimiter=",", dtype=float)
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise ValueError("expected two columns (position, value)")
+        return InitialDensity.from_samples(data[:, 0], data[:, 1])
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from None

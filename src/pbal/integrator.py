@@ -15,7 +15,7 @@ or a near-collision halves the step, and at the step floor raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -84,13 +84,7 @@ class StepStats:
     rhs_evals: int = 0
 
     def as_dict(self):
-        return {
-            "accepted": self.accepted,
-            "rejected_error": self.rejected_error,
-            "rejected_guard": self.rejected_guard,
-            "rejected_switch": self.rejected_switch,
-            "rhs_evals": self.rhs_evals,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -245,18 +239,20 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     for t, y, reached in steps:
         if cfg.store_steps:
             traj.steps.append(ParticleSystem(t=t, x=y[: n + 1], q=y[n + 1:]))
-        for ts in snaps[recorded:reached]:
-            traj.snapshots.append(ParticleSystem(t=ts, x=y[: n + 1], q=y[n + 1:]))
+        for ts in snaps[recorded:reached]:  # a snapshot is the stored step at its time
+            stored = cfg.store_steps and traj.steps[-1].t == ts
+            traj.snapshots.append(traj.steps[-1] if stored
+                                  else ParticleSystem(t=ts, x=y[: n + 1], q=y[n + 1:]))
         recorded = reached
     return traj
 
 
-def solve_scalar_ode(g, t0, y0, t_eval, rel_tol=1e-8, abs_tol=1e-8, blowup=1e14):
-    """Scalar envelope ODE driver on the same embedded pair.
+def solve_scalar_ode(g, t0, y0, t_eval):
+    """Scalar envelope ODE driver on the same embedded pair (tolerances 1e-8).
 
     Returns the solution sampled at ``t_eval``; values after a blow-up time
-    are ``inf``.  Used by the diagnostics envelopes, where ``g`` may grow
-    superlinearly for inadmissible data.
+    (|y| > 1e14) are ``inf``.  Used by the diagnostics envelopes, where ``g``
+    may grow superlinearly for inadmissible data.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     out = np.full(t_eval.size, np.inf)
@@ -264,13 +260,13 @@ def solve_scalar_ode(g, t0, y0, t_eval, rel_tol=1e-8, abs_tol=1e-8, blowup=1e14)
     min_step = 1e-13 * max(1.0, span)
 
     def norm(y, y5, err_vec):
-        return abs(float(err_vec)) / (abs_tol + rel_tol * max(abs(y), abs(y5)))
+        return abs(float(err_vec)) / (1e-8 + 1e-8 * max(abs(y), abs(y5)))
 
     def f(t, y, dy):
         dy[...] = g(t, float(y))
 
     def judge(t, h, y5, _, __, err, failure):
-        if not np.isfinite(y5) or abs(y5) > blowup:
+        if not np.isfinite(y5) or abs(y5) > 1e14:
             raise OverflowError  # blow-up: the rest of ``out`` stays inf
         return _SHRINK if err > 1.0 and h > min_step else None
 

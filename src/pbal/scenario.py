@@ -249,11 +249,12 @@ def scenario_validate(s: Scenario, sample_grid) -> list[Violation]:
     return out
 
 
-def default_sample_grid(t_max=2.0, x_max=5.0, r_max=5.0, n=10):
-    """The 10x10x10 admissibility grid used by the validation tests."""
-    ts = np.linspace(0.0, t_max, n)
-    xs = np.linspace(-x_max, x_max, n)
-    rs = np.linspace(0.0, r_max, n)
+def default_sample_grid():
+    """The 10x10x10 admissibility grid used by the validation tests: t in
+    [0, 2], x in [-5, 5], r in [0, 5]."""
+    ts = np.linspace(0.0, 2.0, 10)
+    xs = np.linspace(-5.0, 5.0, 10)
+    rs = np.linspace(0.0, 5.0, 10)
     return [(t, x, r) for t in ts for x in xs for r in rs]
 
 
@@ -445,18 +446,19 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
         fingerprint=fingerprint,
     )
 
-    rho0 = None
     init_cfg = meta.get("initial")
-    if init_cfg is not None:
-        if isinstance(init_cfg, dict) and "blocks" in init_cfg:
-            rho0 = InitialDensity.from_blocks(
-                _rows(path, "metadata.initial.blocks", init_cfg["blocks"], 3))
-        elif isinstance(init_cfg, dict) and "samples" in init_cfg:
-            pts = _rows(path, "metadata.initial.samples", init_cfg["samples"], 2)
-            rho0 = InitialDensity.from_samples(pts[:, 0], pts[:, 1])
-        else:
-            raise ScenarioFormatError(f"{path}: metadata.initial needs 'blocks' or 'samples'")
-    return scenario, rho0
+    if init_cfg is None:
+        return scenario, None
+    kind = "blocks" if isinstance(init_cfg, dict) and "blocks" in init_cfg else "samples"
+    if not (isinstance(init_cfg, dict) and kind in init_cfg):
+        raise ScenarioFormatError(f"{path}: metadata.initial needs 'blocks' or 'samples'")
+    where = f"metadata.initial.{kind}"
+    rows = _rows(path, where, init_cfg[kind], 3 if kind == "blocks" else 2)
+    try:
+        return scenario, (InitialDensity.from_blocks(rows) if kind == "blocks"
+                          else InitialDensity.from_samples(rows[:, 0], rows[:, 1]))
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{path}: {where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -557,3 +558,70 @@ def test_fewer_than_two_snapshots_exit_2(tmp_path, capsys, argv, count):
                  "--out", str(tmp_path / "out")]) == 2
     assert "--snapshots" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("0,0\n0.5,1\ninf,0\n", "sample positions and values must be finite"),
+    ("0,0\n0.5,nan\n1,0\n", "sample positions and values must be finite"),
+    ("0,1e308\n1,1e308\n2,1e308\n", "total mass must be finite and positive, got inf"),
+    ("0,0\nabc,1\n", "'abc'"),  # numpy's own message, with the file's name in front
+], ids=["inf-position", "nan-value", "overflowing-mass", "not-a-number"])
+def test_bad_initial_csv_exit_2_naming_the_file(tmp_path, capsys, text, problem):
+    csv = tmp_path / "init.csv"
+    csv.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--scenario", "transport", "--n", "10", "--initial", str(csv),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: ") and problem in err and err.count("\n") == 1
+
+
+def test_overflowing_initial_blocks_exit_2(tmp_path, capsys):
+    path = _file_scenario(tmp_path, metadata={"initial": {"blocks": [[0, 10, 1e308]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--scenario", str(path), "--n", "10",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: metadata.initial.blocks: "
+                                       "total mass must be finite and positive, got inf\n")
+
+
+def test_cli_runs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique reaches numpy.ma, an import of about 17 ms and 1 MB; the
+    # breakpoint merges sort instead
+    csv = tmp_path / "init.csv"
+    csv.write_text("-0.5,0\n-0.48,0.8\n0.48,0.8\n0.5,0\n")
+    code = f"""
+import sys
+from pbal.cli import main
+runs = [
+    ["validate", "--scenario", "repulsive_source", "--n", "40", "--j", "200", "--t-end", "0.2"],
+    ["audit", "--scenario", "attractive_congested", "--n", "30", "--t-end", "0.2",
+     "--initial", {str(csv)!r}, "--snapshots", "65", "--out", {str(tmp_path / "audit")!r}],
+    ["sweep", "--scenario", "attractive_congested", "--n", "20", "40", "--t-end", "0.2"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("obj", [
+    {"b": [1.0, float("nan"), 1e-300], "a": {"t": np.float64(0.1)}, "c": None},
+    [{"t": 0.5, "ok": True, "c": np.float64(-0.0)}],
+    [],
+], ids=["dict", "records", "empty"])
+def test_json_writers_write_the_dumps_text(tmp_path, obj):
+    from pbal import io
+
+    want = json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+    io.write_report(tmp_path / "report.json", obj)
+    assert (tmp_path / "report.json").read_bytes() == want.encode()
+    if isinstance(obj, dict):
+        io.write_manifest(tmp_path / "manifest.json", **obj)
+        assert (tmp_path / "manifest.json").read_bytes() == want.encode()

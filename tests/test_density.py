@@ -299,3 +299,32 @@ def test_distances_match_brute_force(a, b):
         total_mass(a) + total_mass(b))
     b = block(b.breakpoints, b.heights * (total_mass(a) / total_mass(b)))
     assert abs(w1_distance(a, b) - _w1_brute_force(a, b)) <= 1e-12 * max(1.0, _w1_brute_force(a, b))
+
+
+# Breakpoints drawn from a small pool, so that the two densities share points
+# and hold both zeros; each density's own breakpoints are strictly increasing.
+_POOL = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 2.0, 3.0])
+
+
+@st.composite
+def _pool_density(draw):
+    points = sorted(set(draw(st.lists(_POOL, max_size=7))))  # -0.0 and 0.0 are one
+    bp = np.array([draw(st.sampled_from([p, -p])) if p == 0.0 else p for p in points])
+    heights = np.ones(bp.size - 1) if bp.size > 1 and draw(st.booleans()) else np.empty(0)
+    return PiecewiseDensity(bp, heights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_pool_density(), b=_pool_density())
+def test_merged_breakpoints_is_bitwise_np_unique(a, b):
+    from pbal.density import _merged_breakpoints
+
+    got = _merged_breakpoints(a, b)
+    want = np.unique(np.concatenate((a.breakpoints, b.breakpoints)))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero too
+
+
+def test_nan_breakpoint_rejected():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        block([0.0, np.nan, 1.0], [1.0, 1.0])

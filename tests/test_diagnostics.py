@@ -328,6 +328,19 @@ def test_entropy_rejects_empty_grids_and_non_finite_constants():
             dg.entropy_residual(traj, s, phis=phis, cs=cs)
 
 
+@pytest.mark.parametrize("tau, ell", [(0.3, 0.0), (0.3, -0.2), (0.0, 0.5), (-0.3, 0.5),
+                                      (0.3, np.inf), (np.nan, 0.5)],
+                         ids=["ell-0", "ell-negative", "tau-0", "tau-negative", "ell-inf",
+                              "tau-nan"])
+def test_entropy_rejects_degenerate_test_functions(tau, ell):
+    # a zero or negative width gave res_neg = 0 (vacuous), NaN with
+    # RuntimeWarnings, or the residual of a time-reversed bump
+    traj = catalog_run("attractive_congested", 50, t_end=1.0, k_snapshots=65)
+    phi = dg.TestFunction(t0=0.5, tau=tau, x0=0.0, ell=ell)
+    with pytest.raises(ValueError, match="widths must be finite and positive"):
+        dg.entropy_residual(traj, builtin_catalog("attractive_congested"), phis=[phi], cs=[0.5])
+
+
 def test_entropy_non_finite_residual_gives_nan():
     # min() and max() over residuals holding a NaN can return any finite one,
     # or 0 for res_neg, hiding the failed ones

@@ -282,3 +282,20 @@ def test_scalar_ode_never_repeats_an_evaluation():
     out = solve_scalar_ode(g, 0.0, 1.0, [0.0, 0.5])
     assert out[-1] == pytest.approx(np.exp(25.0), rel=1e-6)
     assert len(set(calls)) == len(calls)
+
+
+def test_snapshot_is_the_stored_step_at_its_time():
+    s = builtin_catalog("attractive_congested")
+    p0 = quantile_init(builtin_initial("attractive_congested"), 40)
+    times = np.linspace(0.0, 0.5, 65)
+    stored = integrate(p0, s, SolverConfig(t_end=0.5, snapshot_times=times, store_steps=True))
+    plain = integrate(p0, s, SolverConfig(t_end=0.5, snapshot_times=times))
+    steps = {p.t: p for p in stored.steps}
+    assert len(steps) == len(stored.steps)
+    for p in stored.snapshots:
+        assert p is steps[p.t]
+    # without stored steps, each snapshot is built from the state at its time
+    assert np.array_equal(plain.times, times)
+    for p, q in zip(plain.snapshots, stored.snapshots):
+        assert p is not q and p.t == q.t
+        assert np.array_equal(p.x, q.x) and np.array_equal(p.q, q.q)
