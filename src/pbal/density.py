@@ -147,13 +147,14 @@ def step_cdf_arrays(x, rho, y, cum=None, cell=None):
     return np.where(y <= x[0], 0.0, np.where(y >= x[-1], cum[-1], inner))
 
 
-def cdf(d: PiecewiseDensity, y):
-    """Cumulative mass to the left of ``y`` (piecewise linear, non-decreasing)."""
+def cdf(d: PiecewiseDensity, y, cell=None):
+    """Cumulative mass to the left of ``y`` (piecewise linear, non-decreasing);
+    ``cell`` is ``cell_index(d.breakpoints, y)`` when already known."""
     y = np.asarray(y, dtype=float)
     if d.heights.size == 0:
         out = np.zeros_like(y)
     else:
-        out = step_cdf_arrays(d.breakpoints, d.heights, y)
+        out = step_cdf_arrays(d.breakpoints, d.heights, y, cell=cell)
     return float(out) if out.ndim == 0 else out
 
 
@@ -191,6 +192,24 @@ def _merged_breakpoints(a: PiecewiseDensity, b: PiecewiseDensity) -> np.ndarray:
     return pts[keep]
 
 
+def _merge_with_cells(xa, xb):
+    """The distinct values z of the sorted xa and xb, with ``cell_index(xa, z)``
+    and ``cell_index(xb, z)``, by one merge (a stable sort of two sorted runs)
+    instead of two searches: the count of xa's points up to the last of a run
+    of equal values is the count of xa's points <= the value; likewise xb's."""
+    pts = np.concatenate((xa, xb))
+    order = np.argsort(pts, kind="stable")
+    pts = pts[order]
+    first = np.ones(pts.size, dtype=bool)
+    np.not_equal(pts[1:], pts[:-1], out=first[1:])
+    last = np.ones(pts.size, dtype=bool)
+    last[:-1] = first[1:]
+    in_a = np.cumsum(order < xa.size)[last]
+    in_b = np.flatnonzero(last) + 1 - in_a
+    return (pts[first], np.clip(in_a - 1, 0, xa.size - 2),
+            np.clip(in_b - 1, 0, xb.size - 2))
+
+
 def l1_distance(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
     """Exact integral of |a - b| on the merged breakpoint partition."""
     z = _merged_breakpoints(a, b)
@@ -210,10 +229,10 @@ def w1_distance(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
     scale = max(ma, mb, 1e-300)
     if abs(ma - mb) > 1e-12 * scale:
         raise MassMismatchError(f"total masses differ: {ma} vs {mb}")
-    z = _merged_breakpoints(a, b)
+    z, cell_a, cell_b = _merge_with_cells(a.breakpoints, b.breakpoints)
     if z.size < 2:
         return 0.0
-    du = cdf(a, z) - cdf(b, z)
+    du = cdf(a, z, cell_a) - cdf(b, z, cell_b)
     lo, hi = du[:-1], du[1:]
     width = np.diff(z)
     same = lo * hi >= 0.0

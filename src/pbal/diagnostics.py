@@ -357,8 +357,9 @@ class EntropyResidualReport:
 
 
 def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
-    """Cell-exact Gauss nodes covering [x_lo, x_hi], panels split at the
-    reconstruction breakpoints and capped at width w_max outside/inside.
+    """Cell-exact nodes of ``dynamics``' cell rule covering [x_lo, x_hi],
+    panels split at the reconstruction breakpoints and capped at width w_max
+    outside/inside.
 
     Gap [a, b] gets m equal panels with edges a + i (b - a)/m and the last
     edge b, the same floats ``np.linspace(a, b, m + 1)`` gives.  Every node
@@ -376,14 +377,11 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     lo = i * step[gap] + a[gap]
     hi = (i + 1.0) * step[gap] + a[gap]
     hi[first + m - 1] = b
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * dynamics.GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * dynamics.GL_WEIGHTS[None, :]).ravel()
+    nodes, weights, counts = dynamics.cell_rule_panels(0.5 * (lo + hi), 0.5 * (hi - lo))
 
     gaps = np.diff(p.x)
     rho = p.q / gaps
-    idx = np.repeat(np.searchsorted(p.x, a, side="right") - 1, m * dynamics.GL_NODES.size)
+    idx = np.repeat((np.searchsorted(p.x, a, side="right") - 1)[gap], counts)
     inside = (idx >= 0) & (idx < rho.size)
     cell = np.clip(idx, 0, rho.size - 1)
     rho_at = np.where(inside, rho[cell], 0.0)
@@ -397,8 +395,10 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
 def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> EntropyResidualReport:
     """Kruzkov residual E(phi, c) over the test grid.
 
-    Space integrals are cell-exact 8-node Gauss per panel; the time integral
-    is the trapezoid over the stored snapshots (at least 64 required).
+    Space integrals take ``dynamics``' cell rule on cell-exact panels no
+    wider than min(ell)/32, so 4 Gauss nodes each unless a panel is wider
+    than ``dynamics.CELL_CAP``; the time integral is the trapezoid over the
+    stored snapshots (at least 64 required).
 
     With phi = b_t(t) b_x(x) the space integral at one snapshot is
     b_t' (A_c . b_x) + b_t (B_c . b_x' + C_c . b_x), where the weighted node
@@ -432,7 +432,7 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
 
     x_lo = min(tf.x_support[0] for tf in phis)
     x_hi = max(tf.x_support[1] for tf in phis)
-    w_max = min(tf.ell for tf in phis) / 8.0
+    w_max = min(tf.ell for tf in phis) / 32.0
 
     c_arr = np.array(cs)[:, None]
     mc = c_arr * np.array([float(s.congestion.v(c)) for c in cs])[:, None]
@@ -455,10 +455,20 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
         if not live[k].any():
             continue
         nodes, wts, rho_at, U, dxU, fvals, mrho = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)
-        sgn = np.sign(rho_at - c_arr)
-        A = np.abs(rho_at - c_arr) * wts
-        B = sgn * (mrho - mc) * U * wts
-        C = sgn * (fvals - mc * dxU) * wts
+        # the bits of |rho - c| wts, sgn (mrho - mc) U wts and
+        # sgn (f - mc dxU) wts, built in place
+        A = rho_at - c_arr
+        sgn = np.sign(A)
+        np.abs(A, out=A)
+        A *= wts
+        B = mrho - mc
+        B *= sgn
+        B *= U
+        B *= wts
+        C = mc * dxU
+        np.subtract(fvals, C, out=C)
+        C *= sgn
+        C *= wts
         starts = np.searchsorted(nodes, x0 - ell, side="left")
         stops = np.searchsorted(nodes, x0 + ell, side="right")
         for g, js in enumerate(members):
@@ -547,6 +557,8 @@ def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid):
     out = []
 
     def emit(family, hits, lhs, rhs, shift=1, c=None):
+        if not hits.any():
+            return
         rhs = np.broadcast_to(rhs, lhs.shape)
         out.extend(GoodVViolation(t, family, int(i) + shift, c, float(lhs[i]), float(rhs[i]))
                    for i in np.flatnonzero(hits))

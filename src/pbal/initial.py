@@ -7,6 +7,7 @@ reaches the levels ``i * mass / N``; every cell carries mass ``mass / N``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,7 +138,9 @@ def quantile_init(rho0: InitialDensity, n: int) -> ParticleSystem:
 def load_initial_csv(path) -> InitialDensity:
     """Two-column CSV (position, value) with linear interpolation."""
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=float)
+        with warnings.catch_warnings():  # an empty file is reported below, once
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", dtype=float)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError("expected two columns (position, value)")
         return InitialDensity.from_samples(data[:, 0], data[:, 1])

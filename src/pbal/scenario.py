@@ -449,9 +449,14 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
     init_cfg = meta.get("initial")
     if init_cfg is None:
         return scenario, None
-    kind = "blocks" if isinstance(init_cfg, dict) and "blocks" in init_cfg else "samples"
-    if not (isinstance(init_cfg, dict) and kind in init_cfg):
-        raise ScenarioFormatError(f"{path}: metadata.initial needs 'blocks' or 'samples'")
+    if not isinstance(init_cfg, dict):
+        raise ScenarioFormatError(f"{path}: metadata.initial must be an object")
+    _reject_unknown(path, "metadata.initial", init_cfg, ("blocks", "samples"))
+    if len(init_cfg) != 1:
+        raise ScenarioFormatError(
+            f"{path}: metadata.initial needs exactly one of 'blocks' and 'samples', "
+            f"got {' and '.join(map(repr, init_cfg)) or 'neither'}")
+    (kind,) = init_cfg
     where = f"metadata.initial.{kind}"
     rows = _rows(path, where, init_cfg[kind], 3 if kind == "blocks" else 2)
     try:

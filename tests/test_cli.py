@@ -565,16 +565,33 @@ def test_fewer_than_two_snapshots_exit_2(tmp_path, capsys, argv, count):
     ("0,0\n0.5,nan\n1,0\n", "sample positions and values must be finite"),
     ("0,1e308\n1,1e308\n2,1e308\n", "total mass must be finite and positive, got inf"),
     ("0,0\nabc,1\n", "'abc'"),  # numpy's own message, with the file's name in front
-], ids=["inf-position", "nan-value", "overflowing-mass", "not-a-number"])
+    ("", "expected two columns (position, value)"),  # and no numpy warning first
+], ids=["inf-position", "nan-value", "overflowing-mass", "not-a-number", "empty"])
 def test_bad_initial_csv_exit_2_naming_the_file(tmp_path, capsys, text, problem):
     csv = tmp_path / "init.csv"
     csv.write_text(text)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         assert main(["run", "--scenario", "transport", "--n", "10", "--initial", str(csv),
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {csv}: ") and problem in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("initial, key", [
+    ({"blocks": [[-0.6, 0.6, 0.8]], "samples": [[-0.6, 0.0], [0.6, 0.0]]},
+     "got 'blocks' and 'samples'"),
+    ({"blocks": [[-0.6, 0.6, 0.8]], "bogus": 1}, "unknown key(s) 'bogus'"),
+    ({}, "got neither"),
+], ids=["both-keys", "stray-key", "no-key"])
+def test_initial_keys_are_strict(tmp_path, capsys, initial, key):
+    path = _file_scenario(tmp_path, metadata={"initial": initial})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "metadata.initial" in err and key in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_initial_blocks_exit_2(tmp_path, capsys):

@@ -325,6 +325,47 @@ def test_merged_breakpoints_is_bitwise_np_unique(a, b):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero too
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=_pool_density(), b=_pool_density())
+def test_merge_gives_the_cells_a_search_gives(a, b):
+    from pbal.density import _merge_with_cells, cell_index
+
+    z, cell_a, cell_b = _merge_with_cells(a.breakpoints, b.breakpoints)
+    assert np.array_equal(z, np.unique(np.concatenate((a.breakpoints, b.breakpoints))))
+    for x, cell in ((a.breakpoints, cell_a), (b.breakpoints, cell_b)):
+        want = cell_index(x, z)
+        assert cell.dtype == want.dtype and np.array_equal(cell, want)
+
+
+def _w1_searched(a, b):
+    """``w1_distance`` with each CDF searching the merged points."""
+    z = np.unique(np.concatenate((a.breakpoints, b.breakpoints)))
+    du = cdf(a, z) - cdf(b, z)
+    lo, hi = du[:-1], du[1:]
+    width = np.diff(z)
+    same = lo * hi >= 0.0
+    area_same = 0.5 * (np.abs(lo) + np.abs(hi)) * width
+    denom = np.where(same, 1.0, np.abs(lo - hi))
+    area_cross = 0.5 * (lo * lo + hi * hi) / denom * width
+    return float(np.sum(np.where(same, area_same, area_cross)))
+
+
+@st.composite
+def _pool_step(draw):
+    """A step density on two or more pool breakpoints, positive heights."""
+    points = sorted(draw(st.lists(_POOL, min_size=2, max_size=7, unique=True)))
+    bp = np.array([draw(st.sampled_from([p, -p])) if p == 0.0 else p for p in points])
+    return block(bp, draw(st.lists(st.floats(0.05, 2.0), min_size=bp.size - 1,
+                                   max_size=bp.size - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_pool_step(), b=_pool_step())
+def test_w1_bitwise_equals_the_searched_cdfs(a, b):
+    b = block(b.breakpoints, b.heights * (total_mass(a) / total_mass(b)))
+    assert w1_distance(a, b) == _w1_searched(a, b)
+
+
 def test_nan_breakpoint_rejected():
     with pytest.raises(ValueError, match="strictly increasing"):
         block([0.0, np.nan, 1.0], [1.0, 1.0])

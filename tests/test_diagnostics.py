@@ -11,8 +11,8 @@ from pbal.density import (ParticleSystem, l1_distance, pushforward_affine, to_de
 from pbal.expressions import compile_expression
 from pbal.initial import InitialDensity
 from pbal.diagnostics import _snapshot_quadrature
-from pbal.dynamics import (GL_NODES, GL_WEIGHTS, dxU_field_arrays, u_field_arrays,
-                           upwind_arrays)
+from pbal import dynamics
+from pbal.dynamics import dxU_field_arrays, u_field_arrays, upwind_arrays
 from pbal.scenario import Branch, Source
 
 from conftest import (catalog_run, const, make_scenario, quadratic_potential,
@@ -376,24 +376,28 @@ def test_entropy_residual_shrinks_with_n():
 
 
 def _linspace_nodes(p, x_lo, x_hi, w_max):
-    """Gauss nodes and weights from per-gap ``np.linspace`` panels."""
+    """Gauss nodes and weights from per-gap ``np.linspace`` panels: 4 nodes on
+    a panel no wider than ``CELL_CAP``, 8 on a wider one."""
     pts = np.unique(np.asarray([x_lo, x_hi] + [x for x in p.x if x_lo < x < x_hi]))
-    lo, hi = [], []
+    nodes, weights = [], []
     for a, b in zip(pts[:-1], pts[1:]):
         edges = np.linspace(a, b, max(1, int(np.ceil((b - a) / w_max))) + 1)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
-    return nodes, (half[:, None] * GL_WEIGHTS[None, :]).ravel()
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            if hi - lo <= dynamics.CELL_CAP:
+                g, w = dynamics.GL4_NODES, dynamics.GL4_WEIGHTS
+            else:
+                g, w = dynamics.GL8_NODES, dynamics.GL8_WEIGHTS
+            nodes.append(mid + half * g)
+            weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _loop_entropy_residual(traj, s, phis, cs):
     """Reference: one integrand per (phi, c) pair and snapshot."""
     x_lo = min(tf.x_support[0] for tf in phis)
     x_hi = max(tf.x_support[1] for tf in phis)
-    w_max = min(tf.ell for tf in phis) / 8.0
+    w_max = min(tf.ell for tf in phis) / 32.0
     out = {}
     for j, tf in enumerate(phis):
         for c in cs:
@@ -448,6 +452,23 @@ def test_quadrature_nodes_match_linspace_panels():
             ref_nodes, ref_wts = _linspace_nodes(p, x_lo, x_hi, w_max)
             assert np.array_equal(nodes, ref_nodes)
             assert np.array_equal(wts, ref_wts)
+
+
+@pytest.mark.parametrize("name", ["attractive_congested", "repulsive_source"])
+def test_entropy_residual_close_to_a_16_node_reference(name, monkeypatch):
+    # the reference takes 16 Gauss nodes on each of the same panels, a
+    # quarter as wide as the 8-node panels of the former rule, which erred by
+    # more than 2e-8 here
+    traj = catalog_run(name, 200, k_snapshots=385)
+    s = builtin_catalog(name)
+    got = dg.entropy_residual(traj, s).residuals
+    g16, w16 = np.polynomial.legendre.leggauss(16)
+    for rule in ("GL4", "GL8"):
+        monkeypatch.setattr(dynamics, f"{rule}_NODES", g16)
+        monkeypatch.setattr(dynamics, f"{rule}_WEIGHTS", w16)
+    ref = dg.entropy_residual(traj, s).residuals
+    assert list(got) == list(ref)
+    assert max(abs(got[key] - value) for key, value in ref.items()) <= 2e-9
 
 
 @pytest.mark.parametrize("potential", [None, quadratic_potential()])

@@ -393,14 +393,7 @@ def _rhs_as_first_written(t, x, q, s):
     rho_ext = np.concatenate(([0.0], rho, [0.0]))
     vr = np.broadcast_to(np.asarray(s.congestion.v(rho_ext), dtype=float), rho_ext.shape)
     v_sel = np.where(U >= 0.0, vr[1:], vr[:-1])
-    if s.source.c_f == 0.0:
-        qdot = np.zeros(rho.size)
-    else:
-        half = 0.5 * np.diff(x)
-        nodes = 0.5 * (x[1:] + x[:-1])[:, None] + half[:, None] * dynamics.GL_NODES[None, :]
-        vals = np.broadcast_to(np.asarray(s.source.f(t, nodes, rho[:, None]), dtype=float),
-                               nodes.shape)
-        qdot = (vals @ dynamics.GL_WEIGHTS) * half
+    qdot = np.zeros(rho.size) if s.source.c_f == 0.0 else _source_as_first_written(t, x, rho, s)
     return v_sel * U, qdot, U, v_sel
 
 
@@ -425,34 +418,122 @@ def test_rhs_bitwise_equals_original_formulas(which, x, masses, t):
             assert np.array_equal(out, np.concatenate(expected[:2]))
 
 
+def _gauss_as_first_written(f, t, mid, half, rho, g, w):
+    nodes = g[:, None] * half + mid
+    vals = np.broadcast_to(np.asarray(f(t, nodes, rho), dtype=float), nodes.shape)
+    return (w @ vals) * half
+
+
 def _source_as_first_written(t, x, rho, s):
+    """The cell rule: 4 Gauss nodes per cell, node-major, then 8 on the cells
+    wider than ``CELL_CAP``."""
     mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * np.diff(x)
-    nodes = mid[:, None] + half[:, None] * dynamics.GL_NODES[None, :]
+    out = _gauss_as_first_written(s.source.f, t, mid, half, rho,
+                                  dynamics.GL4_NODES, dynamics.GL4_WEIGHTS)
+    wide = np.diff(x) > dynamics.CELL_CAP
+    out[wide] = _gauss_as_first_written(s.source.f, t, mid[wide], half[wide], rho[wide],
+                                        dynamics.GL8_NODES, dynamics.GL8_WEIGHTS)
+    return out
+
+
+def _source_8_node(t, x, rho, s):
+    """The 8-node rule on every cell, cell-major: the rule before the cell rule."""
+    half = 0.5 * np.diff(x)
+    nodes = 0.5 * (x[1:] + x[:-1])[:, None] + half[:, None] * dynamics.GL8_NODES[None, :]
     vals = np.broadcast_to(np.asarray(s.source.f(t, nodes, rho[:, None]), dtype=float),
                            nodes.shape)
-    return (vals @ dynamics.GL_WEIGHTS) * half
+    return (vals @ dynamics.GL8_WEIGHTS) * half
 
 
-@pytest.mark.parametrize("n", [800, 3200])
-@pytest.mark.parametrize("which", ["repulsive_source", "benchmark_file"])
-def test_source_quadrature_bitwise_equals_the_8_node_formula(tmp_path, rng, which, n):
-    # the node values are built with fewer temporaries; the rule and every
-    # float operation stay, so the cell rates keep their bits
+def _source_test_states(tmp_path, rng, which, n):
+    """The scenario and (x, rho) pairs: the quantile state of ``which``'s
+    initial density, and the same with each inner particle moved by up to 0.3
+    of its smaller gap."""
     if which == "repulsive_source":
         s, rho0 = builtin_catalog(which), builtin_initial(which)
     else:
         s, rho0 = benchmark_file_scenario(tmp_path)
     x = quantile_init(rho0, n).x
     gaps = np.diff(x)
-    moved = x.copy()  # each inner particle moved by up to 0.3 of its smaller gap
+    moved = x.copy()
     moved[1:-1] += 0.3 * rng.uniform(-1.0, 1.0, n - 1) * np.minimum(gaps[:-1], gaps[1:])
-    for x in (x, moved):
-        rho = rng.uniform(0.1, 1.0, n) / np.diff(x)
+    return s, [(x, rng.uniform(0.1, 1.0, n) / np.diff(x)) for x in (x, moved)]
+
+
+@pytest.mark.parametrize("n", [800, 3200])
+@pytest.mark.parametrize("which", ["repulsive_source", "benchmark_file"])
+def test_source_quadrature_bitwise_equals_the_cell_rule_formula(tmp_path, rng, which, n):
+    # the node values are built with fewer temporaries; the rule and every
+    # float operation stay, so the cell rates keep their bits
+    s, states = _source_test_states(tmp_path, rng, which, n)
+    for x, rho in states:
         for t in (0.0, 0.37):
             want = _source_as_first_written(t, x, rho, s).tobytes()
             assert source_rate_arrays(t, x, rho, s).tobytes() == want
             assert source_rate_arrays(t, x, rho, s, gaps=np.diff(x)).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [800, 3200])
+@pytest.mark.parametrize("which", ["repulsive_source", "benchmark_file"])
+def test_cell_rule_rates_match_the_8_node_rule(tmp_path, rng, which, n):
+    # every cell is within the cap here, so it takes 4 nodes in place of 8
+    s, states = _source_test_states(tmp_path, rng, which, n)
+    for x, rho in states:
+        assert np.diff(x).max() <= dynamics.CELL_CAP
+        for t in (0.0, 0.37):
+            old = _source_8_node(t, x, rho, s)
+            assert np.all(np.abs(source_rate_arrays(t, x, rho, s) - old) <= 1e-15 * np.abs(old))
+
+
+def test_cell_wider_than_the_cap_gets_8_nodes():
+    # transport's blocks leave a vacuum gap of 0.5; at N = 40 one cell spans
+    # it and every other cell is within the cap
+    shapes = []
+
+    def f(t, x, rho):
+        shapes.append(np.shape(x))
+        return rho * x ** 15
+
+    s = make_scenario(source=Source(f=f, c_f=1.0, drho_f_bound=const(1.0)))
+    x = quantile_init(builtin_initial("transport"), 40).x
+    rho = 0.025 / np.diff(x)
+    wide = np.flatnonzero(np.diff(x) > dynamics.CELL_CAP)
+    assert wide.size == 1 and np.diff(x)[wide[0]] > 0.5
+    got = source_rate_arrays(0.3, x, rho, s)
+    assert shapes == [(4, x.size - 1), (8, 1)]
+    assert got.tobytes() == _source_as_first_written(0.3, x, rho, s).tobytes()
+    a, b = x[wide[0]], x[wide[0] + 1]  # 8 nodes integrate degree 15 exactly
+    assert got[wide[0]] == pytest.approx(rho[wide[0]] * (b ** 16 - a ** 16) / 16, rel=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(16))
+def test_cell_rule_exact_for_polynomials(degree):
+    # 4 nodes integrate degree <= 7 exactly, 8 nodes degree <= 15; with each
+    # panel mapped onto [-1, 1] an even degree above 7 shows the 4-node error
+    lo = np.array([-2.0, -0.3, -0.25, 0.01, 0.5, 1.0])
+    hi = np.array([-1.0, -0.25, -0.2, 0.0625 + 0.01, 0.6, 2.5])
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    wide = hi - lo > dynamics.CELL_CAP
+    assert wide.any() and not wide.all()
+    nodes, weights, counts = dynamics.cell_rule_panels(mid, half)
+    assert np.array_equal(counts, np.where(wide, 8, 4))
+    assert np.all(np.diff(nodes) > 0)
+    u = (nodes - np.repeat(mid, counts)) / np.repeat(half, counts)
+    got = np.add.reduceat(weights * u ** degree, np.cumsum(counts) - counts)
+    err = np.abs(got - half * (1 + (-1) ** degree) / (degree + 1)) / half
+    assert np.all(err[wide] <= 1e-14)
+    assert np.all(err[~wide] <= 1e-14) == (degree <= 7 or degree % 2 == 1)
+    # the source term takes the same rule with each cell one panel
+    x = np.array([-2.0, -1.0, -0.98, -0.9, -0.85, 0.7, 0.71])
+    s = make_scenario(source=Source(f=lambda t, x, rho: rho * x ** degree, c_f=1.0,
+                                    drho_f_bound=const(1.0)))
+    want = (x[1:] ** (degree + 1) - x[:-1] ** (degree + 1)) / (degree + 1)
+    rates = source_rate_arrays(0.0, x, np.ones(x.size - 1), s)
+    exact = np.abs(rates - want) <= 1e-14 * np.maximum(1.0, np.abs(want))
+    wide = np.diff(x) > dynamics.CELL_CAP
+    assert wide.any() and not wide.all()
+    assert exact[wide].all() and (degree > 7 or exact.all())
 
 
 # ---------------------------------------------------------------- dxU field
