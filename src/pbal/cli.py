@@ -216,8 +216,13 @@ def cmd_validate(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line; --help prints the usage
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pbal",
         description="Deterministic particle solver for 1D congested nonlocal "
                     "balance laws, with a-priori bound and entropy diagnostics.",
@@ -241,21 +246,26 @@ def build_parser():
                 f"expected TIMExSPACE counts, both >= 1, like 3x5; got {text!r}")
         return tuple(map(int, counts))
 
-    def finite_floats(text):
+    def number(text):
         try:
-            values = [float(v) for v in text.split(",")]
+            return float(text)
         except ValueError:
-            values = [np.nan]
+            return np.nan
+
+    def c_grid(text):
+        values = [number(v) for v in text.split(",")]
         if not np.all(np.isfinite(values)):
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated finite numbers, like 0,0.5; got {text!r}")
+        keys = [f"{c:g}" for c in values]  # entropy.json's keys
+        alike = [v for v, c, k in zip(text.split(","), values, keys)
+                 if values.count(c) > 1 or keys.count(k) > 1]
+        if alike:
+            raise argparse.ArgumentTypeError(f"constants repeat under %g: {', '.join(alike)}")
         return values
 
     def finite_positive(text):
-        try:
-            value = float(text)
-        except ValueError:
-            value = np.nan
+        value = number(text)
         if not (np.isfinite(value) and value > 0.0):
             raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
         return value
@@ -263,9 +273,9 @@ def build_parser():
     def common(p, snapshots=11):
         p.add_argument("--scenario", required=True,
                        help=f"catalog name ({', '.join(CATALOG_NAMES)}) or scenario file")
-        p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
-        p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
-        p.add_argument("--abs-tol", type=float, default=1e-8, dest="abs_tol")
+        p.add_argument("--t-end", type=finite_positive, default=1.0, dest="t_end")
+        p.add_argument("--rel-tol", type=finite_positive, default=1e-8, dest="rel_tol")
+        p.add_argument("--abs-tol", type=finite_positive, default=1e-8, dest="abs_tol")
         p.add_argument("--snapshots", type=at_least(2), default=snapshots,
                        help="number of equispaced snapshot times, 0 and t-end included")
         p.add_argument("--initial", default=None,
@@ -291,7 +301,7 @@ def build_parser():
     p_audit.add_argument("--out", default="audit")
     p_audit.add_argument("--phi-grid", type=phi_grid, default=None, dest="phi_grid",
                          help="test-function grid as TIMExSPACE centers, e.g. 3x5")
-    p_audit.add_argument("--c-grid", type=finite_floats, default=None, dest="c_grid",
+    p_audit.add_argument("--c-grid", type=c_grid, default=None, dest="c_grid",
                          help="comma-separated entropy constants (default: empirical)")
     p_audit.set_defaults(func=cmd_audit)
 

@@ -92,16 +92,17 @@ class PiecewiseDensity:
         if np.any(self.heights < 0):
             raise ValueError("heights must be non-negative")
 
-    def __call__(self, y):
-        """Pointwise evaluation (value at a breakpoint is the right cell's)."""
+    def __call__(self, y, cell=None):
+        """Pointwise evaluation (value at a breakpoint is the right cell's);
+        ``cell`` is ``cell_index(self.breakpoints, y)`` when already known."""
         y = np.asarray(y, dtype=float)
+        x = self.breakpoints
         if self.heights.size == 0:
             out = np.zeros_like(y)
-            return float(out) if out.ndim == 0 else out
-        idx = np.searchsorted(self.breakpoints, y, side="right") - 1
-        inside = (idx >= 0) & (idx < self.heights.size)
-        vals = np.where(inside, self.heights[np.clip(idx, 0, self.heights.size - 1)], 0.0)
-        return float(vals) if vals.ndim == 0 else vals
+        else:
+            out = np.where((y >= x[0]) & (y < x[-1]),
+                           self.heights[cell_index(x, y) if cell is None else cell], 0.0)
+        return float(out) if out.ndim == 0 else out
 
     @property
     def support(self):
@@ -182,16 +183,6 @@ def quantile(d: PiecewiseDensity, m: float) -> float:
     return float(bp[k] + (m - cum[k]) / d.heights[k])
 
 
-def _merged_breakpoints(a: PiecewiseDensity, b: PiecewiseDensity) -> np.ndarray:
-    """The breakpoints of a and b, sorted, keeping the first of equal values:
-    ``np.unique``'s sort and mask, bit for bit, without its other paths."""
-    pts = np.concatenate((a.breakpoints, b.breakpoints))
-    pts.sort()
-    keep = np.ones(pts.size, dtype=bool)
-    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
-    return pts[keep]
-
-
 def _merge_with_cells(xa, xb):
     """The distinct values z of the sorted xa and xb, with ``cell_index(xa, z)``
     and ``cell_index(xb, z)``, by one merge (a stable sort of two sorted runs)
@@ -211,12 +202,12 @@ def _merge_with_cells(xa, xb):
 
 
 def l1_distance(a: PiecewiseDensity, b: PiecewiseDensity) -> float:
-    """Exact integral of |a - b| on the merged breakpoint partition."""
-    z = _merged_breakpoints(a, b)
-    if z.size < 2:
-        return 0.0
+    """Exact integral of |a - b| on the merged breakpoint partition, each
+    density read at the panels' midpoints in the cells the merge gives."""
+    z, cell_a, cell_b = _merge_with_cells(a.breakpoints, b.breakpoints)
     mids = 0.5 * (z[:-1] + z[1:])
-    return float(np.sum(np.abs(a(mids) - b(mids)) * np.diff(z)))
+    at = np.arange(mids.size) + (mids >= z[1:])  # a midpoint rounded onto the right end
+    return float(np.sum(np.abs(a(mids, cell_a[at]) - b(mids, cell_b[at])) * np.diff(z)))
 
 
 def w1_distance(a: PiecewiseDensity, b: PiecewiseDensity) -> float:

@@ -357,31 +357,21 @@ class EntropyResidualReport:
 
 
 def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
-    """Cell-exact nodes of ``dynamics``' cell rule covering [x_lo, x_hi],
-    panels split at the reconstruction breakpoints and capped at width w_max
-    outside/inside.
-
-    Gap [a, b] gets m equal panels with edges a + i (b - a)/m and the last
-    edge b, the same floats ``np.linspace(a, b, m + 1)`` gives.  Every node
-    lies inside its gap, so one search per gap, at its left end (x_lo or a
-    particle), finds the cell of all the gap's nodes.
-    """
+    """Sorted nodes of ``dynamics``' cell rule on [x_lo, x_hi]: each gap between
+    x_lo, the particles inside and x_hi split by ``dynamics.cell_panels`` into
+    panels no wider than min(w_max, CELL_CAP).  Every node lies inside its gap,
+    so one search per gap, at its left end, finds the cell of all its nodes."""
     inner = p.x[(p.x > x_lo) & (p.x < x_hi)]
     pts = np.concatenate(([x_lo], inner, [x_hi]))  # sorted and distinct: x_lo < x_hi
     a, b = pts[:-1], pts[1:]
-    m = np.maximum(1, np.ceil((b - a) / w_max)).astype(np.intp)
-    gap = np.repeat(np.arange(a.size), m)
-    first = np.cumsum(m) - m
-    i = (np.arange(gap.size) - first[gap]).astype(float)
-    step = (b - a) / m
-    lo = i * step[gap] + a[gap]
-    hi = (i + 1.0) * step[gap] + a[gap]
-    hi[first + m - 1] = b
-    nodes, weights, counts = dynamics.cell_rule_panels(0.5 * (lo + hi), 0.5 * (hi - lo))
+    mid, half, m = dynamics.cell_panels(a, b, min(w_max, dynamics.CELL_CAP))
+    g = dynamics.GL4_NODES
+    nodes = (mid[:, None] + half[:, None] * g).ravel()
+    weights = (half[:, None] * dynamics.GL4_WEIGHTS).ravel()
 
     gaps = np.diff(p.x)
     rho = p.q / gaps
-    idx = np.repeat((np.searchsorted(p.x, a, side="right") - 1)[gap], counts)
+    idx = np.repeat(np.searchsorted(p.x, a, side="right") - 1, g.size * m)
     inside = (idx >= 0) & (idx < rho.size)
     cell = np.clip(idx, 0, rho.size - 1)
     rho_at = np.where(inside, rho[cell], 0.0)
@@ -396,9 +386,9 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     """Kruzkov residual E(phi, c) over the test grid.
 
     Space integrals take ``dynamics``' cell rule on cell-exact panels no
-    wider than min(ell)/32, so 4 Gauss nodes each unless a panel is wider
-    than ``dynamics.CELL_CAP``; the time integral is the trapezoid over the
-    stored snapshots (at least 64 required).
+    wider than min(ell)/32 or ``dynamics.CELL_CAP``; the time integral is the
+    trapezoid over the stored snapshots (at least 64 required).  The
+    constants ``cs`` must be distinct.
 
     With phi = b_t(t) b_x(x) the space integral at one snapshot is
     b_t' (A_c . b_x) + b_t (B_c . b_x' + C_c . b_x), where the weighted node
@@ -422,6 +412,8 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     cs = [float(c) for c in cs]
     if not all(map(math.isfinite, cs)):
         raise ValueError(f"entropy constants must be finite, got {cs}")
+    if len(set(cs)) < len(cs):  # the residuals are keyed by (phi index, c)
+        raise ValueError(f"entropy constants must be distinct, got {cs}")
     t_lo, t_hi = float(times[0]), float(times[-1])
     for tf in phis:
         a, b = tf.t_support

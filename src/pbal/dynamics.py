@@ -4,7 +4,8 @@ Velocities are ``x_i' = v_i U_i`` with the free field ``U = V - dxW * rho``
 evaluated through exact W-primitive differences (no quadrature, no special
 handling of the gradient kink at 0), the congestion factor ``v_i`` taken from
 the cell the velocity points toward, and cell masses fed by the source
-integral over the cell, by the cell rule that the audit also uses.
+integral over the cell, by the cell rule (one Gauss rule on panels from one
+splitter) that the audit also uses.
 """
 
 from __future__ import annotations
@@ -16,33 +17,29 @@ from .density import cell_index, step_cdf_arrays
 from .scenario import Scenario
 
 # The cell rule, for the source integrals here and the audit's panels: the
-# 4-node Gauss-Legendre rule (exact to degree 7) on a panel no wider than
-# CELL_CAP, the 8-node rule (exact to degree 15) on a wider one.  An n-node
-# rule on a panel of width w errs by w^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3)
-# times the integrand's 2n-th derivative somewhere in the panel, so a 4-node
-# panel within the cap errs by at most CELL_CAP^9 / 1.78e9 max|g^(8)|, below
-# 1e-20 max|g^(8)|.
+# 4-node Gauss-Legendre rule (exact to degree 7) on panels no wider than
+# CELL_CAP, a wider cell or gap being split by ``cell_panels``.  The rule on a
+# panel of width w errs by w^9 (4!)^4 / (9 (8!)^3) times the integrand's
+# eighth derivative somewhere in the panel, so by at most CELL_CAP^9 / 1.78e9
+# max|g^(8)|, below 1e-20 max|g^(8)|.
 CELL_CAP = 1.0 / 16.0
 GL4_NODES, GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
-GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def cell_rule_panels(mid, half):
-    """Nodes and weights of the cell rule on the panels ``[mid - half, mid +
-    half]``, panel by panel (so sorted when the panels are), and the node
-    count of each panel: an int when every panel takes the 4-node rule."""
-    wide = half > 0.5 * CELL_CAP
-    if not wide.any():
-        return ((mid[:, None] + half[:, None] * GL4_NODES).ravel(),
-                (half[:, None] * GL4_WEIGHTS).ravel(), GL4_NODES.size)
-    counts = np.where(wide, GL8_NODES.size, GL4_NODES.size)
-    start = np.cumsum(counts) - counts
-    nodes, weights = np.empty(counts.sum()), np.empty(counts.sum())
-    for sel, g, w in ((~wide, GL4_NODES, GL4_WEIGHTS), (wide, GL8_NODES, GL8_WEIGHTS)):
-        at = start[sel][:, None] + np.arange(g.size)
-        nodes[at] = mid[sel, None] + half[sel, None] * g
-        weights[at] = half[sel, None] * w
-    return nodes, weights, counts
+def cell_panels(a, b, cap):
+    """The fewest equal panels no wider than ``cap`` on each interval [a_k,
+    b_k]: edges a_k + i (b_k - a_k)/m_k and the last edge b_k, the floats
+    ``np.linspace(a_k, b_k, m_k + 1)`` gives.  Returns the panels' midpoints
+    and half-widths, interval by interval, and the count m_k of each."""
+    m = np.maximum(1, np.ceil((b - a) / cap)).astype(np.intp)
+    k = np.repeat(np.arange(a.size), m)
+    first = np.cumsum(m) - m
+    i = (np.arange(k.size) - first[k]).astype(float)
+    step = (b - a) / m
+    lo = i * step[k] + a[k]
+    hi = (i + 1.0) * step[k] + a[k]
+    hi[first + m - 1] = b
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), m
 
 
 class StageFailure(Exception):
@@ -177,31 +174,33 @@ def upwind_arrays(rho, s: Scenario, U):
     return np.where(U >= 0.0, vr[1:], vr[:-1])
 
 
-def _gauss_cells(f, t, mid, half, rho, g, w):
-    """The Gauss rule ``(g, w)`` for ``f(t, x, rho)`` on each cell, node-major."""
-    nodes = np.multiply.outer(g, half)
+def _gauss_panels(f, t, mid, half, rho):
+    """The cell rule for ``f(t, x, rho)`` on each panel, node-major."""
+    nodes = np.multiply.outer(GL4_NODES, half)
     nodes += mid
     vals = np.asarray(f(t, nodes, rho), dtype=float)
     if vals.shape != nodes.shape:  # a source that does not read x
         vals = np.broadcast_to(vals, nodes.shape)
-    out = w @ vals
+    out = GL4_WEIGHTS @ vals
     out *= half
     return out
 
 
 def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None):
-    """Source integral over each cell by the cell rule, each cell one panel;
+    """Source integral over each cell by the cell rule: each cell one panel,
+    then the cells wider than ``CELL_CAP`` again on their ``cell_panels``;
     ``gaps`` is ``np.diff(x)`` when the caller already has it."""
     src = s.source
     if src.c_f == 0.0:
         return np.zeros(rho.size)
-    half = 0.5 * (np.diff(x) if gaps is None else gaps)
+    gaps = np.diff(x) if gaps is None else gaps
     mid = 0.5 * (x[1:] + x[:-1])
-    out = _gauss_cells(src.f, t, mid, half, rho, GL4_NODES, GL4_WEIGHTS)
-    wide = np.flatnonzero(half > 0.5 * CELL_CAP)
+    out = _gauss_panels(src.f, t, mid, 0.5 * gaps, rho)
+    wide = np.flatnonzero(gaps > CELL_CAP)
     if wide.size:
-        out[wide] = _gauss_cells(src.f, t, mid[wide], half[wide], rho[wide],
-                                 GL8_NODES, GL8_WEIGHTS)
+        mid, half, m = cell_panels(x[wide], x[wide + 1], CELL_CAP)
+        panels = _gauss_panels(src.f, t, mid, half, np.repeat(rho[wide], m))
+        out[wide] = np.add.reduceat(panels, np.cumsum(m) - m)
     return out
 
 

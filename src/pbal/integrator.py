@@ -60,14 +60,15 @@ class SolverConfig:
     store_steps: bool = False
 
     def resolved(self):
+        for name in ("t_end", "rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         max_step = self.max_step if self.max_step is not None else self.t_end / 10.0
         min_step = self.min_step if self.min_step is not None else 1e-10 * self.t_end
         if self.snapshot_times is None:
             snaps = np.linspace(0.0, self.t_end, 11)
         else:
             snaps = np.sort(np.asarray(self.snapshot_times, dtype=float))
-        if not (self.t_end > 0 and self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("t_end and tolerances must be positive")
         if not min_step < max_step:
             raise ValueError(f"need min_step < max_step, got {min_step} >= {max_step}")
         if snaps.size and (snaps[0] < -1e-15 or snaps[-1] > self.t_end * (1 + 1e-12)):

@@ -12,10 +12,15 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _run(wall, attempted=10, failed=0, **others):
+def _run(wall, attempted=10, failed=0, ops=None, **others):
+    """A run whose medians are its metrics; ``ops`` maps each untraced op's
+    input to its wall_s (one op on input 0 with the run's wall_s if None)."""
     values = dict(wall_s=wall, cpu_s=2 * wall, peak_rss_mb=37.0, setup_s=0.25, **others)
+    ops = {0: wall} if ops is None else ops
     return {"result": {"attempted": attempted, "failed": failed,
-                       "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}}
+                       "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}},
+            "untraced": [(i, dict(wall_s=w, cpu_s=2 * w, peak_rss_mb=37.0, setup_s=0.25))
+                         for i, w in ops.items()]}
 
 
 def test_reduce_hand_built_pairs():
@@ -49,6 +54,31 @@ def test_reduce_hand_built_pairs():
     failing = bench_pairs.reduce_runs(parent, [_run(w - 0.05, failed=1) for w in
                                                [0.30, 0.34, 0.32, 0.36, 0.31]], 10.0, trace=False)
     assert not bench_pairs.claim(failing, "wall_s")["met"]
+
+
+def test_reduce_compares_end_to_end_medians_over_the_common_inputs():
+    # the change ran input 2, a slow one, in one run; the parent skipped
+    # input 1 in one run, after a failed op.  Each run's median covers the
+    # inputs it ran; the compare block covers inputs 0 and 3 only
+    parent = [_run(0.4, ops={0: 0.3, 1: 0.5, 3: 0.4}), _run(0.35, ops={0: 0.3, 3: 0.4})]
+    change = [_run(0.5, ops={0: 0.28, 1: 0.5, 2: 0.9, 3: 0.38}),
+              _run(0.38, ops={0: 0.29, 1: 0.48, 3: 0.38})]
+    section = bench_pairs.reduce_runs(parent, change, 10.0, trace=False)
+    assert section["inputs"] == [0, 3]
+    wall = section["wall_s"]
+    assert (wall["runs_parent"], wall["runs_change"]) == ([0.4, 0.35], [0.5, 0.38])
+    assert (wall["change_better_pairs"], wall["change_worse_pairs"]) == (0, 2)
+    common = wall["compare"]
+    assert common["runs_parent"] == pytest.approx([0.35, 0.35])
+    assert common["runs_change"] == pytest.approx([0.33, 0.335])
+    assert (common["change_better_pairs"], common["change_worse_pairs"]) == (2, 0)
+    assert common["parent"] == pytest.approx({"median": 0.35, "q1": 0.35, "q3": 0.35})
+    assert common.keys() == {k for k in wall if k != "compare"}
+    assert section["cpu_s"]["compare"]["runs_change"] == pytest.approx([0.66, 0.67])
+    # with no input common to every run there is nothing to compare
+    apart = bench_pairs.reduce_runs([_run(0.3, ops={0: 0.3})], [_run(0.3, ops={1: 0.3})],
+                                    10.0, trace=False)
+    assert apart["inputs"] == [] and "compare" not in apart["wall_s"]
 
 
 def _traced(overhead, *ops):

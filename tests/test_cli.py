@@ -184,6 +184,35 @@ def test_audit_bad_grid_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value, named", [
+    ("0.5,0.5000001,0.5", "0.5, 0.5000001, 0.5"),  # alike under %g, and a repeat
+    ("0,0.25,-0", "0, -0"),
+    ("1e-7,1.0000001e-7,0.3", "1e-7, 1.0000001e-7"),
+])
+def test_audit_c_grid_alike_under_g_exit_2(tmp_path, capsys, value, named):
+    # entropy.json keys its residuals by the constant under %g, so these
+    # constants used to drop residuals with exit 0
+    assert main(["audit", "--scenario", "transport", "--n", "20", "--snapshots", "65",
+                 "--c-grid", value, "--phi-grid", "1x1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--c-grid" in err and named in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--t-end", "--rel-tol", "--abs-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.5"])
+def test_non_finite_time_or_tolerance_exit_2(tmp_path, capsys, flag, value):
+    # --rel-tol inf ran with error control off, --t-end inf failed with a
+    # numpy RuntimeWarning and a message about min_step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--scenario", "transport", "--n", "20", flag, value,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite positive" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_malformed_scenario(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -301,9 +301,11 @@ def test_distances_match_brute_force(a, b):
     assert abs(w1_distance(a, b) - _w1_brute_force(a, b)) <= 1e-12 * max(1.0, _w1_brute_force(a, b))
 
 
-# Breakpoints drawn from a small pool, so that the two densities share points
-# and hold both zeros; each density's own breakpoints are strictly increasing.
-_POOL = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 2.0, 3.0])
+# Breakpoints drawn from a small pool, so that the two densities share points,
+# hold both zeros and points one ulp apart, whose midpoint rounds onto an end;
+# each density's own breakpoints are strictly increasing.
+_POOL = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 1e-300, 0.25, np.nextafter(0.25, 1.0), 0.5,
+                         np.nextafter(2.0, 0.0), 2.0, 3.0, np.nextafter(3.0, 4.0)])
 
 
 @st.composite
@@ -312,17 +314,6 @@ def _pool_density(draw):
     bp = np.array([draw(st.sampled_from([p, -p])) if p == 0.0 else p for p in points])
     heights = np.ones(bp.size - 1) if bp.size > 1 and draw(st.booleans()) else np.empty(0)
     return PiecewiseDensity(bp, heights)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_pool_density(), b=_pool_density())
-def test_merged_breakpoints_is_bitwise_np_unique(a, b):
-    from pbal.density import _merged_breakpoints
-
-    got = _merged_breakpoints(a, b)
-    want = np.unique(np.concatenate((a.breakpoints, b.breakpoints)))
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero too
 
 
 @settings(max_examples=300, deadline=None)
@@ -364,6 +355,22 @@ def _pool_step(draw):
 def test_w1_bitwise_equals_the_searched_cdfs(a, b):
     b = block(b.breakpoints, b.heights * (total_mass(a) / total_mass(b)))
     assert w1_distance(a, b) == _w1_searched(a, b)
+
+
+def _l1_searched(a, b):
+    """``l1_distance`` with each density searching the merged panels' midpoints."""
+    z = np.unique(np.concatenate((a.breakpoints, b.breakpoints)))
+    if z.size < 2:
+        return 0.0
+    mids = 0.5 * (z[:-1] + z[1:])
+    return float(np.sum(np.abs(a(mids) - b(mids)) * np.diff(z)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(_pool_step(), _pool_density()), b=st.one_of(_pool_step(), _pool_density()))
+def test_l1_bitwise_equals_the_searched_midpoints(a, b):
+    # shared breakpoints, both signs of zero, and empty densities
+    assert l1_distance(a, b) == _l1_searched(a, b)
 
 
 def test_nan_breakpoint_rejected():

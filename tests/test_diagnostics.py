@@ -328,6 +328,15 @@ def test_entropy_rejects_empty_grids_and_non_finite_constants():
             dg.entropy_residual(traj, s, phis=phis, cs=cs)
 
 
+@pytest.mark.parametrize("cs", [[0.5, 0.25, 0.5], [0.0, -0.0]])
+def test_entropy_rejects_repeated_constants(cs):
+    # a repeated constant was one key of the residuals, so a grid of three
+    # constants reported two residuals per test function
+    traj = catalog_run("transport", 20, t_end=0.2, k_snapshots=65)
+    with pytest.raises(ValueError, match="entropy constants must be distinct"):
+        dg.entropy_residual(traj, builtin_catalog("transport"), cs=cs)
+
+
 @pytest.mark.parametrize("tau, ell", [(0.3, 0.0), (0.3, -0.2), (0.0, 0.5), (-0.3, 0.5),
                                       (0.3, np.inf), (np.nan, 0.5)],
                          ids=["ell-0", "ell-negative", "tau-0", "tau-negative", "ell-inf",
@@ -376,18 +385,16 @@ def test_entropy_residual_shrinks_with_n():
 
 
 def _linspace_nodes(p, x_lo, x_hi, w_max):
-    """Gauss nodes and weights from per-gap ``np.linspace`` panels: 4 nodes on
-    a panel no wider than ``CELL_CAP``, 8 on a wider one."""
+    """Gauss nodes and weights from per-gap ``np.linspace`` panels no wider
+    than min(w_max, CELL_CAP), 4 nodes on every panel."""
     pts = np.unique(np.asarray([x_lo, x_hi] + [x for x in p.x if x_lo < x < x_hi]))
+    cap = min(w_max, dynamics.CELL_CAP)
+    g, w = np.polynomial.legendre.leggauss(4)
     nodes, weights = [], []
     for a, b in zip(pts[:-1], pts[1:]):
-        edges = np.linspace(a, b, max(1, int(np.ceil((b - a) / w_max))) + 1)
+        edges = np.linspace(a, b, max(1, int(np.ceil((b - a) / cap))) + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            if hi - lo <= dynamics.CELL_CAP:
-                g, w = dynamics.GL4_NODES, dynamics.GL4_WEIGHTS
-            else:
-                g, w = dynamics.GL8_NODES, dynamics.GL8_WEIGHTS
             nodes.append(mid + half * g)
             weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -457,18 +464,34 @@ def test_quadrature_nodes_match_linspace_panels():
 @pytest.mark.parametrize("name", ["attractive_congested", "repulsive_source"])
 def test_entropy_residual_close_to_a_16_node_reference(name, monkeypatch):
     # the reference takes 16 Gauss nodes on each of the same panels, a
-    # quarter as wide as the 8-node panels of the former rule, which erred by
+    # quarter as wide as the 8-node panels of an earlier rule, which erred by
     # more than 2e-8 here
     traj = catalog_run(name, 200, k_snapshots=385)
     s = builtin_catalog(name)
     got = dg.entropy_residual(traj, s).residuals
     g16, w16 = np.polynomial.legendre.leggauss(16)
-    for rule in ("GL4", "GL8"):
-        monkeypatch.setattr(dynamics, f"{rule}_NODES", g16)
-        monkeypatch.setattr(dynamics, f"{rule}_WEIGHTS", w16)
+    monkeypatch.setattr(dynamics, "GL4_NODES", g16)
+    monkeypatch.setattr(dynamics, "GL4_WEIGHTS", w16)
     ref = dg.entropy_residual(traj, s).residuals
     assert list(got) == list(ref)
     assert max(abs(got[key] - value) for key, value in ref.items()) <= 2e-9
+
+
+def test_wide_domain_audit_close_to_a_16_node_reference(monkeypatch):
+    # min(ell)/32 = 0.213 exceeds CELL_CAP here, so the audit's panels are
+    # capped at CELL_CAP; the former rule took 8 nodes on 0.213-wide panels
+    # and erred by 5.8e-10, these panels by 1.7e-10
+    traj = catalog_run("repulsive_source", 200, t_end=4.0, k_snapshots=257)
+    s = builtin_catalog("repulsive_source")
+    assert min(tf.ell for tf in dg.default_phi_grid(traj)) / 32 > dynamics.CELL_CAP
+    got = dg.entropy_residual(traj, s).residuals
+    g16, w16 = np.polynomial.legendre.leggauss(16)
+    monkeypatch.setattr(dynamics, "GL4_NODES", g16)
+    monkeypatch.setattr(dynamics, "GL4_WEIGHTS", w16)
+    monkeypatch.setattr(dynamics, "CELL_CAP", dynamics.CELL_CAP / 4)
+    ref = dg.entropy_residual(traj, s).residuals
+    assert list(got) == list(ref)
+    assert max(abs(got[key] - value) for key, value in ref.items()) <= 3e-10
 
 
 @pytest.mark.parametrize("potential", [None, quadratic_potential()])

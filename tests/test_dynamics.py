@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from pbal import builtin_catalog, builtin_initial, quantile_init
+from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
 from pbal.density import ParticleSystem, to_density
 from pbal.dynamics import (convolve_dxW_arrays, convolve_dxW_generic, dxU_field_arrays,
                            rhs_arrays, source_rate_arrays, u_field_arrays, upwind_arrays)
@@ -425,25 +425,36 @@ def _gauss_as_first_written(f, t, mid, half, rho, g, w):
 
 
 def _source_as_first_written(t, x, rho, s):
-    """The cell rule: 4 Gauss nodes per cell, node-major, then 8 on the cells
-    wider than ``CELL_CAP``."""
+    """The cell rule: 4 Gauss nodes per cell, node-major, then each cell
+    wider than ``CELL_CAP`` again on its ``np.linspace`` panels, 4 nodes each,
+    summed by ``np.add.reduceat``."""
     mid = 0.5 * (x[1:] + x[:-1])
     half = 0.5 * np.diff(x)
-    out = _gauss_as_first_written(s.source.f, t, mid, half, rho,
-                                  dynamics.GL4_NODES, dynamics.GL4_WEIGHTS)
-    wide = np.diff(x) > dynamics.CELL_CAP
-    out[wide] = _gauss_as_first_written(s.source.f, t, mid[wide], half[wide], rho[wide],
-                                        dynamics.GL8_NODES, dynamics.GL8_WEIGHTS)
+    g, w = np.polynomial.legendre.leggauss(4)
+    out = _gauss_as_first_written(s.source.f, t, mid, half, rho, g, w)
+    wide = np.flatnonzero(np.diff(x) > dynamics.CELL_CAP)
+    edges = [np.linspace(x[i], x[i + 1], int(np.ceil((x[i + 1] - x[i]) / dynamics.CELL_CAP)) + 1)
+             for i in wide]
+    if not edges:
+        return out
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    rho_panels = np.concatenate([np.full(e.size - 1, rho[i]) for i, e in zip(wide, edges)])
+    panels = _gauss_as_first_written(s.source.f, t, 0.5 * (lo + hi), 0.5 * (hi - lo),
+                                     rho_panels, g, w)
+    counts = np.array([e.size - 1 for e in edges])
+    out[wide] = np.add.reduceat(panels, np.cumsum(counts) - counts)
     return out
 
 
 def _source_8_node(t, x, rho, s):
     """The 8-node rule on every cell, cell-major: the rule before the cell rule."""
+    g8, w8 = np.polynomial.legendre.leggauss(8)
     half = 0.5 * np.diff(x)
-    nodes = 0.5 * (x[1:] + x[:-1])[:, None] + half[:, None] * dynamics.GL8_NODES[None, :]
+    nodes = 0.5 * (x[1:] + x[:-1])[:, None] + half[:, None] * g8[None, :]
     vals = np.broadcast_to(np.asarray(s.source.f(t, nodes, rho[:, None]), dtype=float),
                            nodes.shape)
-    return (vals @ dynamics.GL8_WEIGHTS) * half
+    return (vals @ w8) * half
 
 
 def _source_test_states(tmp_path, rng, which, n):
@@ -486,14 +497,14 @@ def test_cell_rule_rates_match_the_8_node_rule(tmp_path, rng, which, n):
             assert np.all(np.abs(source_rate_arrays(t, x, rho, s) - old) <= 1e-15 * np.abs(old))
 
 
-def test_cell_wider_than_the_cap_gets_8_nodes():
+def test_cell_wider_than_the_cap_is_split():
     # transport's blocks leave a vacuum gap of 0.5; at N = 40 one cell spans
     # it and every other cell is within the cap
     shapes = []
 
     def f(t, x, rho):
         shapes.append(np.shape(x))
-        return rho * x ** 15
+        return rho * x ** 7
 
     s = make_scenario(source=Source(f=f, c_f=1.0, drho_f_bound=const(1.0)))
     x = quantile_init(builtin_initial("transport"), 40).x
@@ -501,39 +512,102 @@ def test_cell_wider_than_the_cap_gets_8_nodes():
     wide = np.flatnonzero(np.diff(x) > dynamics.CELL_CAP)
     assert wide.size == 1 and np.diff(x)[wide[0]] > 0.5
     got = source_rate_arrays(0.3, x, rho, s)
-    assert shapes == [(4, x.size - 1), (8, 1)]
+    m = int(np.ceil(np.diff(x)[wide[0]] / dynamics.CELL_CAP))
+    assert shapes == [(4, x.size - 1), (4, m)]
     assert got.tobytes() == _source_as_first_written(0.3, x, rho, s).tobytes()
-    a, b = x[wide[0]], x[wide[0] + 1]  # 8 nodes integrate degree 15 exactly
-    assert got[wide[0]] == pytest.approx(rho[wide[0]] * (b ** 16 - a ** 16) / 16, rel=1e-14)
+    a, b = x[wide[0]], x[wide[0] + 1]  # 4 nodes per panel integrate degree 7 exactly
+    assert got[wide[0]] == pytest.approx(rho[wide[0]] * (b ** 8 - a ** 8) / 8, rel=1e-14)
+
+
+def _rule_bound(degree, lo, hi):
+    """The module's error bound for x^degree on the panel [lo, hi]: w^9 / 1.78e9
+    times the largest eighth derivative there."""
+    d8 = np.prod(np.arange(degree - 7, degree + 1)) * np.maximum(abs(lo), abs(hi)) ** (degree - 8)
+    return (hi - lo) ** 9 / 1.78e9 * d8
 
 
 @pytest.mark.parametrize("degree", range(16))
 def test_cell_rule_exact_for_polynomials(degree):
-    # 4 nodes integrate degree <= 7 exactly, 8 nodes degree <= 15; with each
-    # panel mapped onto [-1, 1] an even degree above 7 shows the 4-node error
+    # 4 nodes integrate degree <= 7 exactly on every panel; with each panel
+    # mapped onto [-1, 1] an even degree above 7 shows the rule's error
     lo = np.array([-2.0, -0.3, -0.25, 0.01, 0.5, 1.0])
     hi = np.array([-1.0, -0.25, -0.2, 0.0625 + 0.01, 0.6, 2.5])
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    wide = hi - lo > dynamics.CELL_CAP
-    assert wide.any() and not wide.all()
-    nodes, weights, counts = dynamics.cell_rule_panels(mid, half)
-    assert np.array_equal(counts, np.where(wide, 8, 4))
-    assert np.all(np.diff(nodes) > 0)
-    u = (nodes - np.repeat(mid, counts)) / np.repeat(half, counts)
-    got = np.add.reduceat(weights * u ** degree, np.cumsum(counts) - counts)
-    err = np.abs(got - half * (1 + (-1) ** degree) / (degree + 1)) / half
-    assert np.all(err[wide] <= 1e-14)
-    assert np.all(err[~wide] <= 1e-14) == (degree <= 7 or degree % 2 == 1)
-    # the source term takes the same rule with each cell one panel
+    mid, half, m = dynamics.cell_panels(lo, hi, dynamics.CELL_CAP)
+    assert np.array_equal(m, [16, 1, 1, 1, 2, 24])
+    g, w = dynamics.GL4_NODES, dynamics.GL4_WEIGHTS
+    nodes = (mid[:, None] + half[:, None] * g).ravel()
+    assert np.all(np.diff(nodes) > 0) and np.all(2.0 * half <= dynamics.CELL_CAP)
+    err = np.abs(w @ g[:, None] ** degree - (1 + (-1) ** degree) / (degree + 1))
+    assert (err <= 1e-14) == (degree <= 7 or degree % 2 == 1)
+    # the source term takes the same rule, a cell wider than the cap on its panels
     x = np.array([-2.0, -1.0, -0.98, -0.9, -0.85, 0.7, 0.71])
     s = make_scenario(source=Source(f=lambda t, x, rho: rho * x ** degree, c_f=1.0,
                                     drho_f_bound=const(1.0)))
     want = (x[1:] ** (degree + 1) - x[:-1] ** (degree + 1)) / (degree + 1)
     rates = source_rate_arrays(0.0, x, np.ones(x.size - 1), s)
-    exact = np.abs(rates - want) <= 1e-14 * np.maximum(1.0, np.abs(want))
     wide = np.diff(x) > dynamics.CELL_CAP
     assert wide.any() and not wide.all()
-    assert exact[wide].all() and (degree > 7 or exact.all())
+    if degree <= 7:
+        assert np.all(np.abs(rates - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    else:  # within the documented bound, summed over each cell's panels
+        mid, half, m = dynamics.cell_panels(x[:-1], x[1:], dynamics.CELL_CAP)
+        bound = np.add.reduceat(_rule_bound(degree, mid - half, mid + half), np.cumsum(m) - m)
+        assert np.all(np.abs(rates - want) <= bound + 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-10.0, 10.0), width=st.floats(1e-6, 20.0), cap=st.floats(1e-3, 10.0),
+       more=st.lists(st.floats(1e-6, 5.0), max_size=4))
+def test_cell_panels_are_the_fewest_linspace_panels_within_the_cap(a, width, cap, more):
+    b = np.cumsum([a + width] + more)
+    a = np.concatenate(([a], b[:-1]))
+    assume(np.all(b > a))
+    mid, half, m = dynamics.cell_panels(a, b, cap)
+    assert m.dtype == np.intp and mid.size == half.size == m.sum()
+    k = 0
+    for lo, hi, count in zip(a, b, m):
+        e = np.linspace(lo, hi, count + 1)
+        assert np.array_equal(mid[k:k + count], 0.5 * (e[:-1] + e[1:]))
+        assert np.array_equal(half[k:k + count], 0.5 * (e[1:] - e[:-1]))
+        k += count
+        # the panels tile [lo, hi] in order, none wider than the cap (up to
+        # the rounding of the edges), and one panel fewer would not do
+        assert e[0] == lo and e[-1] == hi and np.all(np.diff(e) > 0)
+        ulps = 8 * np.finfo(float).eps * max(abs(lo), abs(hi), cap)
+        assert np.all(np.diff(e) <= cap + ulps)
+        assert count == 1 or (hi - lo) > (count - 1) * cap * (1 - 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("lo, hi, rel", [
+    (-0.35, 0.35, 1e-10), (-0.65, 0.65, 1e-10),  # inside the bump's support
+    (0.6, 1.3, 1e-7), (-1.6, -0.3, 1e-7), (-1.85, 1.85, 1e-7), (-1.0, 2.7, 1e-7),
+])
+def test_wide_cells_take_the_bump_source_to_a_fine_reference(lo, hi, rel):
+    # cells 0.7, 1.3 and 3.7 wide against 16 nodes on panels of CELL_CAP/64.
+    # The former 8-node rule erred by 3.6e-13, 2.0e-8, 3.3e-3, 2.2e-3, 2.4e-2
+    # and 4.5e-2 relative here.  On a cell holding an end of the bump's
+    # support, where its high derivatives grow steeply, 4 nodes per panel
+    # leave up to 4e-8; inside the support they leave 2e-13.
+    s = builtin_catalog("repulsive_source")
+    x, rho = np.array([lo, hi]), np.array([0.6])
+    g16, w16 = np.polynomial.legendre.leggauss(16)
+    mid, half, m = dynamics.cell_panels(x[:-1], x[1:], dynamics.CELL_CAP / 64)
+    ref = (s.source.f(0.0, mid[:, None] + half[:, None] * g16, rho) @ w16) @ half
+    assert source_rate_arrays(0.0, x, rho, s)[0] == pytest.approx(ref, rel=rel, abs=0)
+
+
+def test_sourced_mass_matches_a_16_node_run(monkeypatch):
+    # N = 24 leaves cells wider than the cap over the bump; the former 8-node
+    # rule ended 4.0e-4 low
+    mass = catalog_run("repulsive_source", 24, t_end=4.0, k_snapshots=2).snapshots[-1].total_mass()
+    g16, w16 = np.polynomial.legendre.leggauss(16)
+    monkeypatch.setattr(dynamics, "GL4_NODES", g16)
+    monkeypatch.setattr(dynamics, "GL4_WEIGHTS", w16)
+    monkeypatch.setattr(dynamics, "CELL_CAP", dynamics.CELL_CAP / 4)
+    s = builtin_catalog("repulsive_source")
+    ref = integrate(quantile_init(builtin_initial("repulsive_source"), 24), s,
+                    SolverConfig(t_end=4.0, snapshot_times=np.array([0.0, 4.0])))
+    assert mass == pytest.approx(ref.snapshots[-1].total_mass(), rel=1e-8, abs=0)
 
 
 # ---------------------------------------------------------------- dxU field

@@ -193,6 +193,18 @@ def test_config_validation():
         SolverConfig(t_end=1.0, snapshot_times=np.array([0.0, 2.0])).resolved()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("t_end", np.inf), ("t_end", np.nan), ("rel_tol", np.inf), ("abs_tol", np.inf),
+    ("rel_tol", np.nan), ("abs_tol", 0.0),
+])
+def test_config_rejects_non_finite_time_and_tolerances(name, value):
+    # an infinite tolerance turned error control off, and an infinite t_end
+    # failed later on min_step < max_step with a RuntimeWarning first
+    cfg = SolverConfig(**{"t_end": 1.0, name: value}, snapshot_times=np.array([0.0]))
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
+        cfg.resolved()
+
+
 _two_blocks = st.tuples(
     st.floats(-1.0, 0.0),   # left end
     st.floats(0.2, 0.8),    # left width

@@ -16,9 +16,12 @@ removed.
 The runs become one section of ``--out`` (created when missing, other
 sections kept), keyed ``"<workload> seed=<S> trace=<T> seconds=<X>"``: for
 an untraced run, each end-to-end metric's median and quartiles per side,
-the pairs each side won and every run's value; for a traced run, each
-per-layer metric's median over the traced ops of the inputs that every run
-traced, so that a count compares like with like.  ``--claim METRIC`` also
+the pairs each side won and every run's value, and beside them a
+``compare`` block of the same fields whose per-run values are medians over
+only the ops of the inputs that every run ran (listed as ``inputs``); for a
+traced run, each per-layer metric's median over the traced ops of the inputs
+that every run traced.  A run covers the inputs that fit in its time, so
+only the common inputs compare like with like.  ``--claim METRIC`` also
 records whether METRIC's gain meets the rule of the benchmark guide: the
 change wins at least nine tenths of the pairs, and the medians differ by
 more than the parent's interquartile range.
@@ -64,7 +67,8 @@ def export(side: str, dest: Path) -> str:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its JSON result, and from its
-    result file the machine record and each traced op's input and layers."""
+    result file the machine record, each traced op's input and layers, and
+    each untraced op's input and end-to-end values when it did not fail."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds),
@@ -76,7 +80,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
     record = json.loads(result_file.read_text())
     shutil.rmtree(result_file.parent)
     return {"result": json.loads(lines[-1]), "machine": record["machine"],
-            "traced": [(op["input"], op["layers"]) for op in record["ops"] if "layers" in op]}
+            "traced": [(op["input"], op["layers"]) for op in record["ops"] if "layers" in op],
+            "untraced": [(op["input"], {name: op[name] for name in END_TO_END if name in op})
+                         for op in record["ops"] if not op["trace"] and not op["failures"]]}
 
 
 def _quartiles(values):
@@ -109,6 +115,17 @@ def _values(runs, name):
     return [run["result"]["metrics"][name]["value"] for run in runs]
 
 
+def _common_inputs(runs, kind):
+    """The inputs that every run's ``kind`` ops (traced or untraced) cover."""
+    return set.intersection(*({i for i, _ in run[kind]} for run in runs))
+
+
+def _common_medians(runs, name, inputs):
+    """Each run's median of ``name`` over its untraced ops on ``inputs``."""
+    return [statistics.median(values[name] for i, values in run["untraced"] if i in inputs)
+            for run in runs]
+
+
 def reduce_runs(parent_runs, change_runs, seconds, trace):
     """The BENCH section of paired runs (``parent_runs[k]`` and
     ``change_runs[k]`` form pair ``k``)."""
@@ -126,8 +143,7 @@ def reduce_runs(parent_runs, change_runs, seconds, trace):
     if trace:
         # a run traces the inputs that fit in its time, so a faster side traces
         # more of them; the layer medians are over the inputs every run traced
-        common = set.intersection(*({i for i, _ in run["traced"]}
-                                    for run in parent_runs + change_runs))
+        common = _common_inputs(parent_runs + change_runs, "traced")
         section["inputs"] = sorted(common)
         for side, runs in (("parent", parent_runs), ("change", change_runs)):
             ops = [layers for run in runs for i, layers in run["traced"] if i in common]
@@ -136,8 +152,13 @@ def reduce_runs(parent_runs, change_runs, seconds, trace):
             if overhead:
                 section[side]["trace.overhead_s"] = statistics.median(overhead)
         return section
+    common = _common_inputs(parent_runs + change_runs, "untraced")
+    section["inputs"] = sorted(common)
     for name, unit in END_TO_END.items():
         section[name] = compare(_values(parent_runs, name), _values(change_runs, name), unit)
+        if common:
+            section[name]["compare"] = compare(_common_medians(parent_runs, name, common),
+                                               _common_medians(change_runs, name, common), unit)
     return section
 
 
