@@ -99,8 +99,10 @@ def _moment_convolution(x, rho, chain, y, gaps, cell):
     C = cum if y is None else step_cdf_arrays(x, rho, y, cum, cell)
     M = float(mass.sum())
     g_jump, g_neg = chain[0]
-    if len(chain) == 1:
-        return g_jump[0] * C + g_neg[0] * M
+    if len(chain) == 1:  # g_jump[0] * C + g_neg[0] * M, in C's buffer
+        C *= g_jump[0]
+        C += g_neg[0] * M
+        return C
     shift = 0.5 * (x[0] + x[-1])
     X = x - shift
     Y = X if y is None else y - shift
@@ -127,7 +129,8 @@ def convolve_dxW_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None)
         return np.zeros(np.shape(x if y is None else y))
     out = _moment_convolution(x, rho, pot.moment_chain, y,
                               np.diff(x) if gaps is None else gaps, cell)
-    out *= pot.factor(t)
+    if pot.time_factor is not None:
+        out *= pot.factor(t)
     return out
 
 
@@ -140,12 +143,22 @@ def convolve_dxW_generic(t, x, rho, s: Scenario, y):
     return _difference_convolution(pot.W, x, rho, y) * pot.factor(t)
 
 
+# Floats in one chunk of the difference matrix: its rows are formed a chunk
+# at a time, so its memory is O(N) per chunk whatever the number of points.
+DIFFERENCE_CHUNK = 1 << 16
+
+
 def _difference_convolution(F, x, rho, y):
-    """sum_j rho_j [F(y - x_j) - F(y - x_{j+1})] through the (len(y), N+1)
-    matrix of F values: the step density convolved with F', exact for an F
-    continuous at 0, whose derivative has no atom there."""
-    fd = F(y[:, None] - x[None, :])
-    return (fd[:, :-1] - fd[:, 1:]) @ rho
+    """sum_j rho_j [F(y - x_j) - F(y - x_{j+1})] through the matrix of F
+    values, ``DIFFERENCE_CHUNK // (N+1)`` rows of it at a time: the step
+    density convolved with F', exact for an F continuous at 0, whose
+    derivative has no atom there."""
+    out = np.empty(y.size)
+    rows = max(1, DIFFERENCE_CHUNK // x.size)
+    for lo in range(0, y.size, rows):
+        fd = F(y[lo: lo + rows, None] - x[None, :])
+        np.matmul(fd[:, :-1] - fd[:, 1:], rho, out=out[lo: lo + rows])
+    return out
 
 
 def u_field_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None):
@@ -174,28 +187,32 @@ def upwind_arrays(rho, s: Scenario, U):
     return np.where(U >= 0.0, vr[1:], vr[:-1])
 
 
-def _gauss_panels(f, t, mid, half, rho):
+def _gauss_panels(f, t, mid, half, rho, out=None):
     """The cell rule for ``f(t, x, rho)`` on each panel, node-major."""
     nodes = np.multiply.outer(GL4_NODES, half)
     nodes += mid
     vals = np.asarray(f(t, nodes, rho), dtype=float)
     if vals.shape != nodes.shape:  # a source that does not read x
         vals = np.broadcast_to(vals, nodes.shape)
-    out = GL4_WEIGHTS @ vals
+    out = np.matmul(GL4_WEIGHTS, vals, out=out)
     out *= half
     return out
 
 
-def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None):
+def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None, out=None):
     """Source integral over each cell by the cell rule: each cell one panel,
     then the cells wider than ``CELL_CAP`` again on their ``cell_panels``;
-    ``gaps`` is ``np.diff(x)`` when the caller already has it."""
+    ``gaps`` is ``np.diff(x)`` when the caller already has it, and the rates
+    go into ``out`` (``rho.size`` floats) when given."""
     src = s.source
     if src.c_f == 0.0:
-        return np.zeros(rho.size)
+        if out is None:
+            return np.zeros(rho.size)
+        out.fill(0.0)
+        return out
     gaps = np.diff(x) if gaps is None else gaps
     mid = 0.5 * (x[1:] + x[:-1])
-    out = _gauss_panels(src.f, t, mid, 0.5 * gaps, rho)
+    out = _gauss_panels(src.f, t, mid, 0.5 * gaps, rho, out)
     wide = np.flatnonzero(gaps > CELL_CAP)
     if wide.size:
         mid, half, m = cell_panels(x[wide], x[wide + 1], CELL_CAP)
@@ -220,8 +237,7 @@ def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None):
     if out is None:
         out = np.empty(x.size + q.size)
     xdot = np.multiply(v_sel, U, out=out[: x.size])
-    qdot = out[x.size:]
-    qdot[:] = source_rate_arrays(t, x, rho, s, gaps=gaps)
+    qdot = source_rate_arrays(t, x, rho, s, gaps=gaps, out=out[x.size:])
     return xdot, qdot, U, v_sel
 
 

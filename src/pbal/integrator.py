@@ -11,6 +11,18 @@ whose upwind sign pattern flips is halved down to ``min_step`` and then
 accepted (locally first order at switching times).  A degenerate stage state
 or a near-collision halves the step, and at the step floor raises
 ``CollisionExtinctionError``.
+
+One workspace per ``_dopri5`` call holds the stages ``k``, the stage state
+and the error vector.  ``_stage_sum`` forms each stage state ``y + h *
+(k[:i].T @ A_i)`` and the error vector there by the operations of that
+expression (``np.matmul(..., out=)``, ``*= h``, ``+= y``), so every output
+keeps its bits; stage 1, a matmul with inner dimension 1, is the one product
+``k_0 * a_10``.  Only ``y_new`` is allocated per step, so an accepted state
+is never overwritten, and ``integrate``'s error norm reuses two buffers.
+The upwind switch test first compares sign bits: a switch needs opposite
+signs beyond a band of at least 1e-12, so two states whose sign bits all
+agree have none.  This prefilter is exact and, unlike ``U0 * U1 < 0``, does
+not warn on ``inf * 0`` or on overflow.
 """
 
 from __future__ import annotations
@@ -65,10 +77,14 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         max_step = self.max_step if self.max_step is not None else self.t_end / 10.0
         min_step = self.min_step if self.min_step is not None else 1e-10 * self.t_end
+        if not 0.0 < min_step < np.inf:  # a step floor never reached hangs integrate
+            raise ValueError(f"min_step must be finite and positive, got {min_step}")
         if self.snapshot_times is None:
             snaps = np.linspace(0.0, self.t_end, 11)
         else:
             snaps = np.sort(np.asarray(self.snapshot_times, dtype=float))
+            if not np.all(np.isfinite(snaps)):  # a NaN stop is never reached
+                raise ValueError("snapshot_times must be finite")
         if not min_step < max_step:
             raise ValueError(f"need min_step < max_step, got {min_step} >= {max_step}")
         if snaps.size and (snaps[0] < -1e-15 or snaps[-1] > self.t_end * (1 + 1e-12)):
@@ -117,6 +133,10 @@ def step_guard(x_next, gaps=None):
 
 
 def _switch_between(U0, U1):
+    """Whether some ``U_i`` has opposite signs beyond the band in the two
+    states; a pair whose sign bits all agree has none."""
+    if not np.any(np.signbit(U0) ^ np.signbit(U1)):
+        return False
     band = 1e-12 * max(1.0, float(np.max(np.abs(U0))), float(np.max(np.abs(U1))))
     return bool(np.any((U0 > band) & (U1 < -band) | (U0 < -band) & (U1 > band)))
 
@@ -129,6 +149,19 @@ def _growth(err, err_old):
 
 
 _SHRINK, _HALVE = "shrink", "halve"  # a judge's verdicts on a rejected step
+
+
+def _stage_sum(k, a, h, out, y=None):
+    """``h * (k[:len(a)].T @ a)``, plus ``y`` when given, formed in ``out``
+    with the float operations of that expression, so bit for bit."""
+    if len(a) == 1:  # a matmul with inner dimension 1 is the one product
+        np.multiply(k[0, ...], a[0], out=out)
+    else:
+        np.matmul(k[: len(a)].T, a, out=out)
+    out *= h
+    if y is not None:
+        out += y
+    return out
 
 
 def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=()):
@@ -151,7 +184,9 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
     yield t, y, j
     if j == len(stops):
         return
-    k = np.empty((7,) + np.shape(y))
+    shape = np.shape(y)
+    k = np.empty((7,) + shape)
+    stage, err_vec = np.empty(shape), np.empty(shape)
     aux = f(t, y, k[0, ...])  # k[i, ...] is a view also when y is a scalar
     err_old, after_reject = ERR_OLD_FLOOR, False
     h = min(h, max_step)
@@ -161,13 +196,13 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
         h_try = min(h, remaining)
         try:
             for i in range(1, 6):
-                f(t + _C[i] * h_try, y + h_try * (k[:i].T @ _A[i]), k[i, ...])
-            y_new = y + h_try * (k[:6].T @ _A[6])
+                f(t + _C[i] * h_try, _stage_sum(k, _A[i], h_try, stage, y), k[i, ...])
+            y_new = _stage_sum(k, _A[6], h_try, np.empty(shape), y)
             aux_new = f(t + h_try, y_new, k[6, ...])
         except stage_errors as exc:
             verdict = judge(t, h_try, None, aux, None, None, exc)
         else:
-            err = norm(y, y_new, h_try * (k.T @ _E))
+            err = norm(y, y_new, _stage_sum(k, _E, h_try, err_vec))
             verdict = judge(t, h_try, y_new, aux, aux_new, err, None)
         if verdict is not None:
             after_reject = True
@@ -183,6 +218,22 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
             err_old, after_reject = max(err, ERR_OLD_FLOOR), False
         j = advance(j)
         yield t, y, j
+
+
+def _error_norm(abs_tol, rel_tol, size):
+    """``norm(y, y5, err_vec)``: the RMS of ``err_vec / (abs_tol + rel_tol *
+    max(|y|, |y5|))``, by the operations of that expression in two buffers
+    of ``size`` floats, so bit for bit."""
+    work = np.empty((2, size))
+
+    def norm(y, y5, err_vec):
+        scale = np.maximum(np.abs(y, out=work[0]), np.abs(y5, out=work[1]), out=work[0])
+        scale *= rel_tol
+        scale += abs_tol
+        ratio = np.divide(err_vec, scale, out=work[1])
+        return float(np.sqrt(np.mean(np.square(ratio, out=ratio))))
+
+    return norm
 
 
 def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
@@ -201,9 +252,7 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
         stats.rhs_evals += 1
         return U, gaps
 
-    def norm(y, y5, err_vec):
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        return float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+    norm = _error_norm(cfg.abs_tol, cfg.rel_tol, 2 * n + 1)
 
     def judge(t, h, y5, aux1, aux7, err, failure):
         at_floor = h <= min_step * (1 + 1e-9)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,9 @@ def test_source_linear_in_rho():
 def test_source_zero():
     p = ParticleSystem(0.0, [0.0, 1.0], [1.0])
     assert np.allclose(source_rate_arrays(p.t, p.x, p.heights, builtin_catalog("transport")), 0.0)
+    out = np.full(1, np.nan)
+    assert source_rate_arrays(p.t, p.x, p.heights, builtin_catalog("transport"), out=out) is out
+    assert np.array_equal(out, [0.0])
 
 
 def test_source_polynomial_exact():
@@ -483,6 +487,9 @@ def test_source_quadrature_bitwise_equals_the_cell_rule_formula(tmp_path, rng, w
             want = _source_as_first_written(t, x, rho, s).tobytes()
             assert source_rate_arrays(t, x, rho, s).tobytes() == want
             assert source_rate_arrays(t, x, rho, s, gaps=np.diff(x)).tobytes() == want
+            out = np.full(rho.size, np.nan)
+            assert source_rate_arrays(t, x, rho, s, out=out) is out
+            assert out.tobytes() == want
 
 
 @pytest.mark.parametrize("n", [800, 3200])
@@ -674,6 +681,49 @@ def test_dxU_pieces_match_generic(c0, w_neg, w_pos, x, heights, fractions, outsi
     fast = dxU_at(p, make_scenario(potential=pot), y)
     slow = dxU_at(p, make_scenario(potential=generic), y)
     assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
+
+
+def _difference_unchunked(F, x, rho, y):
+    fd = F(y[:, None] - x[None, :])
+    return (fd[:, :-1] - fd[:, 1:]) @ rho
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 401, 1000 * 401, 2000 * 401, dynamics.DIFFERENCE_CHUNK],
+                         ids=["one-row", "three-rows", "two-chunks", "one-chunk", "default"])
+def test_difference_rows_by_chunks_match_one_matrix(monkeypatch, rng, chunk):
+    # a kernel without pieces at N = 400 on 1601 points; a chunk of rows takes
+    # a gemv of its own, so the sums agree to rounding, not to the bit
+    monkeypatch.setattr(dynamics, "DIFFERENCE_CHUNK", chunk)
+    s = _PIN_SCENARIOS[-1]
+    pot = s.potential
+    assert pot.pieces is None
+    p = random_particles(rng, 400)
+    rho = p.heights
+    y = np.sort(np.concatenate((p.x, rng.uniform(p.x[0] - 0.5, p.x[-1] + 0.5, 1200))))
+
+    def G(u):
+        return pot.dxW_neg(np.minimum(u, 0.0)) + pot.dxW_pos(np.maximum(u, 0.0))
+
+    for F in (pot.W, G):
+        want = _difference_unchunked(F, p.x, rho, y)
+        got = dynamics._difference_convolution(F, p.x, rho, y)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
+        if chunk >= y.size * p.x.size:
+            assert np.array_equal(got, want)
+
+
+def test_difference_convolution_memory_is_one_chunk(rng):
+    # the (len(y), N+1) matrices took 15 MB at N = 400 on 1601 points
+    s = _PIN_SCENARIOS[-1]
+    p = random_particles(rng, 400)
+    y = np.linspace(p.x[0], p.x[-1], 1601)
+    tracemalloc.start()
+    try:
+        convolve_dxW_generic(0.0, p.x, p.heights, s, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * dynamics.DIFFERENCE_CHUNK
 
 
 def test_kernels_with_pieces_never_build_the_difference_matrix(monkeypatch, rng):

@@ -196,13 +196,101 @@ def test_config_validation():
 @pytest.mark.parametrize("name, value", [
     ("t_end", np.inf), ("t_end", np.nan), ("rel_tol", np.inf), ("abs_tol", np.inf),
     ("rel_tol", np.nan), ("abs_tol", 0.0),
+    ("min_step", 0.0), ("min_step", -1.0), ("min_step", np.nan), ("min_step", np.inf),
 ])
 def test_config_rejects_non_finite_time_and_tolerances(name, value):
     # an infinite tolerance turned error control off, and an infinite t_end
-    # failed later on min_step < max_step with a RuntimeWarning first
+    # failed later on min_step < max_step with a RuntimeWarning first; a step
+    # floor of 0 or below is never reached, so a collision halved forever
     cfg = SolverConfig(**{"t_end": 1.0, name: value}, snapshot_times=np.array([0.0]))
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
         cfg.resolved()
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.5]])
+def test_config_rejects_non_finite_snapshot_times(times):
+    # a NaN stop sorts last and passed the range check, then was never reached
+    cfg = SolverConfig(t_end=1.0, snapshot_times=np.array(times))
+    with pytest.raises(ValueError, match="^snapshot_times must be finite$"):
+        cfg.resolved()
+
+
+@pytest.mark.parametrize("setup, cfg", [
+    ("catalog", SolverConfig(t_end=0.1, snapshot_times=np.array([0.0, np.nan]))),
+    ("colliding", SolverConfig(t_end=1.0, min_step=0.0)),
+    ("colliding", SolverConfig(t_end=1.0, min_step=-1.0)),
+])
+def test_integrate_rejects_configs_that_never_stop(setup, cfg):
+    # each ran integrate without end: the NaN stop is never reached, and the
+    # colliding run of test_collision_raises_with_location never reaches its
+    # step floor, so it halves forever instead of raising
+    if setup == "catalog":
+        s = builtin_catalog("attractive_congested")
+        p0 = quantile_init(builtin_initial("attractive_congested"), 50)
+    else:
+        s = make_scenario(potential=builtin_catalog("attractive_congested").potential, F=2.0,
+                          branch=Branch.V_DECAYS, name="colliding")
+        p0 = quantile_init(InitialDensity.from_blocks([(-0.5, 0.5, 1.0)]), 4)
+    with pytest.raises(ValueError):
+        integrate(p0, s, cfg)
+
+
+# ------------------------------------------------- the step's arithmetic
+
+@pytest.mark.parametrize("shape", [(3,), (401,), (6401,), ()],
+                         ids=["N1", "N200", "N3200", "scalar"])
+def test_stage_sums_bitwise_equal_the_tableau_expressions(shape, rng):
+    # the workspace forms y + h * (k[:i].T @ A_i) and h * (k.T @ E) with the
+    # same float operations as the expressions themselves
+    for trial in range(20):
+        k = rng.normal(size=(7,) + shape) * 10.0 ** rng.uniform(-3, 3, size=(7,) + shape)
+        y = np.asarray(rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3))
+        h = float(10.0 ** rng.uniform(-6, 0))
+        out = np.full(shape, np.nan)
+        for i in range(1, 7):
+            want = y + h * (k[:i].T @ integrator._A[i])
+            got = integrator._stage_sum(k, integrator._A[i], h, out, y)
+            assert got is out
+            assert got.tobytes() == np.asarray(want).tobytes(), (shape, i)
+        want = h * (k.T @ integrator._E)
+        assert integrator._stage_sum(k, integrator._E, h, out).tobytes() == \
+            np.asarray(want).tobytes(), shape
+
+
+@pytest.mark.parametrize("size", [3, 401, 6401])
+def test_error_norm_bitwise_equals_its_expression(size, rng):
+    for abs_tol, rel_tol in ((1e-8, 1e-8), (1e-4, 1e-6), (1e-12, 0.3), (2, 1)):
+        norm = integrator._error_norm(abs_tol, rel_tol, size)
+        for trial in range(10):
+            y, y5 = rng.normal(size=(2, size)) * 10.0 ** rng.uniform(-4, 4, size=(2, size))
+            e = rng.normal(size=size) * 10.0 ** rng.uniform(-12, 0)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            want = float(np.sqrt(np.mean((e / scale) ** 2)))
+            assert norm(y, y5, e) == want
+
+
+def _switch_four_masks(U0, U1):
+    """The upwind switch test without its prefilter."""
+    band = 1e-12 * max(1.0, float(np.max(np.abs(U0))), float(np.max(np.abs(U1))))
+    return bool(np.any((U0 > band) & (U1 < -band) | (U0 < -band) & (U1 > band)))
+
+
+_BAND = 1e-12  # the band while no |U_i| exceeds 1
+_near_band = st.sampled_from([0.0, -0.0, _BAND, -_BAND, np.nextafter(_BAND, 1.0),
+                              -np.nextafter(_BAND, 1.0), 2 * _BAND, -2 * _BAND,
+                              5e-324, -5e-324, 1.0, -1.0, np.nan])
+_switch_values = st.one_of(_near_band, st.sampled_from([np.inf, -np.inf]),
+                           st.floats(-2.0, 2.0),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=st.one_of(st.lists(st.tuples(_near_band, _near_band), min_size=1, max_size=6),
+                       st.lists(st.tuples(_switch_values, _switch_values),
+                                min_size=1, max_size=12)))
+def test_switch_prefilter_is_exact(pairs):
+    U0, U1 = np.array(pairs).T
+    assert integrator._switch_between(U0, U1) is _switch_four_masks(U0, U1)
 
 
 _two_blocks = st.tuples(
