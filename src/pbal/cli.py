@@ -144,7 +144,7 @@ def cmd_sweep(args):
 
 def cmd_audit(args):
     scenario, rho0 = _resolve_scenario(args.scenario, args.initial)
-    snaps = np.linspace(0.0, args.t_end, max(args.snapshots, 65))
+    snaps = np.linspace(0.0, args.t_end, args.snapshots)
     cfg = _solver_config(args, snapshots=snaps, store_steps=True)
     traj = _run_one(scenario, rho0, args.n, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -270,13 +270,13 @@ def build_parser():
             raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
         return value
 
-    def common(p, snapshots=11):
+    def common(p, snapshots=11, fewest=2):
         p.add_argument("--scenario", required=True,
                        help=f"catalog name ({', '.join(CATALOG_NAMES)}) or scenario file")
         p.add_argument("--t-end", type=finite_positive, default=1.0, dest="t_end")
         p.add_argument("--rel-tol", type=finite_positive, default=1e-8, dest="rel_tol")
         p.add_argument("--abs-tol", type=finite_positive, default=1e-8, dest="abs_tol")
-        p.add_argument("--snapshots", type=at_least(2), default=snapshots,
+        p.add_argument("--snapshots", type=at_least(fewest), default=snapshots,
                        help="number of equispaced snapshot times, 0 and t-end included")
         p.add_argument("--initial", default=None,
                        help="two-column CSV (position, value) overriding the initial density")
@@ -296,7 +296,7 @@ def build_parser():
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="bounds, good-v, entropy and modulus reports")
-    common(p_audit, snapshots=257)
+    common(p_audit, snapshots=257, fewest=diagnostics.MIN_SNAPSHOTS)
     p_audit.add_argument("--n", type=positive_int, required=True)
     p_audit.add_argument("--out", default="audit")
     p_audit.add_argument("--phi-grid", type=phi_grid, default=None, dest="phi_grid",

@@ -159,30 +159,6 @@ def cdf(d: PiecewiseDensity, y, cell=None):
     return float(out) if out.ndim == 0 else out
 
 
-def quantile(d: PiecewiseDensity, m: float) -> float:
-    """Leftmost point where the CDF reaches mass level ``m``.
-
-    Right-continuous generalized inverse restricted to the support, so
-    ``quantile(cdf(x)) <= x`` with equality off flat parts.
-    """
-    mass = total_mass(d)
-    if mass <= 0.0:
-        raise ValueError("quantile of a zero-mass density")
-    if m < -1e-12 * mass or m > mass * (1 + 1e-12):
-        raise ValueError(f"mass level {m} outside [0, {mass}]")
-    m = min(max(m, 0.0), mass)
-    bp = d.breakpoints
-    cum = np.concatenate(([0.0], np.cumsum(d.heights * np.diff(bp))))
-    k = int(np.searchsorted(cum, m, side="left"))
-    if k == 0:
-        return float(bp[0])
-    k -= 1  # cum[k] < m <= cum[k+1]
-    if d.heights[k] == 0.0:
-        # flat CDF panel cannot reach a strictly larger level
-        return float(bp[k + 1])
-    return float(bp[k] + (m - cum[k]) / d.heights[k])
-
-
 def _merge_with_cells(xa, xb):
     """The distinct values z of the sorted xa and xb, with ``cell_index(xa, z)``
     and ``cell_index(xb, z)``, by one merge (a stable sort of two sorted runs)

@@ -347,6 +347,9 @@ def _c_grid(states):
     return [0.0, r_max / 4.0, r_max / 2.0, 3.0 * r_max / 4.0, r_max, 1.1 * r_max]
 
 
+MIN_SNAPSHOTS = 64  # the fewest snapshots the entropy residual's time trapezoid takes
+
+
 @dataclass
 class EntropyResidualReport:
     residuals: dict            # (phi index, c) -> E(phi, c)
@@ -387,7 +390,7 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
 
     Space integrals take ``dynamics``' cell rule on cell-exact panels no
     wider than min(ell)/32 or ``dynamics.CELL_CAP``; the time integral is the
-    trapezoid over the stored snapshots (at least 64 required).  The
+    trapezoid over the stored snapshots (at least ``MIN_SNAPSHOTS``).  The
     constants ``cs`` must be distinct.
 
     With phi = b_t(t) b_x(x) the space integral at one snapshot is
@@ -398,8 +401,9 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     the bump's support only.
     """
     times = traj.times
-    if times.size < 64:
-        raise ValueError(f"need >= 64 snapshots for the time trapezoid, got {times.size}")
+    if times.size < MIN_SNAPSHOTS:
+        raise ValueError(f"need >= {MIN_SNAPSHOTS} snapshots for the time trapezoid, "
+                         f"got {times.size}")
     if phis is None:
         phis = default_phi_grid(traj)
     if cs is None:
@@ -529,11 +533,16 @@ class GoodVViolation:
     rhs: float
 
 
-def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid):
+def good_v_violations_state(t, x, q, U, v_sel, v_callable):
     """Check the four structural inequalities on one state, each up to 1e-10.
 
     They are algebraic consequences of the monotone congestion and the
-    downstream upwinding, so any violation flags a wrong upwind choice.
+    downstream upwinding, so any violation flags a wrong upwind choice.  The
+    "constant" family holds for every real c at once: at interface i, with
+    heights a, b on either side and sigma = sgn(b - a), its left side is
+    2 sigma (v_sel - v(c)) U for c strictly between a and b, half that at
+    c = a or b and 0 elsewhere, so it is largest as c tends to a or to b; each
+    end where that limit exceeds the slack is reported with c set to it.
     """
     slack = 1e-10
     x = np.asarray(x, dtype=float)
@@ -545,14 +554,16 @@ def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid):
     xdot = v_sel * U
     dxdot = xdot[1:] - xdot[:-1]
     dU = U[1:] - U[:-1]
-    v_rho = np.asarray(v_callable(rho), dtype=float)
+    v_ext = dynamics.congestion_on(rho_ext, v_callable)
+    v_rho = v_ext[1:-1]
     out = []
 
     def emit(family, hits, lhs, rhs, shift=1, c=None):
         if not hits.any():
             return
         rhs = np.broadcast_to(rhs, lhs.shape)
-        out.extend(GoodVViolation(t, family, int(i) + shift, c, float(lhs[i]), float(rhs[i]))
+        out.extend(GoodVViolation(t, family, int(i) + shift, None if c is None else float(c[i]),
+                                  float(lhs[i]), float(rhs[i]))
                    for i in np.flatnonzero(hits))
 
     is_max = (rho >= rho_ext[:-2]) & (rho >= rho_ext[2:])
@@ -568,26 +579,20 @@ def good_v_violations_state(t, x, q, U, v_sel, v_callable, c_grid):
     rhs_step = dsig * v_rho * dU
     emit("step", lhs_step > rhs_step + slack, lhs_step, rhs_step)
 
-    for c in c_grid:
-        c = float(c)
-        vc = float(v_callable(c))
-        d = np.sign(rho_ext[1:] - c) - np.sign(rho_ext[:-1] - c)
-        lhs_c = d * (v_sel - vc) * U
-        emit("constant", lhs_c > slack, lhs_c, 0.0, shift=0, c=c)
+    for end, v_end in ((rho_ext[:-1], v_ext[:-1]), (rho_ext[1:], v_ext[1:])):
+        lhs_c = 2.0 * sig * (v_sel - v_end) * U
+        emit("constant", lhs_c > slack, lhs_c, 0.0, shift=0, c=end)
     return out
 
 
 def good_v_audit(traj: Trajectory, s: Scenario):
     """Audit every stored state (all accepted steps when recorded, else the
-    snapshots) against the four inequality families, on ``_c_grid``'s constants."""
+    snapshots) against the four inequality families, each state on its own."""
     states = traj.steps if traj.steps else traj.snapshots
-    c_grid = _c_grid(states)
     violations = []
     for p in states:
         rho = p.heights
         U = dynamics.u_field_arrays(p.t, p.x, rho, s)
         v_sel = dynamics.upwind_arrays(rho, s, U)
-        violations.extend(
-            good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v, c_grid)
-        )
+        violations.extend(good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v))
     return violations

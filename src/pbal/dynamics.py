@@ -181,10 +181,15 @@ def upwind_arrays(rho, s: Scenario, U):
     """
     rho_ext = np.zeros(rho.size + 2)
     rho_ext[1:-1] = rho
-    vr = np.asarray(s.congestion.v(rho_ext), dtype=float)
-    if vr.ndim == 0:  # a constant v may return a scalar
-        vr = np.full(rho_ext.shape, vr)
+    vr = congestion_on(rho_ext, s.congestion.v)
     return np.where(U >= 0.0, vr[1:], vr[:-1])
+
+
+def congestion_on(rho_ext, v):
+    """``v`` on the zero-padded heights ``rho_ext``, one call, as a float
+    array of their shape (a constant v may return a scalar)."""
+    vr = np.asarray(v(rho_ext), dtype=float)
+    return np.full(rho_ext.shape, vr) if vr.ndim == 0 else vr
 
 
 def _gauss_panels(f, t, mid, half, rho, out=None):

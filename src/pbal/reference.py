@@ -154,11 +154,9 @@ def interface_velocity(g: GridState, s: Scenario, spectrum=None, *, V=None) -> n
 def _flux_mirrored(U, rho_ext, v, out=None):
     """Interface fluxes up * rho_l * v_r + dn * rho_r * v_l for the zero-padded
     cells ``rho_ext``, in the first of the two ``U``-sized buffers ``out``;
-    ``v`` is called once on the padded density, as in ``dynamics.upwind_arrays``."""
+    ``v`` is read by ``dynamics.congestion_on``, as in ``dynamics.upwind_arrays``."""
     F, G = (np.empty(U.size), np.empty(U.size)) if out is None else out
-    vr = np.asarray(v(rho_ext), dtype=float)
-    if vr.ndim == 0:  # a constant v may return a scalar
-        vr = np.full(rho_ext.shape, vr)
+    vr = dynamics.congestion_on(rho_ext, v)
     np.maximum(U, 0.0, out=F)
     F *= rho_ext[:-1]
     F *= vr[1:]

@@ -97,7 +97,7 @@ def test_criterion_4_good_v_audit():
     U = np.array([1.0, 1.0, 1.0])
     rho_ext = np.array([0.0, 0.2, 0.8, 0.0])
     wrong = dg.good_v_violations_state(0.0, p.x, p.q, U, s.congestion.v(rho_ext[:-1]),
-                                       s.congestion.v, [0.5])
+                                       s.congestion.v)
     elapsed = time.perf_counter() - t0
     ok = not violations and len(wrong) >= 1 and elapsed <= 30.0
     report(4, ok, f"{total_states} accepted states audited, 0 violations; "

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pbal.cli import main
+from pbal.diagnostics import MIN_SNAPSHOTS
 from pbal.expressions import compile_expression
 from pbal.scenario import load_scenario
 
@@ -233,7 +234,7 @@ def test_audit_scenario_file_constant_dxV(tmp_path):
     path.write_text(json.dumps(doc))
     out = tmp_path / "audit"
     assert main(["audit", "--scenario", str(path), "--n", "20", "--t-end", "0.5",
-                 "--snapshots", "9", "--out", str(out)]) == 0
+                 "--snapshots", "65", "--out", str(out)]) == 0
     assert (out / "entropy.json").exists()
 
 
@@ -295,7 +296,7 @@ def test_audit_of_W_alone_equals_declared_branches(tmp_path):
         path = _with_potential(tmp_path, potential, f"scenario{k}.json")
         outs.append(tmp_path / f"audit{k}")
         assert main(["audit", "--scenario", str(path), "--n", "20", "--t-end", "0.5",
-                     "--snapshots", "9", "--out", str(outs[-1])]) == 0
+                     "--snapshots", "65", "--out", str(outs[-1])]) == 0
     names = sorted(f.name for f in outs[0].iterdir())
     assert names == sorted(f.name for f in outs[1].iterdir()) and "entropy.json" in names
     for name in names:
@@ -586,6 +587,16 @@ def test_fewer_than_two_snapshots_exit_2(tmp_path, capsys, argv, count):
     assert main([*argv, "--scenario", "transport", "--snapshots", count,
                  "--out", str(tmp_path / "out")]) == 2
     assert "--snapshots" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", ["10", "63"])
+def test_audit_with_fewer_snapshots_than_the_trapezoid_takes_exit_2(tmp_path, capsys, count):
+    # the entropy residual needs MIN_SNAPSHOTS; a smaller count is refused, not raised
+    assert main(["audit", "--scenario", "transport", "--n", "10", "--snapshots", count,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f">= {MIN_SNAPSHOTS}, got {count}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -566,16 +566,30 @@ def test_good_v_catalog_run_clean():
 
 def test_good_v_wrong_upwinding_detected():
     # rho = (0.2, 0.8), U > 0, upstream congestion forced: violates the
-    # constant-family inequality for c between the two levels
+    # constant-family inequality for c between the two levels, worst as c
+    # tends to the bracketing height 0.8
     s = builtin_catalog("attractive_congested")
     p = ParticleSystem(0.0, [0.0, 1.0, 2.0], [0.2, 0.8])
     U = np.array([1.0, 1.0, 1.0])
     rho_ext = np.array([0.0, 0.2, 0.8, 0.0])
     wrong_v = s.congestion.v(rho_ext[:-1])  # upstream instead of downstream
-    out = dg.good_v_violations_state(0.0, p.x, p.q, U, wrong_v, s.congestion.v,
-                                     [0.5])
+    out = dg.good_v_violations_state(0.0, p.x, p.q, U, wrong_v, s.congestion.v)
     assert len(out) >= 1
-    assert any(v.family == "constant" and v.c == 0.5 for v in out)
+    assert any(v.family == "constant" and v.index == 1 and v.c == 0.8 for v in out)
+
+
+def test_good_v_flags_a_constant_between_grid_points():
+    # heights (1.0, 0.3, 0.35), U = 1, upstream v(0.3) at particle 2: the
+    # constant family fails for every c in (0.3, 0.35), which no fixed
+    # fraction of the largest height reaches; the worst c tends to 0.35
+    s = builtin_catalog("attractive_congested")
+    p = ParticleSystem(0.0, [0.0, 1.0, 2.0, 3.0], [1.0, 0.3, 0.35])
+    U = np.ones(4)
+    v_sel = upwind_arrays(p.heights, s, U)
+    v_sel[2] = float(s.congestion.v(0.3))
+    out = dg.good_v_violations_state(0.0, p.x, p.q, U, v_sel, s.congestion.v)
+    assert [(v.family, v.index, v.c, v.rhs) for v in out] == [("constant", 2, 0.35, 0.0)]
+    assert out[0].lhs == pytest.approx(0.1, abs=1e-12)
 
 
 def test_good_v_constant_density_clean():
@@ -583,6 +597,5 @@ def test_good_v_constant_density_clean():
     p = ParticleSystem(0.0, [0.0, 1.0, 2.0, 3.0], [0.4, 0.4, 0.4])
     U = u_field_arrays(p.t, p.x, p.heights, s)
     v_sel = upwind_arrays(p.heights, s, U)
-    out = dg.good_v_violations_state(0.0, p.x, p.q, U, v_sel, s.congestion.v,
-                                     [0.0, 0.2, 0.4, 0.6])
+    out = dg.good_v_violations_state(0.0, p.x, p.q, U, v_sel, s.congestion.v)
     assert out == []

@@ -778,15 +778,16 @@ def _seeded_state(seed):
     return p.x, p.q
 
 
+_MODELS = st.one_of(st.sampled_from(("transport", "attractive_congested", "repulsive_source")),
+                    random_models())
+
+
 @settings(max_examples=200, deadline=None)
-@given(state=ordered_states(),
-       model=st.one_of(st.sampled_from(("transport", "attractive_congested",
-                                        "repulsive_source")), random_models()),
-       extra_cs=st.lists(st.floats(0.0, 3.0), max_size=3))
-@example(state=_seeded_state(1), model="transport", extra_cs=[])
-@example(state=_seeded_state(2), model="attractive_congested", extra_cs=[])
-@example(state=_seeded_state(3), model="repulsive_source", extra_cs=[])
-def test_good_v_on_random_states(state, model, extra_cs):
+@given(state=ordered_states(), model=_MODELS)
+@example(state=_seeded_state(1), model="transport")
+@example(state=_seeded_state(2), model="attractive_congested")
+@example(state=_seeded_state(3), model="repulsive_source")
+def test_good_v_on_random_states(state, model):
     # the four inequalities follow from a non-increasing v and the downstream
     # upwinding alone, so they hold for any free velocity U
     x, q = state
@@ -794,10 +795,41 @@ def test_good_v_on_random_states(state, model, extra_cs):
     rho = q / np.diff(x)
     U = u_field_arrays(0.0, x, rho, s)
     v_sel = upwind_arrays(rho, s, U)
-    r_max = float(np.max(rho))
-    c_grid = [0.0, 0.3 * r_max, 0.7 * r_max, r_max, 1.2 * r_max, *extra_cs]
-    out = good_v_violations_state(0.0, x, q, U, v_sel, s.congestion.v, c_grid)
+    out = good_v_violations_state(0.0, x, q, U, v_sel, s.congestion.v)
     assert out == [], out[:3]
+
+
+def _grid_constant_hits(x, q, U, v_sel, v, cs):
+    """The interfaces where the "constant" inequality fails at one of the
+    constants ``cs``, each read by a scalar call of ``v``: the sampled check."""
+    rho_ext = np.concatenate(([0.0], q / np.diff(x), [0.0]))
+    hits = set()
+    for c in cs:
+        d = np.sign(rho_ext[1:] - c) - np.sign(rho_ext[:-1] - c)
+        hits.update(np.flatnonzero(d * (v_sel - float(v(c))) * U > 1e-10).tolist())
+    return hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=ordered_states(), model=_MODELS, data=st.data(),
+       extra_cs=st.lists(st.floats(0.0, 3.0), max_size=4))
+def test_good_v_constant_family_flags_what_any_constant_grid_flags(state, model, data,
+                                                                   extra_cs):
+    # the exact check covers every c, so each interface that fails at some
+    # sampled constant (the quarters of the largest height, 1.1x it, and
+    # random ones) is flagged too, whichever side each particle reads v from
+    x, q = state
+    s = builtin_catalog(model) if isinstance(model, str) else _model_scenario(*model)
+    rho = q / np.diff(x)
+    U = u_field_arrays(0.0, x, rho, s)
+    v_ext = dynamics.congestion_on(np.concatenate(([0.0], rho, [0.0])), s.congestion.v)
+    left = np.array(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    v_sel = np.where(left, v_ext[:-1], v_ext[1:])
+    r_max = float(np.max(rho))
+    cs = [0.0, r_max / 4.0, r_max / 2.0, 3.0 * r_max / 4.0, r_max, 1.1 * r_max, *extra_cs]
+    out = good_v_violations_state(0.0, x, q, U, v_sel, s.congestion.v)
+    flagged = {v.index for v in out if v.family == "constant"}
+    assert _grid_constant_hits(x, q, U, v_sel, s.congestion.v, cs) <= flagged
 
 
 def test_first_difference_bound(rng):
@@ -836,6 +868,5 @@ def test_good_v_holds_along_catalog_run():
     for p in traj.steps:
         U = particle_U(p, s)
         v_sel = upwind_arrays(p.heights, s, U)
-        out = good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v,
-                                      [0.0, 0.25, 0.5, 0.75, 1.0])
+        out = good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v)
         assert out == []
