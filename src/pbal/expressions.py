@@ -58,6 +58,8 @@ def finite_float(value, what):
     """``value`` as a float; a value that is not a number, is too large for a
     float, or is NaN or infinite is a format error naming ``what``."""
     try:
+        if isinstance(value, bool):  # float(True) is 1.0, but true is no number
+            raise TypeError
         out = float(value)
     except OverflowError:
         raise ScenarioFormatError(f"{what} is too large for a float") from None
@@ -110,7 +112,7 @@ class _FloatConstants(ast.NodeTransformer):
         return node
 
     def visit_Constant(self, node):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):  # also rejects True and False
             raise ScenarioFormatError(f"constant not allowed: {_quote(node.value)}")
         return self._constant(node, float, node.value)
 

@@ -6,11 +6,11 @@ controller (no growth right after a rejection).  The particle system is
 stability-limited, where a proportional controller oscillates.  Step
 endpoints are forced onto the snapshot times, so snapshots are genuine scheme
 states; a step shortened to land on one leaves the controller's proposal and
-error history alone.  The right-hand side is only piecewise smooth: a step
-whose upwind sign pattern flips is halved down to ``min_step`` and then
-accepted (locally first order at switching times).  A degenerate stage state
-or a near-collision halves the step, and at the step floor raises
-``CollisionExtinctionError``.
+error history alone.  A step is accepted when its error is at most 1 and
+its state passes the ordering guard; an upwind switch needs no rule of its
+own, since dx_i/dt = v_sel,i * U_i is 0 on both branches where U_i changes
+sign.  A degenerate stage state or a near-collision halves the step, and at
+the step floor raises ``CollisionExtinctionError``.
 
 One workspace per ``_dopri5`` call holds the stages ``k``, the stage state
 and the error vector.  ``_stage_sum`` forms each stage state ``y + h *
@@ -19,10 +19,6 @@ expression (``np.matmul(..., out=)``, ``*= h``, ``+= y``), so every output
 keeps its bits; stage 1, a matmul with inner dimension 1, is the one product
 ``k_0 * a_10``.  Only ``y_new`` is allocated per step, so an accepted state
 is never overwritten, and ``integrate``'s error norm reuses two buffers.
-The upwind switch test first compares sign bits: a switch needs opposite
-signs beyond a band of at least 1e-12, so two states whose sign bits all
-agree have none.  This prefilter is exact and, unlike ``U0 * U1 < 0``, does
-not warn on ``inf * 0`` or on overflow.
 """
 
 from __future__ import annotations
@@ -97,7 +93,6 @@ class StepStats:
     accepted: int = 0
     rejected_error: int = 0
     rejected_guard: int = 0
-    rejected_switch: int = 0
     rhs_evals: int = 0
 
     def as_dict(self):
@@ -132,15 +127,6 @@ def step_guard(x_next, gaps=None):
     return True, "", None
 
 
-def _switch_between(U0, U1):
-    """Whether some ``U_i`` has opposite signs beyond the band in the two
-    states; a pair whose sign bits all agree has none."""
-    if not np.any(np.signbit(U0) ^ np.signbit(U1)):
-        return False
-    band = 1e-12 * max(1.0, float(np.max(np.abs(U0))), float(np.max(np.abs(U1))))
-    return bool(np.any((U0 > band) & (U1 < -band) | (U0 < -band) & (U1 > band)))
-
-
 def _growth(err, err_old):
     """PI step-size factor; ``err_old = 1`` gives the P factor of a rejection."""
     if err == 0.0:
@@ -168,10 +154,11 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
     """Dormand-Prince 5(4) steps from ``(t, y)`` through the increasing ``stops``.
 
     ``f(t, y, dy)`` writes dy/dt into the array ``dy`` and returns ``aux``.
-    ``judge(t, h, y_new, aux, aux_new, err, failure)`` holds the caller's
-    rejection rules: None accepts the step, ``_SHRINK``/``_HALVE`` reject it,
-    raising stops.  ``failure`` is a stage's ``stage_errors`` exception
-    (``y_new``, ``aux_new``, ``err`` are None then).
+    ``judge(t, h, y_new, aux_new, err, failure)`` holds the caller's rejection
+    rules, ``aux_new`` being ``f``'s return at ``y_new``: None accepts the
+    step, ``_SHRINK``/``_HALVE`` reject it, raising stops.  ``failure`` is a
+    stage's ``stage_errors`` exception (``y_new``, ``aux_new``, ``err`` are
+    None then).
     Yields ``(t, y, n)`` at the start and after every accepted step, ``n`` the
     number of stops reached, each exactly.
     """
@@ -187,7 +174,7 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
     shape = np.shape(y)
     k = np.empty((7,) + shape)
     stage, err_vec = np.empty(shape), np.empty(shape)
-    aux = f(t, y, k[0, ...])  # k[i, ...] is a view also when y is a scalar
+    f(t, y, k[0, ...])  # k[i, ...] is a view also when y is a scalar
     err_old, after_reject = ERR_OLD_FLOOR, False
     h = min(h, max_step)
     while j < len(stops):
@@ -200,16 +187,16 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
             y_new = _stage_sum(k, _A[6], h_try, np.empty(shape), y)
             aux_new = f(t + h_try, y_new, k[6, ...])
         except stage_errors as exc:
-            verdict = judge(t, h_try, None, aux, None, None, exc)
+            verdict = judge(t, h_try, None, None, None, exc)
         else:
             err = norm(y, y_new, _stage_sum(k, _E, h_try, err_vec))
-            verdict = judge(t, h_try, y_new, aux, aux_new, err, None)
+            verdict = judge(t, h_try, y_new, aux_new, err, None)
         if verdict is not None:
             after_reject = True
             h = max(h_try * (_growth(err, 1.0) if verdict is _SHRINK else 0.5), min_step)
             continue
         t = stops[j] if hit else t + h_try
-        y, aux = y_new, aux_new
+        y = y_new
         k[0] = k[6]  # FSAL: the next step's first stage
         if h_try == h:
             # a step shortened onto a stop does not feed the controller
@@ -244,17 +231,16 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     stats = traj.step_stats
 
     def f_eval(ti, yi, dy):
-        # aux is (U, gaps): the upwind switch test and the ordering guard
-        # read them off the FSAL stage of the candidate state
+        # the ordering guard reads the gaps off the candidate's FSAL stage
         x = yi[: n + 1]
         gaps = x[1:] - x[:-1]  # np.diff(x), without its call overhead
-        _, _, U, _ = dynamics.rhs_arrays(ti, x, yi[n + 1:], s, gaps=gaps, out=dy)
+        dynamics.rhs_arrays(ti, x, yi[n + 1:], s, gaps=gaps, out=dy)
         stats.rhs_evals += 1
-        return U, gaps
+        return gaps
 
     norm = _error_norm(cfg.abs_tol, cfg.rel_tol, 2 * n + 1)
 
-    def judge(t, h, y5, aux1, aux7, err, failure):
+    def judge(t, h, y5, gaps, err, failure):
         at_floor = h <= min_step * (1 + 1e-9)
         if failure is not None:
             stats.rejected_guard += 1
@@ -266,15 +252,10 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
             verdict, index = _SHRINK, None
             why = f"step underflow at t = {t:.6g}: error control cannot converge"
         else:
-            ok, reason, index = step_guard(y5[: n + 1], aux7[1])
+            ok, reason, index = step_guard(y5[: n + 1], gaps)
             if ok:
-                if at_floor or not _switch_between(aux1[0], aux7[0]):
-                    stats.accepted += 1
-                    return None
-                # Upwind branch flips inside the step: halve until the endpoint
-                # patterns agree or the step floor is reached (then accept).
-                stats.rejected_switch += 1
-                return _HALVE
+                stats.accepted += 1
+                return None
             stats.rejected_guard += 1
             verdict, why = _HALVE, f"collision/extinction at t = {t:.6g} ({reason})"
         if at_floor:
@@ -315,7 +296,7 @@ def solve_scalar_ode(g, t0, y0, t_eval):
     def f(t, y, dy):
         dy[...] = g(t, float(y))
 
-    def judge(t, h, y5, _, __, err, failure):
+    def judge(t, h, y5, _, err, failure):
         if not np.isfinite(y5) or abs(y5) > 1e14:
             raise OverflowError  # blow-up: the rest of ``out`` stays inf
         return _SHRINK if err > 1.0 and h > min_step else None

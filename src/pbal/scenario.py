@@ -270,6 +270,14 @@ def _rows(path, where, rows, width):
     return np.array(values).reshape(len(rows), width)
 
 
+def _non_negative(path, key, value):
+    """``value`` as a finite float of at least 0; errors name ``path: key``."""
+    out = expressions.finite_float(value, f"{path}: {key}")
+    if out < 0.0:
+        raise ScenarioFormatError(f"{path}: {key} must be non-negative, got {out}")
+    return out
+
+
 def _expr(path, doc, section, key, variables, default=None, required=False):
     """Compile ``doc[section][key]`` (else ``default``); errors name ``path: section.key``."""
     text = doc[section].get(key, default)
@@ -405,7 +413,7 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
 
     congestion = Congestion(
         v=expr("congestion", "v", ("r",), required=True),
-        v_sup=expressions.finite_float(con_d.get("v_sup", 1.0), f"{path}: congestion.v_sup"),
+        v_sup=_non_negative(path, "congestion.v_sup", con_d.get("v_sup", 1.0)),
         vprime_bound=expr("congestion", "vprime_bound", ("r",), default="0"),
         decay_g=expr("congestion", "decay_g", ("r",)),
     )
@@ -421,7 +429,7 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
     potential = _potential(path, expr, pot_d)
     source = Source(
         f=expr("source", "f", ("t", "x", "rho"), default="0"),
-        c_f=expressions.finite_float(src_d.get("c_f", 0.0), f"{path}: source.c_f"),
+        c_f=_non_negative(path, "source.c_f", src_d.get("c_f", 0.0)),
         drho_f_bound=expr("source", "drho_f_bound", ("r",), default="0"),
         eta_mass=expr("source", "eta_mass", ("t", "r", "X")),
     )

@@ -430,6 +430,27 @@ def test_non_finite_scenario_number_exit_2(tmp_path, capsys, section, body):
     assert "too large for a float" in err or "not finite" in err
 
 
+@pytest.mark.parametrize("section, body, key, problem", [
+    ("source", {"c_f": -1}, "source.c_f", "must be non-negative, got -1.0"),
+    ("congestion", {"v_sup": -1}, "congestion.v_sup", "must be non-negative, got -1.0"),
+    ("source", {"c_f": True}, "source.c_f", "is not a real number: True"),
+    ("congestion", {"v_sup": False}, "congestion.v_sup", "is not a real number: False"),
+    ("metadata", {"initial": {"blocks": [[-0.6, 0.6, True]]}}, "metadata.initial.blocks",
+     "is not a real number: True"),
+    ("advection", {"V": True}, "advection.V", "is not a real number: True"),
+    ("advection", {"V": "x + True"}, "advection.V", "constant not allowed: True"),
+], ids=["c_f-negative", "v_sup-negative", "c_f-true", "v_sup-false", "block-height-true",
+        "V-true", "V-text-True"])
+def test_signed_or_boolean_scenario_number_exit_2(tmp_path, capsys, section, body, key, problem):
+    # -1 used to run (audit then printed "bounds VIOLATED" with exit 0), and
+    # JSON true was read as 1.0
+    path = _file_scenario(tmp_path, **{section: body})
+    assert main(["run", "--scenario", str(path), "--n", "10",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {key}") and problem in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("V", [10**400, "y"], ids=["huge", "unknown-name"])
 def test_expression_error_names_its_key(tmp_path, capsys, V):
     path = _file_scenario(tmp_path, advection={"V": V})
