@@ -68,6 +68,12 @@ def _prefix_sums(cell):
     return cum
 
 
+def mass_sums(q):
+    """``(cum, total)``: the prefix sums ``[0, cumsum(q)]`` of cell masses
+    ``q`` and their sum, what the m = 0 moment of a convolution reads."""
+    return _prefix_sums(q), float(q.sum())
+
+
 def _prefix_moment(x, rho, y, m, shift, cum, cell):
     """Integral of (z - shift)^m against the step density over z < y (m >= 1),
     from its prefix sums ``cum`` at the particles plus the partial cell;
@@ -81,7 +87,7 @@ def _poly(coef, Y):
     return coef[0] if len(coef) == 1 else P.polyval(Y, coef)
 
 
-def _moment_convolution(x, rho, chain, y, gaps, cell):
+def _moment_convolution(x, rho, chain, y, gaps, cell, sums=None):
     """Prefix-moment form of the primitive differences for a kernel with
     polynomial pieces, ``chain`` being one of its ``Potential`` chains.
 
@@ -91,16 +97,16 @@ def _moment_convolution(x, rho, chain, y, gaps, cell):
     ``y = None`` evaluates at the particles, where L_m is the prefix sum itself
     (the partial-cell term is exactly 0.0), so no point is searched for.
     Constant gradient pieces need neither Y nor a moment m >= 1.
+    ``sums`` is ``mass_sums(q)`` of masses fixed over a run, read in place of
+    ``mass_sums(rho * gaps)``.
     """
-    mass = rho * gaps
-    cum = _prefix_sums(mass)
+    cum, M = mass_sums(rho * gaps) if sums is None else sums
     if y is not None and cell is None:
         cell = cell_index(x, y)
     C = cum if y is None else step_cdf_arrays(x, rho, y, cum, cell)
-    M = float(mass.sum())
     g_jump, g_neg = chain[0]
-    if len(chain) == 1:  # g_jump[0] * C + g_neg[0] * M, in C's buffer
-        C *= g_jump[0]
+    if len(chain) == 1:  # g_jump[0] * C + g_neg[0] * M, in C's buffer unless it is the caller's
+        C = np.multiply(C, g_jump[0], out=None if C is cum and sums is not None else C)
         C += g_neg[0] * M
         return C
     shift = 0.5 * (x[0] + x[-1])
@@ -114,12 +120,14 @@ def _moment_convolution(x, rho, chain, y, gaps, cell):
     return out
 
 
-def convolve_dxW_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None):
+def convolve_dxW_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None,
+                        mass_sums=None):
     """(dxW * rhobar)(y) = sum_j rho_j [W(y - x_j) - W(y - x_{j+1})], exact for
     step densities: by prefix moments when the potential declares polynomial
     pieces, by the (len(y), N+1) difference matrix otherwise.  ``y = None``
     means at the particles ``x``.  ``gaps = np.diff(x)`` and ``cell =
-    cell_index(x, y)`` may be passed when the caller already has them."""
+    cell_index(x, y)`` may be passed when the caller already has them, and
+    ``mass_sums(q)`` of the cell masses ``q`` as ``mass_sums``."""
     pot = s.potential
     if pot.pieces is None:
         return convolve_dxW_generic(t, x, rho, s, x if y is None else y)
@@ -128,7 +136,7 @@ def convolve_dxW_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None)
     if pot.is_zero:
         return np.zeros(np.shape(x if y is None else y))
     out = _moment_convolution(x, rho, pot.moment_chain, y,
-                              np.diff(x) if gaps is None else gaps, cell)
+                              np.diff(x) if gaps is None else gaps, cell, mass_sums)
     if pot.time_factor is not None:
         out *= pot.factor(t)
     return out
@@ -161,15 +169,15 @@ def _difference_convolution(F, x, rho, y):
     return out
 
 
-def u_field_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None):
+def u_field_arrays(t, x, rho, s: Scenario, y=None, *, gaps=None, cell=None, mass_sums=None):
     """U = V - dxW * rhobar at ``y``; ``y = None`` means at the particles ``x``.
-    ``gaps`` and ``cell`` are passed on to ``convolve_dxW_arrays``."""
+    ``gaps``, ``cell`` and ``mass_sums`` are passed on to ``convolve_dxW_arrays``."""
     if y is not None:
         y = np.atleast_1d(np.asarray(y, dtype=float))
     V = getattr(s.advection.V, "constant", None)  # a constant is subtracted as a scalar
     if V is None:
         V = s.advection.V(t, x if y is None else y)
-    conv = convolve_dxW_arrays(t, x, rho, s, y, gaps=gaps, cell=cell)
+    conv = convolve_dxW_arrays(t, x, rho, s, y, gaps=gaps, cell=cell, mass_sums=mass_sums)
     return np.subtract(V, conv, out=conv, dtype=float)
 
 
@@ -226,23 +234,26 @@ def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None, out=None):
     return out
 
 
-def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None):
+def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None, mass_sums=None):
     """Array-level RHS used by the integrator hot loop; raises StageFailure on
     transiently invalid intermediate states.
 
     Returns ``(xdot, qdot, U, v_sel)``; ``xdot`` and ``qdot`` are the two
     parts of ``out``, a buffer of ``x.size + q.size`` floats (allocated when
-    None).  ``gaps`` is ``np.diff(x)`` when the caller already has it.
+    None).  ``out`` may hold ``x.size`` floats only, for ``xdot``; ``qdot``
+    is then a new array.  ``gaps`` is ``np.diff(x)`` and ``mass_sums`` is
+    ``mass_sums(q)`` when the caller already has them.
     """
     if gaps is None:
         gaps = np.diff(x)
     rho = _heights(q, gaps)
-    U = u_field_arrays(t, x, rho, s, gaps=gaps)
+    U = u_field_arrays(t, x, rho, s, gaps=gaps, mass_sums=mass_sums)
     v_sel = upwind_arrays(rho, s, U)
     if out is None:
         out = np.empty(x.size + q.size)
     xdot = np.multiply(v_sel, U, out=out[: x.size])
-    qdot = source_rate_arrays(t, x, rho, s, gaps=gaps, out=out[x.size:])
+    qdot = source_rate_arrays(t, x, rho, s, gaps=gaps,
+                              out=out[x.size:] if out.size > x.size else None)
     return xdot, qdot, U, v_sel
 
 

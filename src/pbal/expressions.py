@@ -58,7 +58,7 @@ def finite_float(value, what):
     """``value`` as a float; a value that is not a number, is too large for a
     float, or is NaN or infinite is a format error naming ``what``."""
     try:
-        if isinstance(value, bool):  # float(True) is 1.0, but true is no number
+        if isinstance(value, (bool, str)):  # float() reads True and "1", but neither is a number
             raise TypeError
         out = float(value)
     except OverflowError:

@@ -207,10 +207,12 @@ def _dopri5(f, t, y, stops, h, max_step, min_step, norm, judge, stage_errors=())
         yield t, y, j
 
 
-def _error_norm(abs_tol, rel_tol, size):
-    """``norm(y, y5, err_vec)``: the RMS of ``err_vec / (abs_tol + rel_tol *
-    max(|y|, |y5|))``, by the operations of that expression in two buffers
-    of ``size`` floats, so bit for bit."""
+def _error_norm(abs_tol, rel_tol, size, count):
+    """``norm(y, y5, err_vec)``: the root of ``sum(ratio**2) / count``, where
+    ``ratio = err_vec / (abs_tol + rel_tol * max(|y|, |y5|))`` over ``size``
+    floats, by the operations of that expression in two buffers, so bit for
+    bit.  With ``count > size`` it is the RMS over ``count`` components whose
+    last ``count - size`` ratios are 0."""
     work = np.empty((2, size))
 
     def norm(y, y5, err_vec):
@@ -218,27 +220,39 @@ def _error_norm(abs_tol, rel_tol, size):
         scale *= rel_tol
         scale += abs_tol
         ratio = np.divide(err_vec, scale, out=work[1])
-        return float(np.sqrt(np.mean(np.square(ratio, out=ratio))))
+        return float(np.sqrt(np.sum(np.square(ratio, out=ratio)) / count))
 
     return norm
 
 
 def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
-    """Advance the system to ``cfg.t_end`` recording states at the snapshot times."""
+    """Advance the system to ``cfg.t_end`` recording states at the snapshot times.
+
+    The unknowns are the positions, followed by the masses when a source can
+    change them; without one (``c_f = 0``) the masses are ``p0.q`` throughout
+    and the m = 0 moment of the convolution reads their prefix sums, built
+    once.  The error norm is the RMS over positions and masses either way.
+    """
     max_step, min_step, snaps = cfg.resolved()
     n = p0.n
     traj = Trajectory(steps=[] if cfg.store_steps else None)
     stats = traj.step_stats
+    fixed = s.source.c_f == 0.0  # source_rate_arrays' rates are then exact zeros
+    sums = dynamics.mass_sums(p0.q) if fixed else None
+
+    def masses(y):
+        return p0.q if fixed else y[n + 1:]
 
     def f_eval(ti, yi, dy):
         # the ordering guard reads the gaps off the candidate's FSAL stage
         x = yi[: n + 1]
         gaps = x[1:] - x[:-1]  # np.diff(x), without its call overhead
-        dynamics.rhs_arrays(ti, x, yi[n + 1:], s, gaps=gaps, out=dy)
+        dynamics.rhs_arrays(ti, x, masses(yi), s, gaps=gaps, out=dy, mass_sums=sums)
         stats.rhs_evals += 1
         return gaps
 
-    norm = _error_norm(cfg.abs_tol, cfg.rel_tol, 2 * n + 1)
+    y0 = np.concatenate((p0.x,) if fixed else (p0.x, p0.q))
+    norm = _error_norm(cfg.abs_tol, cfg.rel_tol, y0.size, 2 * n + 1)
 
     def judge(t, h, y5, gaps, err, failure):
         at_floor = h <= min_step * (1 + 1e-9)
@@ -264,16 +278,16 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
 
     stops = [*snaps, cfg.t_end]
     recorded = 0
-    steps = _dopri5(f_eval, float(p0.t), np.concatenate((p0.x, p0.q)), stops,
+    steps = _dopri5(f_eval, float(p0.t), y0, stops,
                     cfg.t_end - p0.t, max_step, min_step, norm, judge,
                     stage_errors=dynamics.StageFailure)
     for t, y, reached in steps:
         if cfg.store_steps:
-            traj.steps.append(ParticleSystem(t=t, x=y[: n + 1], q=y[n + 1:]))
+            traj.steps.append(ParticleSystem(t=t, x=y[: n + 1], q=masses(y)))
         for ts in snaps[recorded:reached]:  # a snapshot is the stored step at its time
             stored = cfg.store_steps and traj.steps[-1].t == ts
             traj.snapshots.append(traj.steps[-1] if stored
-                                  else ParticleSystem(t=ts, x=y[: n + 1], q=y[n + 1:]))
+                                  else ParticleSystem(t=ts, x=y[: n + 1], q=masses(y)))
         recorded = reached
     return traj
 

@@ -439,11 +439,18 @@ def test_non_finite_scenario_number_exit_2(tmp_path, capsys, section, body):
      "is not a real number: True"),
     ("advection", {"V": True}, "advection.V", "is not a real number: True"),
     ("advection", {"V": "x + True"}, "advection.V", "constant not allowed: True"),
+    ("source", {"c_f": "0.5"}, "source.c_f", "is not a real number: '0.5'"),
+    ("congestion", {"v_sup": " 1e0 "}, "congestion.v_sup", "is not a real number: ' 1e0 '"),
+    ("metadata", {"initial": {"blocks": [[-0.6, 0.6, "0.85"]]}}, "metadata.initial.blocks",
+     "is not a real number: '0.85'"),
+    ("metadata", {"initial": {"samples": [[-1.0, 0.0], ["0", 1.0], [1.0, 0.0]]}},
+     "metadata.initial.samples", "is not a real number: '0'"),
 ], ids=["c_f-negative", "v_sup-negative", "c_f-true", "v_sup-false", "block-height-true",
-        "V-true", "V-text-True"])
+        "V-true", "V-text-True", "c_f-string", "v_sup-string", "block-height-string",
+        "sample-string"])
 def test_signed_or_boolean_scenario_number_exit_2(tmp_path, capsys, section, body, key, problem):
     # -1 used to run (audit then printed "bounds VIOLATED" with exit 0), and
-    # JSON true was read as 1.0
+    # JSON true was read as 1.0 and the string "0.5" as 0.5
     path = _file_scenario(tmp_path, **{section: body})
     assert main(["run", "--scenario", str(path), "--n", "10",
                  "--out", str(tmp_path / "out")]) == 2

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
 from pbal import diagnostics as dg
@@ -15,7 +18,7 @@ from pbal import dynamics
 from pbal.dynamics import dxU_field_arrays, u_field_arrays, upwind_arrays
 from pbal.scenario import Branch, Source
 
-from conftest import (catalog_run, const, make_scenario, quadratic_potential,
+from conftest import (catalog_run, const, make_scenario, quadratic_potential, random_particles,
                       zero_field_scenario)
 
 
@@ -540,14 +543,94 @@ def test_equicontinuity_growth_formula():
 @pytest.mark.parametrize("name", ["repulsive_source", "attractive_congested"])
 def test_equicontinuity_equals_the_two_distances(name):
     # the L1 term is summed over p1.x, the partition both of its densities
-    # share; W1 + L1 keep the bits of the two general distance calls
+    # share, and keeps the bits of the general distance call; the W1 term is
+    # the closed form, which the merged-CDF integral matches to rounding
     traj = catalog_run(name, 80, k_snapshots=17)
     want = []
     for p0, p1 in zip(traj.snapshots[:-1], traj.snapshots[1:]):
         pushed = pushforward_affine(p0, p1)
-        w1 = w1_distance(to_density(p0), pushed)
+        w1 = dg.transport_w1(p0, p1)
+        assert w1 == pytest.approx(w1_distance(to_density(p0), pushed), rel=1e-12)
         want.append((float(p0.t), float(w1 + l1_distance(pushed, to_density(p1)))))
     assert dg.equicontinuity_modulus(traj, 1.0 / 16) == want
+
+
+def _exact_w1_merged_cdf(x0, x1, q):
+    """W1 between the step densities of masses ``q`` on ``x0`` and on ``x1``:
+    the integral of |F0 - F1| over the merged breakpoints, in rationals."""
+    cum = [Fraction(0)]
+    for qi in q:
+        cum.append(cum[-1] + qi)
+
+    def F(x, y):
+        if y <= x[0]:
+            return Fraction(0)
+        if y >= x[-1]:
+            return cum[-1]
+        i = max(k for k in range(len(x) - 1) if x[k] <= y)
+        return cum[i] + q[i] * (y - x[i]) / (x[i + 1] - x[i])
+
+    pts = sorted(set(x0) | set(x1))
+    total = Fraction(0)
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        u, v = F(x0, lo) - F(x1, lo), F(x0, hi) - F(x1, hi)
+        if u * v >= 0:
+            total += (hi - lo) * (abs(u) + abs(v)) / 2
+        else:  # |F0 - F1| is linear on the segment and crosses 0 inside it
+            total += (hi - lo) * (u * u + v * v) / (2 * (abs(u) + abs(v)))
+    return total
+
+
+def _exact_closed_form(x0, x1, q):
+    total = Fraction(0)
+    for i, qi in enumerate(q):
+        a, b = x1[i] - x0[i], x1[i + 1] - x0[i + 1]
+        if a * b >= 0:
+            total += qi * (abs(a) + abs(b)) / 2
+        else:
+            total += qi * (a * a + b * b) / (2 * (abs(a) + abs(b)))
+    return total
+
+
+def test_transport_w1_closed_form_in_exact_rationals(rng):
+    # the closed form is the merged-CDF integral exactly, also on cells whose
+    # end displacements differ in sign; the floats agree with it to rounding
+    crossings = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        p0 = random_particles(rng, n)
+        delta = 0.45 * float(np.min(np.diff(p0.x)))  # keeps the order
+        shift = rng.uniform(-delta, delta, n + 1) if trial % 4 else np.zeros(n + 1)
+        if trial % 4 == 3:
+            shift += rng.uniform(-1.0, 1.0)
+        p1 = ParticleSystem(0.0, p0.x + shift, p0.q)
+        d = p1.x - p0.x
+        crossings += int(np.sum(d[:-1] * d[1:] < 0))
+        x0, x1, q = ([Fraction(float(v)) for v in a] for a in (p0.x, p1.x, p0.q))
+        exact = _exact_w1_merged_cdf(x0, x1, q)
+        assert _exact_closed_form(x0, x1, q) == exact
+        assert dg.transport_w1(p0, p1) == pytest.approx(float(exact), rel=1e-14, abs=1e-300)
+    assert crossings > 20
+
+
+@st.composite
+def _state_pairs(draw):
+    n = draw(st.integers(1, 30))
+    xs = [draw(st.floats(-3.0, 3.0)) + np.cumsum(
+        [0.0] + draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))) for _ in range(2)]
+    q = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n)))
+    return ParticleSystem(0.0, xs[0], q), ParticleSystem(0.0, xs[1], q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_state_pairs())
+def test_transport_w1_matches_the_general_distance(pair):
+    # the merged-CDF form cancels CDFs of the size of the mass, so it holds
+    # 1e-12 relative only where W1 is not far below mass * span
+    p0, p1 = pair
+    want = w1_distance(to_density(p0), pushforward_affine(p0, p1))
+    assume(want > 1e-3 * p0.total_mass() * (max(p0.x[-1], p1.x[-1]) - min(p0.x[0], p1.x[0])))
+    assert dg.transport_w1(p0, p1) == pytest.approx(want, rel=1e-12)
 
 
 def test_equicontinuity_h_mismatch():

@@ -422,6 +422,33 @@ def test_rhs_bitwise_equals_original_formulas(which, x, masses, t):
             assert np.array_equal(out, np.concatenate(expected[:2]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(_PIN_SCENARIOS) - 1),
+    x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=41, unique=True),
+    masses=st.lists(st.floats(1e-3, 2.0), min_size=40, max_size=40),
+    t=st.floats(0.0, 2.0),
+)
+def test_rhs_reads_fixed_mass_sums_and_leaves_them(which, x, masses, t):
+    # mass_sums(q) differs from the sums of rho * gaps only by rounding, and
+    # the caller's sums are only read: a length-1 chain scales its C in place
+    s = _PIN_SCENARIOS[which]
+    x = np.sort(np.asarray(x))
+    assume(np.min(np.diff(x)) > 1e-9)
+    q = np.asarray(masses[: x.size - 1])
+    xdot0, qdot0, U0, _ = rhs_arrays(t, x, q, s)
+    sums = dynamics.mass_sums(q)
+    cum = sums[0].copy()
+    tol = 1e-12 * (1.0 + np.max(np.abs(U0)) + sums[1])
+    for out in (None, np.full(x.size, np.nan), np.full(x.size, np.nan)):
+        xdot, qdot, U, v_sel = rhs_arrays(t, x, q, s, out=out, mass_sums=sums)
+        assert np.array_equal(sums[0], cum)
+        assert np.max(np.abs(U - U0)) <= tol and np.max(np.abs(xdot - xdot0)) <= tol
+        assert np.array_equal(qdot, qdot0)
+        if out is not None:  # an out of x.size floats holds xdot alone
+            assert np.shares_memory(xdot, out) and np.array_equal(out, v_sel * U)
+
+
 def _gauss_as_first_written(f, t, mid, half, rho, g, w):
     nodes = g[:, None] * half + mid
     vals = np.broadcast_to(np.asarray(f(t, nodes, rho), dtype=float), nodes.shape)

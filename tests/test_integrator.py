@@ -272,14 +272,19 @@ def test_stage_sums_bitwise_equal_the_tableau_expressions(shape, rng):
 
 @pytest.mark.parametrize("size", [3, 401, 6401])
 def test_error_norm_bitwise_equals_its_expression(size, rng):
-    for abs_tol, rel_tol in ((1e-8, 1e-8), (1e-4, 1e-6), (1e-12, 0.3), (2, 1)):
-        norm = integrator._error_norm(abs_tol, rel_tol, size)
-        for trial in range(10):
-            y, y5 = rng.normal(size=(2, size)) * 10.0 ** rng.uniform(-4, 4, size=(2, size))
-            e = rng.normal(size=size) * 10.0 ** rng.uniform(-12, 0)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            want = float(np.sqrt(np.mean((e / scale) ** 2)))
-            assert norm(y, y5, e) == want
+    # size = 2N + 1 components (x, q); without a source the state is the
+    # N + 1 positions and the masses' ratios, exactly 0, are only counted
+    for length in (size, (size + 1) // 2):
+        for abs_tol, rel_tol in ((1e-8, 1e-8), (1e-4, 1e-6), (1e-12, 0.3), (2, 1)):
+            norm = integrator._error_norm(abs_tol, rel_tol, length, size)
+            for trial in range(10):
+                y, y5 = rng.normal(size=(2, length)) * 10.0 ** rng.uniform(-4, 4, size=(2, length))
+                e = rng.normal(size=length) * 10.0 ** rng.uniform(-12, 0)
+                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+                want = float(np.sqrt(np.sum((e / scale) ** 2) / size))
+                assert norm(y, y5, e) == want
+                if length == size:  # the RMS over the whole state, as np.mean forms it
+                    assert norm(y, y5, e) == float(np.sqrt(np.mean((e / scale) ** 2)))
 
 
 _two_blocks = st.tuples(
@@ -307,6 +312,19 @@ def test_masses_bitwise_fixed_without_source(blocks, n):
     traj = integrate(p0, builtin_catalog("attractive_congested"), cfg)
     for p in traj.steps + traj.snapshots:
         assert np.array_equal(p.q, p0.q)
+
+
+def test_source_free_run_tracks_a_tight_reference():
+    # without a source only the positions are unknowns; the run stays as
+    # close to a tol-1e-12, max_step-limited run as the (x, q) run did
+    # (9.4e-8 here) at every snapshot
+    s = builtin_catalog("attractive_congested")
+    p0 = quantile_init(InitialDensity.from_samples(*np.array(_ASYMMETRIC_PROFILE).T), 800)
+    traj = integrate(p0, s, SolverConfig(t_end=1.0))
+    ref = integrate(p0, s, SolverConfig(t_end=1.0, rel_tol=1e-12, abs_tol=1e-12, max_step=1e-3))
+    for a, b in zip(traj.snapshots, ref.snapshots, strict=True):
+        assert a.t == b.t and np.max(np.abs(a.x - b.x)) <= 5e-7, a.t
+        assert np.array_equal(a.q, p0.q)
 
 
 @settings(max_examples=20, deadline=None)
