@@ -10,6 +10,7 @@ failure (collision, extinction, blow-up, grid escape).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -157,14 +158,10 @@ def cmd_audit(args):
     h = float(snaps[1] - snaps[0])
     moduli = diagnostics.equicontinuity_modulus(traj, h)
 
-    io.write_report(os.path.join(args.out, "bounds.json"), [
-        {"t": r.t, "check": r.check, "value": r.value, "bound": r.bound,
-         "margin": r.margin, "ok": r.ok} for r in bounds.records
-    ])
-    io.write_report(os.path.join(args.out, "good_v.json"), [
-        {"t": v.t, "family": v.family, "index": v.index, "c": v.c,
-         "lhs": v.lhs, "rhs": v.rhs} for v in violations
-    ])
+    io.write_report(os.path.join(args.out, "bounds.json"),
+                    [dataclasses.asdict(r) for r in bounds.records])
+    io.write_report(os.path.join(args.out, "good_v.json"),
+                    [dataclasses.asdict(v) for v in violations])
     io.write_report(os.path.join(args.out, "entropy.json"), {
         "res_neg": residual.res_neg,
         "residuals": {f"phi{j}_c{c:g}": e for (j, c), e in residual.residuals.items()},
@@ -190,11 +187,13 @@ def cmd_validate(args):
     env_S = diagnostics.envelope_S(scenario, max(abs(p0.x[0]), abs(p0.x[-1])),
                                    args.t_end, p0.total_mass())
     required = env_S(args.t_end)
+    if not np.isfinite(required):
+        raise NumericalFailureError(f"the support envelope S blows up at t = "
+                                    f"{env_S.blowup_time:.6g}, before t_end = {args.t_end:g}")
     margin = 0.1 * max(required, 1.0)
     if args.x_max is not None and args.x_max < required + margin:
-        print(f"grid half-width {args.x_max} too small: the support envelope needs "
-              f">= {required + margin:.6g}", file=sys.stderr)
-        return EXIT_USAGE
+        raise PbalError(f"grid half-width {args.x_max} too small: the support envelope "
+                        f"needs >= {required + margin:.6g}")
     half = args.x_max if args.x_max is not None else float(np.ceil(required + margin))
     grid = GridConfig(x_left=-half, x_right=half, j=args.j)
 

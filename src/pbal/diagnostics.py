@@ -262,32 +262,31 @@ class BoundsReport:
 
 def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario) -> BoundsReport:
     """Compare every snapshot against the envelope curves, each up to 1e-6
-    relative; violations are findings (records with ok=False), not errors."""
-    records, rows = [], []
-    q0 = env.q0
-
-    def add(t, check, value, bound, upper=True):
-        margin = (bound - value) if upper else (value - bound)
-        tol = 1e-6 * max(1.0, abs(bound)) if np.isfinite(bound) else 0.0
-        records.append(BoundRecord(t, check, float(value), float(bound),
-                                   float(margin), bool(margin >= -tol)))
-
+    relative.  ``rows`` holds the values and bounds; ``records`` each check's
+    failures (ok=False: findings, not errors), else its least margin after the
+    first snapshot, where the envelopes start (margins 0), the earliest on ties."""
+    q0, rows = env.q0, []
     for p in traj.snapshots:
-        t = p.t
-        Q = env.Q(t)
-        mass = p.total_mass()
-        add(t, "mass_upper", mass, q0 * Q)
-        add(t, "mass_lower", mass, q0 / Q, upper=False)
-        St = env.S(t)
-        add(t, "support_right", float(p.x[-1]), St)
-        add(t, "support_left", float(p.x[0]), -St, upper=False)
-        rho_max, R = float(np.max(p.heights)), env.R(t)
-        add(t, "density_max", rho_max, R)
-        tv = total_variation(to_density(p))
-        B = np.inf if env.B is None else env.B(t)
-        add(t, "tv_raw" if env.B is None else "tv", tv, B)
-        rows.append(tuple(float(v) for v in (t, mass, q0 / Q, q0 * Q, p.x[0], p.x[-1], St,
-                                             rho_max, R, tv, B)))
+        t, Q = p.t, env.Q(p.t)
+        rows.append(tuple(float(v) for v in (
+            t, p.total_mass(), q0 / Q, q0 * Q, p.x[0], p.x[-1], env.S(t), np.max(p.heights),
+            env.R(t), total_variation(to_density(p)), np.inf if env.B is None else env.B(t))))
+    col = dict(zip(ENVELOPE_COLUMNS, np.array(rows).T))
+    first = min(1, len(rows) - 1)  # the first snapshot when it is the only one
+    records = []
+    for check, value, bound, upper in (
+            ("mass_upper", col["mass"], col["mass_hi"], True),
+            ("mass_lower", col["mass"], col["mass_lo"], False),
+            ("support_right", col["xN"], col["S"], True),
+            ("support_left", col["x0"], -col["S"], False),
+            ("density_max", col["rho_max"], col["R"], True),
+            ("tv_raw" if env.B is None else "tv", col["tv"], col["B"], True)):
+        margin = bound - value if upper else value - bound
+        tol = np.where(np.isfinite(bound), 1e-6 * np.maximum(1.0, np.abs(bound)), 0.0)
+        ok = margin >= -tol
+        keep = [first + np.argmin(margin[first:])] if ok.all() else np.flatnonzero(~ok)
+        records.extend(BoundRecord(float(col["t"][k]), check, float(value[k]), float(bound[k]),
+                                   float(margin[k]), bool(ok[k])) for k in keep)
     return BoundsReport(records=records, ok=all(r.ok for r in records), rows=rows)
 
 

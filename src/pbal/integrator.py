@@ -318,10 +318,11 @@ def solve_scalar_ode(g, t0, y0, t_eval):
     steps = _dopri5(f, float(t0), float(y0), t_eval,
                     span / 50.0, np.inf, min_step, norm, judge)
     done = 0
-    try:
-        for _, y, reached in steps:
-            out[done:reached] = y
-            done = reached
+    try:  # a blowing-up stage overflows or makes inf - inf; ``judge`` ends it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, y, reached in steps:
+                out[done:reached] = y
+                done = reached
     except (OverflowError, FloatingPointError):
         pass
     return out

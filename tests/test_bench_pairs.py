@@ -104,6 +104,35 @@ def test_reduce_rejects_unpaired_runs():
         bench_pairs.reduce_runs([_run(0.3)], [], 10.0, trace=False)
 
 
+def test_a_repeated_series_keeps_the_earlier_one(tmp_path, monkeypatch):
+    # two series of one workload, seed and length: both sections and both
+    # claim entries stay in --out
+    walls = iter([0.30, 0.25, 0.40, 0.20, 0.31, 0.26, 0.41, 0.21])
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        run = _run(next(walls))
+        run["machine"] = {"source_sha256": tree.name, "git_commit": None, "cpus": 2}
+        return run
+
+    monkeypatch.setattr(bench_pairs, "export", lambda side, dest: side)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--workload", "audit_congested",
+            "--pairs", "2", "--seconds", "10", "--claim", "wall_s", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    first = json.loads(out.read_text())
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads(out.read_text())
+    key = "audit_congested seed=1 trace=0 seconds=10"
+    assert list(bench["runs"]) == [key, f"{key} series=2"]
+    assert bench["runs"][key] == first["runs"][key]
+    assert list(bench["claim"]) == ["metric", "workload", "seed_1", "seed_1 series=2"]
+    assert bench["claim"]["seed_1"] == first["claim"]["seed_1"]
+    # pair 1 runs the change first
+    assert bench["runs"][key]["wall_s"]["runs_parent"] == [0.30, 0.20]
+    assert bench["runs"][f"{key} series=2"]["wall_s"]["runs_parent"] == [0.31, 0.21]
+
+
 def test_reduce_reproduces_the_committed_bench_13():
     bench = json.loads((ROOT / "BENCH_13.json").read_text())
     for key, section in bench["runs"].items():

@@ -544,6 +544,39 @@ def test_non_finite_oracle_exit_3(tmp_path, capsys):
     assert "cells not finite at t = " in err and "Traceback" not in err
 
 
+def test_audit_of_a_blowing_up_envelope_warns_nothing(tmp_path):
+    # lambda = 1 + r^2 sends the support envelope S to infinity in finite time;
+    # its integration overflows on the way, which must neither warn nor fail
+    path = _file_scenario(tmp_path, advection={"lambda": "1 + r**2"})
+    out = tmp_path / "audit"
+    code = f"""
+import sys
+from pbal.cli import main
+sys.exit(main(["audit", "--scenario", {str(path)!r}, "--n", "20", "--t-end", "3",
+               "--snapshots", "65", "--out", {str(out)!r}]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    header, rows = read_csv_rows(out / "envelopes.csv")
+    S = np.array([float(row[header.index("S")]) for row in rows])
+    blown = np.flatnonzero(np.isinf(S))
+    assert 0 < blown[0] < S.size - 1 and blown.size == S.size - blown[0]
+    assert np.all(np.isfinite(S[:blown[0]]))
+
+
+@pytest.mark.parametrize("x_max", [[], ["--x-max", "7"]], ids=["default", "x_max"])
+def test_validate_with_a_blowing_up_support_envelope_exit_3(tmp_path, capsys, x_max):
+    # the grid must hold the support up to t_end, which S says is unbounded
+    path = _file_scenario(tmp_path, advection={"lambda": "1 + r**2"})
+    assert main(["validate", "--scenario", str(path), "--n", "20", "--j", "100",
+                 "--t-end", "3", *x_max]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: the support envelope S blows up at t = 0.257812, " \
+                  "before t_end = 3\n"
+
+
 def _run_with(tmp_path, section, body):
     """Exit code of a short run of the file scenario with ``section`` replaced."""
     doc = json.loads(_file_scenario(tmp_path).read_text())

@@ -236,6 +236,27 @@ def test_envelope_blowup_reported_as_inf():
 
 # --------------------------------------------------------------- check_bounds
 
+def _records_per_snapshot(report, env):
+    """Every snapshot's six records, built from ``report.rows`` by the
+    per-snapshot rule: the margin is bound - value (value - bound for a lower
+    bound), and ok means margin >= -1e-6 max(1, |bound|), or >= 0 when the
+    bound is infinite."""
+    out = []
+    for row in report.rows:
+        r = dict(zip(dg.ENVELOPE_COLUMNS, row))
+        for check, value, bound, upper in (
+                ("mass_upper", r["mass"], r["mass_hi"], True),
+                ("mass_lower", r["mass"], r["mass_lo"], False),
+                ("support_right", r["xN"], r["S"], True),
+                ("support_left", r["x0"], -r["S"], False),
+                ("density_max", r["rho_max"], r["R"], True),
+                ("tv_raw" if env.B is None else "tv", r["tv"], r["B"], True)):
+            margin = (bound - value) if upper else (value - bound)
+            tol = 1e-6 * max(1.0, abs(bound)) if np.isfinite(bound) else 0.0
+            out.append(dg.BoundRecord(r["t"], check, value, bound, margin, margin >= -tol))
+    return out
+
+
 def test_check_bounds_stationary_margins_constant():
     s = zero_field_scenario()
     p0 = quantile_init(InitialDensity.from_blocks([(-1.0, 1.0, 0.5)]), 10)
@@ -244,7 +265,7 @@ def test_check_bounds_stationary_margins_constant():
     report = dg.check_bounds(traj, env, s)
     assert report.ok
     by_check = {}
-    for r in report.records:
+    for r in _records_per_snapshot(report, env):
         by_check.setdefault(r.check, []).append(r.margin)
     for check, margins in by_check.items():
         if np.all(np.isfinite(margins)):
@@ -257,7 +278,7 @@ def test_check_bounds_growth_saturates_mass():
     env = dg.compute_envelopes(s, traj.snapshots[0], 1.0)
     report = dg.check_bounds(traj, env, s)
     assert report.ok
-    uppers = [r for r in report.records if r.check == "mass_upper"]
+    uppers = [r for r in _records_per_snapshot(report, env) if r.check == "mass_upper"]
     # f = rho saturates the bound: margin stays at integrator-tolerance level
     assert max(abs(r.margin) / max(r.bound, 1.0) for r in uppers) < 1e-6
 
@@ -278,20 +299,57 @@ def test_check_bounds_decay_saturates_lower_mass():
     env = dg.compute_envelopes(s, p0, 1.0)
     report = dg.check_bounds(traj, env, s)
     assert report.ok
-    lowers = [r for r in report.records if r.check == "mass_lower"]
+    lowers = [r for r in _records_per_snapshot(report, env) if r.check == "mass_lower"]
     assert max(abs(r.margin) / max(abs(r.bound), 1e-9) for r in lowers) < 1e-6
 
 
-def test_check_bounds_flags_violation():
-    # shrink the density envelope artificially; the report must flag it
+def _broken_density_envelope():
+    """``attractive_congested`` at N = 100 with its density envelope shrunk to
+    half the initial maximum, so density_max fails at every snapshot."""
     traj = catalog_run("attractive_congested", 100)
     s = builtin_catalog("attractive_congested")
     env = dg.compute_envelopes(s, traj.snapshots[0], 1.0)
     broken = dg.EnvelopeCurves(Q=env.Q, S=env.S, R=lambda t: 0.5 * env.R0, B=None,
                                q0=env.q0, S0=env.S0, R0=env.R0, B0=env.B0)
-    report = dg.check_bounds(traj, broken, s)
+    return traj, broken, s
+
+
+def test_check_bounds_flags_violation():
+    # shrink the density envelope artificially; the report must flag it
+    report = dg.check_bounds(*_broken_density_envelope())
     assert not report.ok
     assert any(not r.ok and r.check == "density_max" for r in report.records)
+
+
+def _bits(records):
+    return [repr(dataclasses.astuple(r)) for r in records]  # repr tells -0.0 from 0.0
+
+
+def test_check_bounds_keeps_failures_else_the_least_margin_after_t0():
+    traj, env, s = _broken_density_envelope()
+    report = dg.check_bounds(traj, env, s)
+    per_snapshot = _records_per_snapshot(report, env)
+    checks = list(dict.fromkeys(r.check for r in per_snapshot))
+    assert report.records == sorted(report.records, key=lambda r: checks.index(r.check))
+    for check in checks:
+        rows = [r for r in per_snapshot if r.check == check]
+        kept = [r for r in report.records if r.check == check]
+        failing = [r for r in rows if not r.ok]
+        if check == "density_max":
+            assert len(failing) == len(traj.snapshots) and kept == failing
+        if failing:
+            assert _bits(kept) == _bits(failing), check
+        else:
+            # the first snapshot seeds every envelope, so its margins are 0
+            least = min(rows[1:], key=lambda r: r.margin)  # min keeps the earliest tie
+            assert len(kept) == 1 and kept[0].t != traj.snapshots[0].t, check
+            assert _bits(kept) == _bits([least]), check
+
+    # a lone snapshot is the least margin itself
+    lone = dataclasses.replace(traj, snapshots=traj.snapshots[:1])
+    report = dg.check_bounds(lone, env, s)
+    assert [r.t for r in report.records if r.ok] == [0.0] * 5
+    assert _bits(report.records) == _bits(_records_per_snapshot(report, env))
 
 
 # ------------------------------------------------------------ entropy residual

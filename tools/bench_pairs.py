@@ -14,7 +14,8 @@ result line and its result file are read back, and the run directory is
 removed.
 
 The runs become one section of ``--out`` (created when missing, other
-sections kept), keyed ``"<workload> seed=<S> trace=<T> seconds=<X>"``: for
+sections kept), keyed ``"<workload> seed=<S> trace=<T> seconds=<X>"``, with
+`` series=<n>`` appended for the n-th series of a key already there: for
 an untraced run, each end-to-end metric's median and quartiles per side,
 the pairs each side won and every run's value, and beside them a
 ``compare`` block of the same fields whose per-run values are medians over
@@ -24,7 +25,8 @@ that every run traced.  A run covers the inputs that fit in its time, so
 only the common inputs compare like with like.  ``--claim METRIC`` also
 records whether METRIC's gain meets the rule of the benchmark guide: the
 change wins at least nine tenths of the pairs, and the medians differ by
-more than the parent's interquartile range.
+more than the parent's interquartile range; the claim entry of a series is
+``seed_<S>``, with its key's `` series=<n>`` appended.
 """
 
 from __future__ import annotations
@@ -211,11 +213,14 @@ def main(argv=None):
     machine.pop("git_commit")
     bench["machine"], bench["commits"] = machine, commits
     key = f"{args.workload} seed={args.seed} trace={args.trace} seconds={args.seconds:g}"
+    sections = bench.setdefault("runs", {})
+    series = 1 + sum(k == key or k.startswith(f"{key} series=") for k in sections)
+    suffix = f" series={series}" if series > 1 else ""  # earlier series of the key stay
     section = reduce_runs(runs["parent"], runs["change"], args.seconds, bool(args.trace))
-    bench.setdefault("runs", {})[key] = section
+    sections[key + suffix] = section
     if args.claim:
         entry = bench.setdefault("claim", {"metric": args.claim, "workload": args.workload})
-        entry[f"seed_{args.seed}"] = claim(section, args.claim)
+        entry[f"seed_{args.seed}{suffix}"] = claim(section, args.claim)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
