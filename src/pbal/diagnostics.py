@@ -9,6 +9,7 @@ functions and constants; its negative part must shrink like max q_i(0) ~ 1/N.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ class Curve:
             out = np.where(t >= tb, np.inf, below)
         return float(out) if out.ndim == 0 else out
 
-    @property
+    @functools.cached_property
     def blowup_time(self):
         finite = np.isfinite(self.ys)
         if finite.all():
@@ -260,18 +261,51 @@ class BoundsReport:
     rows: list  # one tuple per snapshot, in ENVELOPE_COLUMNS order
 
 
+# Floats in one block of stacked snapshot states: ``check_bounds`` reduces
+# the snapshots a block at a time, so its memory does not grow with their number.
+BOUNDS_BLOCK = 1 << 13
+
+
+def _snapshot_columns(snapshots):
+    """Each snapshot's x_0, x_N, total mass, largest height and total
+    variation (the sum of all jumps, the two to zero included), reduced over
+    the stacked states ``BOUNDS_BLOCK // (N+2)`` snapshots at a time."""
+    out = np.empty((5, len(snapshots)))
+    rows = max(1, BOUNDS_BLOCK // (snapshots[0].x.size + 1))
+    for lo in range(0, len(snapshots), rows):
+        block = snapshots[lo: lo + rows]
+        x = np.array([p.x for p in block])
+        q = np.array([p.q for p in block])
+        heights = np.zeros((len(block), x.shape[1] + 1))  # zero-padded
+        inner = np.subtract(x[:, 1:], x[:, :-1], out=heights[:, 1:-1])
+        np.divide(q, inner, out=inner)
+        x0, xN, mass, rho_max, tv = out[:, lo: lo + len(block)]
+        x0[:], xN[:] = x[:, 0], x[:, -1]
+        np.sum(q, axis=1, out=mass)
+        np.max(inner, axis=1, out=rho_max)
+        jumps = np.diff(heights, axis=1)
+        np.sum(np.abs(jumps, out=jumps), axis=1, out=tv)
+    return out
+
+
+def _at_times(curve, ts):
+    """``curve`` at every time ``ts``, by one call."""
+    return np.broadcast_to(np.asarray(curve(ts), dtype=float), ts.shape)
+
+
 def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario) -> BoundsReport:
     """Compare every snapshot against the envelope curves, each up to 1e-6
     relative.  ``rows`` holds the values and bounds; ``records`` each check's
     failures (ok=False: findings, not errors), else its least margin after the
     first snapshot, where the envelopes start (margins 0), the earliest on ties."""
-    q0, rows = env.q0, []
-    for p in traj.snapshots:
-        t, Q = p.t, env.Q(p.t)
-        rows.append(tuple(float(v) for v in (
-            t, p.total_mass(), q0 / Q, q0 * Q, p.x[0], p.x[-1], env.S(t), np.max(p.heights),
-            env.R(t), total_variation(to_density(p)), np.inf if env.B is None else env.B(t))))
-    col = dict(zip(ENVELOPE_COLUMNS, np.array(rows).T))
+    ts = traj.times
+    Q = np.array([env.Q(p.t) for p in traj.snapshots])
+    x0, xN, mass, rho_max, tv = _snapshot_columns(traj.snapshots)
+    col = {"t": ts, "mass": mass, "mass_lo": env.q0 / Q, "mass_hi": env.q0 * Q,
+           "x0": x0, "xN": xN, "S": _at_times(env.S, ts), "rho_max": rho_max,
+           "R": _at_times(env.R, ts), "tv": tv,
+           "B": np.full(ts.shape, np.inf) if env.B is None else _at_times(env.B, ts)}
+    rows = list(zip(*(col[c].tolist() for c in ENVELOPE_COLUMNS)))
     first = min(1, len(rows) - 1)  # the first snapshot when it is the only one
     records = []
     for check, value, bound, upper in (

@@ -6,6 +6,11 @@ handling of the gradient kink at 0), the congestion factor ``v_i`` taken from
 the cell the velocity points toward, and cell masses fed by the source
 integral over the cell, by the cell rule (one Gauss rule on panels from one
 splitter) that the audit also uses.
+
+Without a source, with a constant V and a kernel with constant gradient
+pieces (``field_is_fixed``), U and each particle's downstream side are the
+same at every state of a run: ``fixed_field`` computes them once, and
+``rhs_arrays`` then only divides the masses by the gaps and evaluates v.
 """
 
 from __future__ import annotations
@@ -51,9 +56,13 @@ class StageFailure(Exception):
         self.index = index
 
 
-def _heights(q, gaps):
+def _check_gaps(gaps):
     if not gaps.min() > 0.0:  # also false for a NaN gap
         raise StageFailure("non-increasing particle positions", int(np.argmin(gaps)))
+
+
+def _heights(q, gaps):
+    _check_gaps(gaps)
     if not q.min() > 0.0:
         raise StageFailure("non-positive cell mass", int(np.argmin(q)))
     return q / gaps
@@ -200,6 +209,32 @@ def congestion_on(rho_ext, v):
     return np.full(rho_ext.shape, vr) if vr.ndim == 0 else vr
 
 
+def field_is_fixed(s: Scenario):
+    """Whether U at the particles is the same, to the bit, at every state of a
+    run: no source (the masses are fixed), a constant V, and a kernel with
+    constant gradient pieces (a moment chain of at most one term, W = 0
+    included) and no time factor.  dxW * rhobar at particle i is then
+    g_jump * cum_i + g_neg * M, which reads only the masses on either side of
+    i, and the ordering keeps those."""
+    pot = s.potential
+    return (s.source.c_f == 0.0 and getattr(s.advection.V, "constant", None) is not None
+            and pot.moment_chain is not None and len(pot.moment_chain) <= 1
+            and pot.time_factor is None)
+
+
+def fixed_field(t, x, q, s: Scenario, mass_sums=None):
+    """``(U, down)`` of the state (t, x, q), for ``rhs_arrays``'s
+    ``fixed_field`` keyword when ``field_is_fixed(s)``: U at the particles,
+    read-only, and the index ``arange(N+1) + (U >= 0)`` of each particle's
+    downstream cell in the zero-padded heights."""
+    gaps = np.diff(x)
+    U = u_field_arrays(t, x, _heights(q, gaps), s, gaps=gaps, mass_sums=mass_sums)
+    down = np.arange(x.size) + (U >= 0.0)
+    U.setflags(write=False)
+    down.setflags(write=False)
+    return U, down
+
+
 def _gauss_panels(f, t, mid, half, rho, out=None):
     """The cell rule for ``f(t, x, rho)`` on each panel, node-major."""
     nodes = np.multiply.outer(GL4_NODES, half)
@@ -234,7 +269,7 @@ def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None, out=None):
     return out
 
 
-def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None, mass_sums=None):
+def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None, mass_sums=None, fixed_field=None):
     """Array-level RHS used by the integrator hot loop; raises StageFailure on
     transiently invalid intermediate states.
 
@@ -242,13 +277,24 @@ def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None, mass_sums=None):
     parts of ``out``, a buffer of ``x.size + q.size`` floats (allocated when
     None).  ``out`` may hold ``x.size`` floats only, for ``xdot``; ``qdot``
     is then a new array.  ``gaps`` is ``np.diff(x)`` and ``mass_sums`` is
-    ``mass_sums(q)`` when the caller already has them.
+    ``mass_sums(q)`` when the caller already has them.  ``fixed_field`` is
+    ``fixed_field(...)`` of a run's first state when ``field_is_fixed(s)``:
+    its U is returned, shared and read-only, only the gaps are checked (the
+    masses are the run's), and the congestion factor is v at the downstream
+    heights it indexes.
     """
     if gaps is None:
         gaps = np.diff(x)
-    rho = _heights(q, gaps)
-    U = u_field_arrays(t, x, rho, s, gaps=gaps, mass_sums=mass_sums)
-    v_sel = upwind_arrays(rho, s, U)
+    if fixed_field is None:
+        rho = _heights(q, gaps)
+        U = u_field_arrays(t, x, rho, s, gaps=gaps, mass_sums=mass_sums)
+        v_sel = upwind_arrays(rho, s, U)
+    else:
+        U, down = fixed_field
+        _check_gaps(gaps)
+        rho_ext = np.zeros(x.size + 1)
+        rho = np.divide(q, gaps, out=rho_ext[1:-1])
+        v_sel = congestion_on(rho_ext[down], s.congestion.v)
     if out is None:
         out = np.empty(x.size + q.size)
     xdot = np.multiply(v_sel, U, out=out[: x.size])

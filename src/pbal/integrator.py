@@ -19,6 +19,10 @@ expression (``np.matmul(..., out=)``, ``*= h``, ``+= y``), so every output
 keeps its bits; stage 1, a matmul with inner dimension 1, is the one product
 ``k_0 * a_10``.  Only ``y_new`` is allocated per step, so an accepted state
 is never overwritten, and ``integrate``'s error norm reuses two buffers.
+
+Per run, ``integrate`` computes once what no state of the run can change:
+without a source, the masses' prefix sums, and when ``dynamics.field_is_fixed``
+also holds, the free velocity U and each particle's downstream cell.
 """
 
 from __future__ import annotations
@@ -231,7 +235,9 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     The unknowns are the positions, followed by the masses when a source can
     change them; without one (``c_f = 0``) the masses are ``p0.q`` throughout
     and the m = 0 moment of the convolution reads their prefix sums, built
-    once.  The error norm is the RMS over positions and masses either way.
+    once; when ``dynamics.field_is_fixed(s)``, U and the downstream indices
+    are built once too, at ``p0``.  The error norm is the RMS over positions
+    and masses either way.
     """
     max_step, min_step, snaps = cfg.resolved()
     n = p0.n
@@ -239,6 +245,8 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     stats = traj.step_stats
     fixed = s.source.c_f == 0.0  # source_rate_arrays' rates are then exact zeros
     sums = dynamics.mass_sums(p0.q) if fixed else None
+    field = (dynamics.fixed_field(p0.t, p0.x, p0.q, s, sums)
+             if dynamics.field_is_fixed(s) else None)
 
     def masses(y):
         return p0.q if fixed else y[n + 1:]
@@ -247,7 +255,8 @@ def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
         # the ordering guard reads the gaps off the candidate's FSAL stage
         x = yi[: n + 1]
         gaps = x[1:] - x[:-1]  # np.diff(x), without its call overhead
-        dynamics.rhs_arrays(ti, x, masses(yi), s, gaps=gaps, out=dy, mass_sums=sums)
+        dynamics.rhs_arrays(ti, x, masses(yi), s, gaps=gaps, out=dy, mass_sums=sums,
+                            fixed_field=field)
         stats.rhs_evals += 1
         return gaps
 

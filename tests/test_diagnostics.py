@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
 from pbal import diagnostics as dg
 from pbal.density import (ParticleSystem, l1_distance, pushforward_affine, to_density,
-                          w1_distance)
+                          total_variation, w1_distance)
 from pbal.expressions import compile_expression
 from pbal.initial import InitialDensity
 from pbal.diagnostics import _snapshot_quadrature
@@ -350,6 +350,34 @@ def test_check_bounds_keeps_failures_else_the_least_margin_after_t0():
     report = dg.check_bounds(lone, env, s)
     assert [r.t for r in report.records if r.ok] == [0.0] * 5
     assert _bits(report.records) == _bits(_records_per_snapshot(report, env))
+
+
+def _rows_snapshot_by_snapshot(traj, env):
+    """``check_bounds``'s rows from one snapshot at a time, each value by its
+    own call: the reference for the stacked reductions."""
+    rows = []
+    for p in traj.snapshots:
+        t, Q = p.t, env.Q(p.t)
+        rows.append(tuple(float(v) for v in (
+            t, p.total_mass(), env.q0 / Q, env.q0 * Q, p.x[0], p.x[-1], env.S(t),
+            np.max(p.heights), env.R(t), total_variation(to_density(p)),
+            np.inf if env.B is None else env.B(t))))
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 5 * 41, dg.BOUNDS_BLOCK])
+def test_check_bounds_rows_bitwise_equal_the_snapshot_by_snapshot_rows(monkeypatch, block):
+    # a block of stacked snapshots holds at least one, whatever BOUNDS_BLOCK
+    monkeypatch.setattr(dg, "BOUNDS_BLOCK", block)
+    for name in ("growth_transport", "attractive_congested", "repulsive_source"):
+        traj = catalog_run(name, 40)
+        env = dg.compute_envelopes(builtin_catalog(name), traj.snapshots[0], 1.0)
+        R = env.R
+        blowing_up = dataclasses.replace(  # R infinite from t = 0.5 on, and no B
+            env, R=dg.Curve(R.ts, np.where(R.ts < 0.5, R.ys, np.inf)), B=None)
+        for e in (env, blowing_up):
+            rows = dg.check_bounds(traj, e, builtin_catalog(name)).rows
+            assert repr(rows) == repr(_rows_snapshot_by_snapshot(traj, e)), name
 
 
 # ------------------------------------------------------------ entropy residual

@@ -897,3 +897,99 @@ def test_good_v_holds_along_catalog_run():
         v_sel = upwind_arrays(p.heights, s, U)
         out = good_v_violations_state(p.t, p.x, p.q, U, v_sel, s.congestion.v)
         assert out == []
+
+
+# ------------------------------------------------------ the fixed free velocity
+
+_FIXED_DOC = {
+    "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+    "advection": {"V": "0.3", "dxV": "0"},
+    "potential": {"W": "2*abs(x)"},
+    "source": {"f": "0*(x + rho)", "c_f": 0.0},
+}
+
+
+def _fixed_doc_scenario(tmp_path, **sections):
+    """The scenario of ``_FIXED_DOC`` with the given sections' keys replaced."""
+    doc = {key: {**body, **sections.get(key, {})} for key, body in _FIXED_DOC.items()}
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    return load_scenario(path)[0]
+
+
+def _fixed_scenarios(tmp_path):
+    return [builtin_catalog("attractive_congested"), builtin_catalog("transport"),
+            _fixed_doc_scenario(tmp_path)]
+
+
+def test_field_is_fixed_for_each_qualifying_scenario(tmp_path):
+    assert all(dynamics.field_is_fixed(s) for s in _fixed_scenarios(tmp_path))
+
+
+@pytest.mark.parametrize("sections", [
+    {"source": {"f": "0.5*rho + 0*x", "c_f": 0.5, "drho_f_bound": "0.5"}},
+    {"advection": {"V": "x", "dxV": "1"}},
+    {"potential": {"W": "x**2/2"}},
+    {"potential": {"time_factor": "1 + t"}},
+    {"potential": {"W": "-exp(-abs(x))", "dxW_neg": "-exp(x)", "dxW_pos": "exp(-x)"}},
+], ids=["source", "V(x)", "quadratic W", "time factor", "W without pieces"])
+def test_field_is_not_fixed_for_each_disqualifier(tmp_path, sections):
+    assert not dynamics.field_is_fixed(_fixed_doc_scenario(tmp_path, **sections))
+
+
+# equal masses put cum_2 at exactly M/2, where attractive_congested's U is 0.0,
+# and unequal gaps make the two sides' v differ there
+_TIE = (np.array([-1.0, -0.7, 0.0, 0.1, 0.6]), np.full(4, 0.25))
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 2), state=ordered_states(), data=st.data(), t=st.floats(0.0, 2.0))
+@example(which=0, state=_TIE, data=None, t=0.0)
+def test_rhs_with_the_fixed_field_bitwise_equals_without(tmp_path_factory, which, state,
+                                                         data, t):
+    # the field is built at a run's first state (x0, q); any later state keeps q
+    s = _fixed_scenarios(tmp_path_factory.mktemp("fixed"))[which]
+    x0, q = state
+    sums = dynamics.mass_sums(q)
+    field = dynamics.fixed_field(0.0, x0, q, s, sums)
+    if data is None:
+        x = x0
+    else:
+        gaps = data.draw(st.lists(st.floats(1e-3, 0.5), min_size=q.size, max_size=q.size))
+        x = data.draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    got = rhs_arrays(t, x, q, s, out=np.full(x.size, np.nan), mass_sums=sums, fixed_field=field)
+    want = rhs_arrays(t, x, q, s, out=np.full(x.size, np.nan), mass_sums=sums)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), s.name
+    assert got[2] is field[0] and not got[2].flags.writeable
+    if data is None:
+        return
+    i = data.draw(st.integers(0, x.size - 2))  # cross the pair (x_i, x_{i+1})
+    x = x.copy()
+    x[i + 1] = x[i] - data.draw(st.floats(0.0, 0.1))
+    failures = []
+    for kwargs in ({"fixed_field": field}, {}):
+        with pytest.raises(dynamics.StageFailure) as info:
+            rhs_arrays(t, x, q, s, mass_sums=sums, **kwargs)
+        failures.append((str(info.value), info.value.index))
+    assert failures[0] == failures[1] == ("non-increasing particle positions",
+                                          int(np.argmin(np.diff(x))))
+
+
+def test_fixed_field_is_read_only_and_returns_no_buffer_it_reads(tmp_path, rng):
+    # writing into what one evaluation returned cannot change the next
+    states = [_TIE, *((p.x, p.q) for p in (random_particles(rng, 30) for _ in range(3)))]
+    for s in _fixed_scenarios(tmp_path):
+        for x, q in states:
+            sums = dynamics.mass_sums(q)
+            field = dynamics.fixed_field(0.0, x, q, s, sums)
+            want = rhs_arrays(0.2, x, q, s, mass_sums=sums)
+            xdot, qdot, U, v_sel = rhs_arrays(0.2, x, q, s, fixed_field=field)
+            for a in (U, *field):
+                with pytest.raises(ValueError):
+                    a[0] = 5.0
+            for a in (xdot, qdot, v_sel):
+                a[...] = np.nan
+            again = rhs_arrays(0.2, x, q, s, fixed_field=field)
+            for a, b in zip(again, want):
+                assert np.array_equal(a, b), s.name

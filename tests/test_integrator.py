@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate, integrator,
-                  quantile_init)
+from pbal import (SolverConfig, builtin_catalog, builtin_initial, dynamics, integrate,
+                  integrator, quantile_init)
 from pbal.density import ParticleSystem
 from pbal.initial import InitialDensity
 from pbal.dynamics import StageFailure, rhs_arrays
@@ -406,3 +406,33 @@ def test_snapshot_is_the_stored_step_at_its_time():
     for p, q in zip(plain.snapshots, stored.snapshots):
         assert p is not q and p.t == q.t
         assert np.array_equal(p.x, q.x) and np.array_equal(p.q, q.q)
+
+
+def _run_counting_fixed_fields(monkeypatch, s, p0, cfg):
+    """``integrate(p0, s, cfg)`` and the number of its RHS calls that took a
+    fixed field."""
+    rhs, taken = dynamics.rhs_arrays, []
+
+    def counting(*args, **kwargs):
+        taken.append(kwargs.get("fixed_field") is not None)
+        return rhs(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "rhs_arrays", counting)
+        traj = integrate(p0, s, cfg)
+    return traj, sum(taken)
+
+
+def test_fixed_field_run_bitwise_equals_the_run_without_it(monkeypatch):
+    s = builtin_catalog("attractive_congested")
+    p0 = quantile_init(builtin_initial("attractive_congested"), 200)
+    cfg = SolverConfig(t_end=1.0, snapshot_times=np.linspace(0.0, 1.0, 17))
+    fixed, taken = _run_counting_fixed_fields(monkeypatch, s, p0, cfg)
+    assert taken == fixed.step_stats.rhs_evals > 0
+    monkeypatch.setattr(dynamics, "field_is_fixed", lambda s: False)
+    plain, taken = _run_counting_fixed_fields(monkeypatch, s, p0, cfg)
+    assert taken == 0
+    assert fixed.step_stats == plain.step_stats
+    assert len(fixed.snapshots) == len(plain.snapshots) == 17
+    for a, b in zip(fixed.snapshots, plain.snapshots):
+        assert a.t == b.t and np.array_equal(a.x, b.x) and np.array_equal(a.q, b.q)
