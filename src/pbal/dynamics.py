@@ -7,18 +7,20 @@ the cell the velocity points toward, and cell masses fed by the source
 integral over the cell, by the cell rule (one Gauss rule on panels from one
 splitter) that the audit also uses.
 
-Without a source, with a constant V and a kernel with constant gradient
-pieces (``field_is_fixed``), U and each particle's downstream side are the
-same at every state of a run: ``fixed_field`` computes them once, and
-``rhs_arrays`` then only divides the masses by the gaps and evaluates v.
+Without a source the masses are the same at every state of a run, and with
+a constant V and a kernel with constant gradient pieces (``field_is_fixed``)
+so are U and each particle's downstream side.  ``plan(s, p0)`` records once
+per run what the run fixes, and ``rhs_arrays`` reads that ``Plan``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .density import cell_index, step_cdf_arrays
+from .density import ParticleSystem, cell_index, step_cdf_arrays
 from .scenario import Scenario
 
 # The cell rule, for the source integrals here and the audit's panels: the
@@ -54,18 +56,6 @@ class StageFailure(Exception):
     def __init__(self, message, index):
         super().__init__(message)
         self.index = index
-
-
-def _check_gaps(gaps):
-    if not gaps.min() > 0.0:  # also false for a NaN gap
-        raise StageFailure("non-increasing particle positions", int(np.argmin(gaps)))
-
-
-def _heights(q, gaps):
-    _check_gaps(gaps)
-    if not q.min() > 0.0:
-        raise StageFailure("non-positive cell mass", int(np.argmin(q)))
-    return q / gaps
 
 
 def _prefix_sums(cell):
@@ -198,8 +188,11 @@ def upwind_arrays(rho, s: Scenario, U):
     """
     rho_ext = np.zeros(rho.size + 2)
     rho_ext[1:-1] = rho
-    vr = congestion_on(rho_ext, s.congestion.v)
-    return np.where(U >= 0.0, vr[1:], vr[:-1])
+    return congestion_on(rho_ext[_downstream(U)], s.congestion.v)
+
+
+def _downstream(U):  # each particle's downstream cell in the zero-padded heights
+    return np.arange(U.size) + (U >= 0.0)
 
 
 def congestion_on(rho_ext, v):
@@ -222,17 +215,32 @@ def field_is_fixed(s: Scenario):
             and pot.time_factor is None)
 
 
-def fixed_field(t, x, q, s: Scenario, mass_sums=None):
-    """``(U, down)`` of the state (t, x, q), for ``rhs_arrays``'s
-    ``fixed_field`` keyword when ``field_is_fixed(s)``: U at the particles,
-    read-only, and the index ``arange(N+1) + (U >= 0)`` of each particle's
-    downstream cell in the zero-padded heights."""
-    gaps = np.diff(x)
-    U = u_field_arrays(t, x, _heights(q, gaps), s, gaps=gaps, mass_sums=mass_sums)
-    down = np.arange(x.size) + (U >= 0.0)
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What a run fixes, for ``rhs_arrays``: the masses ``q`` and their
+    ``mass_sums``; U at the particles and each particle's downstream cell
+    ``down = arange(N+1) + (U >= 0)`` in the zero-padded heights, both
+    read-only.  A None field is left to the state: ``Plan()`` fixes nothing."""
+    q: np.ndarray | None = None
+    sums: tuple | None = None
+    U: np.ndarray | None = None
+    down: np.ndarray | None = None
+
+
+def plan(s: Scenario, p0: ParticleSystem) -> Plan:
+    """The ``Plan`` of a run of ``s`` from ``p0``: without a source, ``p0``'s
+    masses and their sums, and when ``field_is_fixed(s)`` also U and its
+    downstream indices at ``p0``."""
+    if s.source.c_f != 0.0:
+        return Plan()
+    sums = mass_sums(p0.q)
+    if not field_is_fixed(s):
+        return Plan(p0.q, sums)
+    U = u_field_arrays(p0.t, p0.x, p0.heights, s, mass_sums=sums)
+    down = _downstream(U)
     U.setflags(write=False)
     down.setflags(write=False)
-    return U, down
+    return Plan(p0.q, sums, U, down)
 
 
 def _gauss_panels(f, t, mid, half, rho, out=None):
@@ -269,37 +277,33 @@ def source_rate_arrays(t, x, rho, s: Scenario, *, gaps=None, out=None):
     return out
 
 
-def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None, mass_sums=None, fixed_field=None):
+def rhs_arrays(t, x, q, s: Scenario, *, gaps=None, out=None, plan=Plan()):
     """Array-level RHS used by the integrator hot loop; raises StageFailure on
     transiently invalid intermediate states.
 
     Returns ``(xdot, qdot, U, v_sel)``; ``xdot`` and ``qdot`` are the two
-    parts of ``out``, a buffer of ``x.size + q.size`` floats (allocated when
-    None).  ``out`` may hold ``x.size`` floats only, for ``xdot``; ``qdot``
-    is then a new array.  ``gaps`` is ``np.diff(x)`` and ``mass_sums`` is
-    ``mass_sums(q)`` when the caller already has them.  ``fixed_field`` is
-    ``fixed_field(...)`` of a run's first state when ``field_is_fixed(s)``:
-    its U is returned, shared and read-only, only the gaps are checked (the
-    masses are the run's), and the congestion factor is v at the downstream
-    heights it indexes.
+    parts of ``out``, ``x.size + q.size`` floats (allocated when None), or
+    ``out`` holds ``x.size`` floats, for ``xdot`` alone.  ``gaps`` is
+    ``np.diff(x)`` when the caller has it.  Masses the run's ``plan`` fixes
+    are not checked and get no rates (``qdot`` is None), and a U it fixes is
+    returned, shared and read-only.
     """
     if gaps is None:
         gaps = np.diff(x)
-    if fixed_field is None:
-        rho = _heights(q, gaps)
-        U = u_field_arrays(t, x, rho, s, gaps=gaps, mass_sums=mass_sums)
-        v_sel = upwind_arrays(rho, s, U)
-    else:
-        U, down = fixed_field
-        _check_gaps(gaps)
-        rho_ext = np.zeros(x.size + 1)
-        rho = np.divide(q, gaps, out=rho_ext[1:-1])
-        v_sel = congestion_on(rho_ext[down], s.congestion.v)
+    if not gaps.min() > 0.0:  # also false for a NaN gap
+        raise StageFailure("non-increasing particle positions", int(np.argmin(gaps)))
+    if plan.q is None and not q.min() > 0.0:
+        raise StageFailure("non-positive cell mass", int(np.argmin(q)))
+    rho_ext = np.zeros(x.size + 1)
+    rho = np.divide(q, gaps, out=rho_ext[1:-1])
+    U = u_field_arrays(t, x, rho, s, gaps=gaps, mass_sums=plan.sums) if plan.U is None else plan.U
+    down = _downstream(U) if plan.down is None else plan.down
+    v_sel = congestion_on(rho_ext[down], s.congestion.v)
     if out is None:
         out = np.empty(x.size + q.size)
     xdot = np.multiply(v_sel, U, out=out[: x.size])
-    qdot = source_rate_arrays(t, x, rho, s, gaps=gaps,
-                              out=out[x.size:] if out.size > x.size else None)
+    qdot = None if plan.q is not None else source_rate_arrays(
+        t, x, rho, s, gaps=gaps, out=out[x.size:] if out.size > x.size else None)
     return xdot, qdot, U, v_sel
 
 

@@ -20,9 +20,8 @@ keeps its bits; stage 1, a matmul with inner dimension 1, is the one product
 ``k_0 * a_10``.  Only ``y_new`` is allocated per step, so an accepted state
 is never overwritten, and ``integrate``'s error norm reuses two buffers.
 
-Per run, ``integrate`` computes once what no state of the run can change:
-without a source, the masses' prefix sums, and when ``dynamics.field_is_fixed``
-also holds, the free velocity U and each particle's downstream cell.
+Per run, ``integrate`` builds ``dynamics.plan(s, p0)`` once, the record of
+what no state of the run can change, and every RHS evaluation reads it.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class SolverConfig:
     snapshot_times: Optional[np.ndarray] = None
     store_steps: bool = False
 
-    def resolved(self):
+    def resolved(self, t0=0.0):  # t0: the run's initial time
         for name in ("t_end", "rel_tol", "abs_tol"):
             if not 0.0 < getattr(self, name) < np.inf:  # also false for NaN
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
@@ -87,8 +86,10 @@ class SolverConfig:
                 raise ValueError("snapshot_times must be finite")
         if not min_step < max_step:
             raise ValueError(f"need min_step < max_step, got {min_step} >= {max_step}")
-        if snaps.size and (snaps[0] < -1e-15 or snaps[-1] > self.t_end * (1 + 1e-12)):
-            raise ValueError("snapshot_times must lie in [0, t_end]")
+        if self.t_end < t0:
+            raise ValueError(f"t_end {self.t_end} is before the initial time {t0}")
+        if snaps.size and (snaps[0] < t0 - 1e-15 or snaps[-1] > self.t_end * (1 + 1e-12)):
+            raise ValueError(f"snapshot_times {snaps[0]}..{snaps[-1]} must lie in [{t0}, t_end]")
         return max_step, min_step, snaps
 
 
@@ -232,35 +233,30 @@ def _error_norm(abs_tol, rel_tol, size, count):
 def integrate(p0: ParticleSystem, s: Scenario, cfg: SolverConfig) -> Trajectory:
     """Advance the system to ``cfg.t_end`` recording states at the snapshot times.
 
-    The unknowns are the positions, followed by the masses when a source can
-    change them; without one (``c_f = 0``) the masses are ``p0.q`` throughout
-    and the m = 0 moment of the convolution reads their prefix sums, built
-    once; when ``dynamics.field_is_fixed(s)``, U and the downstream indices
-    are built once too, at ``p0``.  The error norm is the RMS over positions
-    and masses either way.
+    The run starts at ``p0.t``, so ``cfg``'s snapshot times and ``t_end``
+    may not precede it.  The unknowns are the positions, followed by the
+    masses unless ``dynamics.plan(s, p0)``, built once, fixes them (no
+    source); every RHS evaluation reads that plan.  The error norm is the
+    RMS over positions and masses either way.
     """
-    max_step, min_step, snaps = cfg.resolved()
+    max_step, min_step, snaps = cfg.resolved(p0.t)
     n = p0.n
     traj = Trajectory(steps=[] if cfg.store_steps else None)
     stats = traj.step_stats
-    fixed = s.source.c_f == 0.0  # source_rate_arrays' rates are then exact zeros
-    sums = dynamics.mass_sums(p0.q) if fixed else None
-    field = (dynamics.fixed_field(p0.t, p0.x, p0.q, s, sums)
-             if dynamics.field_is_fixed(s) else None)
+    plan = dynamics.plan(s, p0)
 
     def masses(y):
-        return p0.q if fixed else y[n + 1:]
+        return y[n + 1:] if plan.q is None else plan.q
 
     def f_eval(ti, yi, dy):
         # the ordering guard reads the gaps off the candidate's FSAL stage
         x = yi[: n + 1]
         gaps = x[1:] - x[:-1]  # np.diff(x), without its call overhead
-        dynamics.rhs_arrays(ti, x, masses(yi), s, gaps=gaps, out=dy, mass_sums=sums,
-                            fixed_field=field)
+        dynamics.rhs_arrays(ti, x, masses(yi), s, gaps=gaps, out=dy, plan=plan)
         stats.rhs_evals += 1
         return gaps
 
-    y0 = np.concatenate((p0.x,) if fixed else (p0.x, p0.q))
+    y0 = np.concatenate((p0.x,) if plan.q is not None else (p0.x, p0.q))
     norm = _error_norm(cfg.abs_tol, cfg.rel_tol, y0.size, 2 * n + 1)
 
     def judge(t, h, y5, gaps, err, failure):

@@ -111,3 +111,17 @@ def benchmark_file_scenario(tmp_path, seed=1, index=0):
     path = tmp_path / f"benchmark_{seed}_{index}.json"
     inputs.write_scenario(path, seed, index)
     return load_scenario(path)
+
+
+def unfixed_field_scenario(tmp_path):
+    """``(scenario, initial density)`` of ``attractive_congested`` with V = -x
+    written as a file: no source, so its masses are fixed, but its U moves."""
+    import copy
+    import json
+    from pbal.scenario import _CATALOG
+
+    doc = copy.deepcopy(_CATALOG["attractive_congested"])
+    doc["advection"].update(V="-x", dxV="-1")
+    path = tmp_path / "unfixed_field.json"
+    path.write_text(json.dumps(doc))
+    return load_scenario(path)

@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as P
 
 from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init
 from pbal.density import ParticleSystem, to_density
-from pbal.dynamics import (convolve_dxW_arrays, convolve_dxW_generic, dxU_field_arrays,
+from pbal.dynamics import (Plan, convolve_dxW_arrays, convolve_dxW_generic, dxU_field_arrays,
                            rhs_arrays, source_rate_arrays, u_field_arrays, upwind_arrays)
 from pbal.expressions import compile_expression
 from pbal.diagnostics import good_v_violations_state
@@ -431,20 +431,21 @@ def test_rhs_bitwise_equals_original_formulas(which, x, masses, t):
 )
 def test_rhs_reads_fixed_mass_sums_and_leaves_them(which, x, masses, t):
     # mass_sums(q) differs from the sums of rho * gaps only by rounding, and
-    # the caller's sums are only read: a length-1 chain scales its C in place
+    # the plan's sums are only read: a length-1 chain scales its C in place;
+    # masses the plan fixes get no rates
     s = _PIN_SCENARIOS[which]
     x = np.sort(np.asarray(x))
     assume(np.min(np.diff(x)) > 1e-9)
     q = np.asarray(masses[: x.size - 1])
-    xdot0, qdot0, U0, _ = rhs_arrays(t, x, q, s)
+    xdot0, _, U0, _ = rhs_arrays(t, x, q, s)
     sums = dynamics.mass_sums(q)
     cum = sums[0].copy()
     tol = 1e-12 * (1.0 + np.max(np.abs(U0)) + sums[1])
     for out in (None, np.full(x.size, np.nan), np.full(x.size, np.nan)):
-        xdot, qdot, U, v_sel = rhs_arrays(t, x, q, s, out=out, mass_sums=sums)
+        xdot, qdot, U, v_sel = rhs_arrays(t, x, q, s, out=out, plan=Plan(q=q, sums=sums))
         assert np.array_equal(sums[0], cum)
         assert np.max(np.abs(U - U0)) <= tol and np.max(np.abs(xdot - xdot0)) <= tol
-        assert np.array_equal(qdot, qdot0)
+        assert qdot is None
         if out is not None:  # an out of x.size floats holds xdot alone
             assert np.shares_memory(xdot, out) and np.array_equal(out, v_sel * U)
 
@@ -947,30 +948,30 @@ _TIE = (np.array([-1.0, -0.7, 0.0, 0.1, 0.6]), np.full(4, 0.25))
 @example(which=0, state=_TIE, data=None, t=0.0)
 def test_rhs_with_the_fixed_field_bitwise_equals_without(tmp_path_factory, which, state,
                                                          data, t):
-    # the field is built at a run's first state (x0, q); any later state keeps q
+    # the plan is built at a run's first state (x0, q); any later state keeps q
     s = _fixed_scenarios(tmp_path_factory.mktemp("fixed"))[which]
     x0, q = state
-    sums = dynamics.mass_sums(q)
-    field = dynamics.fixed_field(0.0, x0, q, s, sums)
+    fixed = dynamics.plan(s, ParticleSystem(0.0, x0, q))
+    free = Plan(q=q, sums=dynamics.mass_sums(q))
     if data is None:
         x = x0
     else:
-        gaps = data.draw(st.lists(st.floats(1e-3, 0.5), min_size=q.size, max_size=q.size))
-        x = data.draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
-    got = rhs_arrays(t, x, q, s, out=np.full(x.size, np.nan), mass_sums=sums, fixed_field=field)
-    want = rhs_arrays(t, x, q, s, out=np.full(x.size, np.nan), mass_sums=sums)
+        x = _ordered_positions(data, q.size)
+    got = rhs_arrays(t, x, q, s, out=np.full(x.size, np.nan), plan=fixed)
+    want = rhs_arrays(t, x, q, s, out=np.full(x.size, np.nan), plan=free)
+    assert got[1] is None and want[1] is None
     for a, b in zip(got, want):
         assert np.array_equal(a, b), s.name
-    assert got[2] is field[0] and not got[2].flags.writeable
+    assert got[2] is fixed.U and not got[2].flags.writeable
     if data is None:
         return
     i = data.draw(st.integers(0, x.size - 2))  # cross the pair (x_i, x_{i+1})
     x = x.copy()
     x[i + 1] = x[i] - data.draw(st.floats(0.0, 0.1))
     failures = []
-    for kwargs in ({"fixed_field": field}, {}):
+    for plan in (fixed, free):
         with pytest.raises(dynamics.StageFailure) as info:
-            rhs_arrays(t, x, q, s, mass_sums=sums, **kwargs)
+            rhs_arrays(t, x, q, s, plan=plan)
         failures.append((str(info.value), info.value.index))
     assert failures[0] == failures[1] == ("non-increasing particle positions",
                                           int(np.argmin(np.diff(x))))
@@ -981,15 +982,43 @@ def test_fixed_field_is_read_only_and_returns_no_buffer_it_reads(tmp_path, rng):
     states = [_TIE, *((p.x, p.q) for p in (random_particles(rng, 30) for _ in range(3)))]
     for s in _fixed_scenarios(tmp_path):
         for x, q in states:
-            sums = dynamics.mass_sums(q)
-            field = dynamics.fixed_field(0.0, x, q, s, sums)
-            want = rhs_arrays(0.2, x, q, s, mass_sums=sums)
-            xdot, qdot, U, v_sel = rhs_arrays(0.2, x, q, s, fixed_field=field)
-            for a in (U, *field):
+            fixed = dynamics.plan(s, ParticleSystem(0.0, x, q))
+            want = rhs_arrays(0.2, x, q, s, plan=Plan(q=q, sums=dynamics.mass_sums(q)))
+            xdot, qdot, U, v_sel = rhs_arrays(0.2, x, q, s, plan=fixed)
+            assert qdot is None
+            for a in (U, fixed.U, fixed.down):
                 with pytest.raises(ValueError):
                     a[0] = 5.0
-            for a in (xdot, qdot, v_sel):
+            for a in (xdot, v_sel):
                 a[...] = np.nan
-            again = rhs_arrays(0.2, x, q, s, fixed_field=field)
+            again = rhs_arrays(0.2, x, q, s, plan=fixed)
             for a, b in zip(again, want):
                 assert np.array_equal(a, b), s.name
+
+
+def _ordered_positions(data, n):
+    """N + 1 strictly increasing positions, gaps in [1e-3, 0.5]."""
+    gaps = data.draw(st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n))
+    return data.draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 2), state=ordered_states(), data=st.data(),
+       t0=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
+@example(which=0, state=_TIE, data=None, t0=0.5, t=0.0)
+def test_a_fixed_field_plan_is_the_same_at_every_state_with_its_masses(
+        tmp_path_factory, which, state, data, t0, t):
+    # field_is_fixed declares that U and the downstream cells read only the
+    # masses: a plan built at any ordered state with masses q is the same
+    s = _fixed_scenarios(tmp_path_factory.mktemp("fixed"))[which]
+    x0, q = state
+    x = -x0[::-1] if data is None else _ordered_positions(data, q.size)  # mirrored gaps
+    plans = [dynamics.plan(s, ParticleSystem(t0, x0, q)), dynamics.plan(s, ParticleSystem(t, x, q))]
+    for p in plans:
+        assert np.array_equal(p.q, q) and not p.U.flags.writeable and not p.down.flags.writeable
+    assert np.array_equal(plans[0].U, plans[1].U) and np.array_equal(plans[0].down, plans[1].down)
+    for y in (x0, x):
+        got, want = (rhs_arrays(t, y, q, s, plan=p) for p in plans)
+        assert got[1] is None and want[1] is None
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), s.name

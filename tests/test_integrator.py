@@ -409,12 +409,12 @@ def test_snapshot_is_the_stored_step_at_its_time():
 
 
 def _run_counting_fixed_fields(monkeypatch, s, p0, cfg):
-    """``integrate(p0, s, cfg)`` and the number of its RHS calls that took a
-    fixed field."""
+    """``integrate(p0, s, cfg)`` and the number of its RHS calls whose plan
+    fixed the field."""
     rhs, taken = dynamics.rhs_arrays, []
 
     def counting(*args, **kwargs):
-        taken.append(kwargs.get("fixed_field") is not None)
+        taken.append(kwargs["plan"].U is not None)
         return rhs(*args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -436,3 +436,19 @@ def test_fixed_field_run_bitwise_equals_the_run_without_it(monkeypatch):
     assert len(fixed.snapshots) == len(plain.snapshots) == 17
     for a, b in zip(fixed.snapshots, plain.snapshots):
         assert a.t == b.t and np.array_equal(a.x, b.x) and np.array_equal(a.q, b.q)
+
+
+def test_integrate_refuses_times_before_p0_t():
+    # snapshot times before p0.t were recorded as copies of p0, and a t_end
+    # before p0.t gave copies of p0 after no step
+    s = builtin_catalog("transport")
+    p = quantile_init(InitialDensity.from_blocks([(-1.0, 0.0, 1.0)]), 4)
+    p0 = ParticleSystem(0.5, p.x, p.q)
+    with pytest.raises(ValueError, match=r"^snapshot_times 0\.0\.\.1\.0 must lie in \[0\.5, t_end\]$"):
+        integrate(p0, s, SolverConfig(t_end=1.0))
+    with pytest.raises(ValueError, match=r"^t_end 1\.0 is before the initial time 2\.0$"):
+        integrate(ParticleSystem(2.0, p.x, p.q), s, SolverConfig(t_end=1.0))
+    traj = integrate(p0, s, SolverConfig(t_end=1.0, snapshot_times=np.array([0.5, 0.75, 1.0])))
+    assert np.array_equal(traj.times, [0.5, 0.75, 1.0])
+    for snap in traj.snapshots:  # transport moves every particle at speed 1
+        assert np.allclose(snap.x, p0.x + (snap.t - 0.5), atol=1e-12)

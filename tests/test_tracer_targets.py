@@ -43,12 +43,25 @@ def test_fv_run_calls_traced_layers_through_their_modules(monkeypatch):
     assert counts == {"velocity": gtraj.steps, "convolve": gtraj.steps}
 
 
-def test_integrate_calls_rhs_through_its_module(monkeypatch):
+@pytest.mark.parametrize("kind", ["U_fixed", "masses_fixed", "nothing_fixed"])
+def test_integrate_calls_rhs_through_its_module(monkeypatch, tmp_path, kind):
     # dynamics.rhs_calls counts the returning calls of the module attribute
     # and dynamics.rhs_particles reads x as the second positional argument;
-    # integrator.rhs_evals must count the same calls
+    # integrator.rhs_evals must count the same calls, whatever the run's plan
     from pbal import SolverConfig, builtin_catalog, builtin_initial, dynamics, integrate
     from pbal import quantile_init
+    from conftest import unfixed_field_scenario
+
+    if kind == "masses_fixed":
+        s, initial = unfixed_field_scenario(tmp_path)
+    else:
+        name = "attractive_congested" if kind == "U_fixed" else "repulsive_source"
+        s, initial = builtin_catalog(name), builtin_initial(name)
+    n = 200
+    p0 = quantile_init(initial, n)
+    plan = dynamics.plan(s, p0)
+    assert [plan.q is not None, plan.U is not None] == {
+        "U_fixed": [True, True], "masses_fixed": [True, False], "nothing_fixed": [False, False]}[kind]
 
     calls = []
     rhs = dynamics.rhs_arrays
@@ -59,8 +72,6 @@ def test_integrate_calls_rhs_through_its_module(monkeypatch):
         return result
 
     monkeypatch.setattr(dynamics, "rhs_arrays", counting)
-    n = 200
-    p0 = quantile_init(builtin_initial("attractive_congested"), n)
-    traj = integrate(p0, builtin_catalog("attractive_congested"), SolverConfig(t_end=0.2))
+    traj = integrate(p0, s, SolverConfig(t_end=0.2))
     assert traj.step_stats.rhs_evals > 0
     assert calls == [n + 1] * traj.step_stats.rhs_evals

@@ -5,8 +5,10 @@
 Each tree is a directory holding ``src/pbal``; ``git archive REV | tar -x -C
 DIR`` makes one of a revision.  The commands are the benchmark's three
 workloads on seed-1 inputs 0-2 (their commands and inputs as
-``perfbench/run.py`` of this checkout makes them) and ``run``, ``audit`` and
-``validate`` (J = 1000) of the four catalog scenarios at N = 200.  Each
+``perfbench/run.py`` of this checkout makes them), ``run``, ``audit`` and
+``validate`` (J = 1000) of the four catalog scenarios at N = 200, and ``run``
+and ``audit`` at N = 200 of ``UNFIXED_FIELD``, the one kind of run the
+catalog lacks: no source, so the masses are fixed, but a U that moves.  Each
 command runs once per tree, one at a time, in a fresh process with that
 tree's ``src`` on the path, in a directory of its own under
 ``DIR/parent`` or ``DIR/change``; its standard output and exit code go to
@@ -43,6 +45,15 @@ CATALOG_N, CATALOG_J = 200, 1000
 IGNORED_KEYS = ("wall_clock_s",)
 NUMBER = re.compile(r"-?\b(?:NaN|Infinity|nan|inf)\b|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _MAIN = "import sys; from pbal.cli import main; sys.exit(main(sys.argv[1:]))"
+# attractive_congested with V = -x in place of V = 0
+UNFIXED_FIELD = {
+    "congestion": {"v": "max(1 - r, 0)", "v_sup": 1.0, "vprime_bound": "1", "decay_g": "2*r"},
+    "advection": {"V": "-x", "dxV": "-1", "F": "2", "G": "1", "lambda": "1"},
+    "potential": {"W": "abs(x)"},
+    "source": {"f": "0*(x + rho)", "c_f": 0.0},
+    "metadata": {"name": "unfixed_field", "branch": "v_decays",
+                 "initial": {"blocks": [[-0.75, 0.0, 0.9], [0.0, 0.65, 0.5]]}},
+}
 
 
 def commands(work: Path):
@@ -61,6 +72,12 @@ def commands(work: Path):
             extra = ["--j", str(CATALOG_J)] if command == "validate" else []
             out.append((cwd, [command, "--scenario", name, "--n", str(CATALOG_N),
                               "--out", str(cwd / "out"), *extra]))
+    for command in ("run", "audit"):
+        cwd = work / f"{command}-unfixed_field"
+        cwd.mkdir(parents=True)
+        (cwd / "unfixed_field.json").write_text(json.dumps(UNFIXED_FIELD, indent=2) + "\n")
+        out.append((cwd, [command, "--scenario", str(cwd / "unfixed_field.json"),
+                          "--n", str(CATALOG_N), "--out", str(cwd / "out")]))
     return out
 
 
