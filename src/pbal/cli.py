@@ -49,13 +49,12 @@ def _resolve_scenario(ref, initial_path=None):
     return scenario, rho0
 
 
-def _solver_config(args, snapshots=None, store_steps=False):
+def _solver_config(args, store_steps=False):
     return SolverConfig(
         t_end=args.t_end,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
-        snapshot_times=snapshots if snapshots is not None
-        else np.linspace(0.0, args.t_end, args.snapshots),
+        snapshot_times=np.linspace(0.0, args.t_end, args.snapshots),
         store_steps=store_steps,
     )
 
@@ -145,8 +144,7 @@ def cmd_sweep(args):
 
 def cmd_audit(args):
     scenario, rho0 = _resolve_scenario(args.scenario, args.initial)
-    snaps = np.linspace(0.0, args.t_end, args.snapshots)
-    cfg = _solver_config(args, snapshots=snaps, store_steps=True)
+    cfg = _solver_config(args, store_steps=True)
     traj = _run_one(scenario, rho0, args.n, cfg)
     os.makedirs(args.out, exist_ok=True)
 
@@ -155,7 +153,7 @@ def cmd_audit(args):
     bounds = diagnostics.check_bounds(traj, env, scenario)
     violations = diagnostics.good_v_audit(traj, scenario)
     residual = diagnostics.entropy_residual(traj, scenario, phis=phis, cs=args.c_grid)
-    h = float(snaps[1] - snaps[0])
+    h = float(cfg.snapshot_times[1] - cfg.snapshot_times[0])
     moduli = diagnostics.equicontinuity_modulus(traj, h)
 
     io.write_report(os.path.join(args.out, "bounds.json"),
@@ -197,11 +195,10 @@ def cmd_validate(args):
     half = args.x_max if args.x_max is not None else float(np.ceil(required + margin))
     grid = GridConfig(x_left=-half, x_right=half, j=args.j)
 
-    snaps = np.linspace(0.0, args.t_end, args.snapshots)
-    cfg = _solver_config(args, snapshots=snaps)
+    cfg = _solver_config(args)
     traj = _run_one(scenario, rho0, args.n, cfg, p0=p0)
-    gtraj = fv_run(rho0, scenario, grid, args.t_end, snapshot_times=snaps)
-    table = reference.compare_l1(traj, gtraj, snaps)
+    gtraj = fv_run(rho0, scenario, grid, args.t_end, snapshot_times=cfg.snapshot_times)
+    table = reference.compare_l1(traj, gtraj, cfg.snapshot_times)
 
     mass0 = rho0.total_mass
     print(f"{'t':>8} {'L1 distance':>14} {'rel. to mass':>14}")

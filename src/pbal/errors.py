@@ -40,11 +40,3 @@ class CollisionExtinctionError(NumericalFailureError):
 
 class GridEscapeError(NumericalFailureError):
     """Finite-volume solution reached the boundary of the grid."""
-
-
-class CFLError(PbalError):
-    """Requested finite-volume step exceeds the CFL limit."""
-
-    def __init__(self, message, dt_required):
-        super().__init__(message)
-        self.dt_required = dt_required

@@ -22,6 +22,8 @@ is never overwritten, and ``integrate``'s error norm reuses two buffers.
 
 Per run, ``integrate`` builds ``dynamics.plan(s, p0)`` once, the record of
 what no state of the run can change, and every RHS evaluation reads it.
+``snapshot_schedule`` holds the rules for a run's snapshot times, which
+``SolverConfig.resolved`` and the finite-volume oracle's ``fv_run`` share.
 """
 
 from __future__ import annotations
@@ -71,26 +73,35 @@ class SolverConfig:
     store_steps: bool = False
 
     def resolved(self, t0=0.0):  # t0: the run's initial time
-        for name in ("t_end", "rel_tol", "abs_tol"):
+        snaps = snapshot_schedule(self.t_end, self.snapshot_times, t0)
+        for name in ("rel_tol", "abs_tol"):
             if not 0.0 < getattr(self, name) < np.inf:  # also false for NaN
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         max_step = self.max_step if self.max_step is not None else self.t_end / 10.0
         min_step = self.min_step if self.min_step is not None else 1e-10 * self.t_end
         if not 0.0 < min_step < np.inf:  # a step floor never reached hangs integrate
             raise ValueError(f"min_step must be finite and positive, got {min_step}")
-        if self.snapshot_times is None:
-            snaps = np.linspace(0.0, self.t_end, 11)
-        else:
-            snaps = np.sort(np.asarray(self.snapshot_times, dtype=float))
-            if not np.all(np.isfinite(snaps)):  # a NaN stop is never reached
-                raise ValueError("snapshot_times must be finite")
         if not min_step < max_step:
             raise ValueError(f"need min_step < max_step, got {min_step} >= {max_step}")
-        if self.t_end < t0:
-            raise ValueError(f"t_end {self.t_end} is before the initial time {t0}")
-        if snaps.size and (snaps[0] < t0 - 1e-15 or snaps[-1] > self.t_end * (1 + 1e-12)):
-            raise ValueError(f"snapshot_times {snaps[0]}..{snaps[-1]} must lie in [{t0}, t_end]")
         return max_step, min_step, snaps
+
+
+def snapshot_schedule(t_end, snapshot_times=None, t0=0.0):
+    """Sorted snapshot times of a run from ``t0`` to ``t_end`` (11 equispaced
+    from 0 by default), the one rule of ``integrate`` and ``fv_run``: it raises
+    ``ValueError`` unless ``t_end`` is finite, positive and not before ``t0``
+    and every time is finite and in [t0, t_end], so every stop is reached."""
+    if not 0.0 < t_end < np.inf:  # also false for NaN
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    times = np.linspace(0.0, t_end, 11) if snapshot_times is None else snapshot_times
+    snaps = np.sort(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(snaps)):
+        raise ValueError("snapshot_times must be finite")
+    if t_end < t0:
+        raise ValueError(f"t_end {t_end} is before the initial time {t0}")
+    if snaps.size and (snaps[0] < t0 - 1e-15 or snaps[-1] > t_end * (1 + 1e-12)):
+        raise ValueError(f"snapshot_times {snaps[0]}..{snaps[-1]} must lie in [{t0}, t_end]")
+    return snaps
 
 
 @dataclass

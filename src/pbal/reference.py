@@ -7,22 +7,23 @@ Interface velocities follow the particles' exact W-primitive contract: the
 lattice edges are a step density's breakpoints, so polynomial pieces convolve
 by the same O(J) prefix moments, and other kernels by FFT.  What the lattice
 holds fixed is evaluated once per run: the kernel spectrum, and the parts of V
-and f that read only x (``expressions.bind``).  A step whose cells are not
-finite raises ``NumericalFailureError``.
+and f that read only x (``expressions.bind``).  ``fv_run``, the one entry
+point, checks its snapshot times as ``integrate`` does, and a step whose
+cells are not finite raises ``NumericalFailureError``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import dynamics, expressions
 from .density import PiecewiseDensity
-from .errors import CFLError, GridEscapeError, NumericalFailureError
+from .errors import GridEscapeError, NumericalFailureError
 from .initial import InitialDensity
+from .integrator import snapshot_schedule
 from .scenario import Scenario
 
 CFL = 0.45
@@ -167,29 +168,9 @@ def _flux_mirrored(U, rho_ext, v, out=None):
     return F
 
 
-def fv_step(g: GridState, s: Scenario, dt: float,
-            U_if: Optional[np.ndarray] = None) -> GridState:
-    """One conservative forward-Euler step; rejects dt beyond the CFL limit."""
-    if U_if is None:
-        U_if = interface_velocity(g, s)
-    speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
-    return _step(g, s, dt, U_if, speed, lambda t, rho: s.source.f(t, g.centers, rho),
-                 _buffers(g.j))
-
-
-def _buffers(j):
-    """A step's scratch arrays, which a run reuses: padded cells and two fluxes."""
-    return np.zeros(j + 2), np.empty(j + 1), np.empty(j + 1)
-
-
-def _step(g, s, dt, U_if, speed, f, buffers):
-    """``fv_step`` given ``speed = max|U_if| v_sup``, ``f`` bound to the centres
-    and ``_buffers(g.j)``; the new cells are a fresh array, as snapshots keep it."""
-    dt_max = np.inf if speed == 0.0 else CFL * g.dx / speed
-    if dt > dt_max * (1 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds CFL limit; required dt <= {dt_max:.3e}",
-                       dt_required=dt_max)
-
+def _step(g, s, dt, U_if, f, buffers):
+    """One conservative forward-Euler step given ``U_if``, ``f`` bound to the
+    centres and the run's scratch arrays; the new cells are a fresh array."""
     rho_ext, F, G = buffers
     rho_ext[1:-1] = g.cells
     _flux_mirrored(U_if, rho_ext, s.congestion.v, out=(F, G))
@@ -224,20 +205,19 @@ def initial_grid(rho0: InitialDensity, grid: GridConfig) -> GridState:
 
 def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
            snapshot_times=None) -> GridTrajectory:
-    """Run to ``t_end`` recording snapshots at the requested times."""
+    """Run to ``t_end`` recording snapshots at ``snapshot_times``, checked and
+    defaulted by ``integrator.snapshot_schedule`` as ``integrate``'s are."""
     a, b = rho0.support
     if a < grid.x_left or b > grid.x_right:
         raise GridEscapeError(
             f"initial support [{a}, {b}] not inside grid [{grid.x_left}, {grid.x_right}]"
         )
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, t_end, 11)
-    targets = list(np.sort(np.asarray(snapshot_times, dtype=float)))
+    targets = list(snapshot_schedule(t_end, snapshot_times))
     state = initial_grid(rho0, grid)
     spectrum = kernel_spectrum(s, state.dx, state.j)
     V = expressions.bind(s.advection.V, 1, state.interfaces)
     f = expressions.bind(s.source.f, 1, state.centers)
-    buffers = _buffers(state.j)
+    buffers = np.zeros(state.j + 2), np.empty(state.j + 1), np.empty(state.j + 1)
     traj = GridTrajectory()
     while targets and abs(targets[0] - state.t) <= 1e-14:
         traj.snapshots.append(state)
@@ -248,7 +228,7 @@ def fv_run(rho0: InitialDensity, s: Scenario, grid: GridConfig, t_end: float,
         dt = t_end - state.t if speed == 0.0 else CFL * state.dx / speed
         next_stop = targets[0] if targets else t_end
         dt = min(dt, next_stop - state.t)
-        state = _step(state, s, dt, U_if, speed, f, buffers)
+        state = _step(state, s, dt, U_if, f, buffers)
         traj.steps += 1
         if abs(state.t - next_stop) <= 1e-13 * max(1.0, next_stop):
             state = GridState(state.x_left, state.dx, state.cells, next_stop)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from pbal import builtin_catalog, builtin_initial
+from pbal import SolverConfig, builtin_catalog, builtin_initial
 from pbal.density import ParticleSystem, l1_distance, to_density
 from pbal.initial import InitialDensity
-from pbal.reference import compare_l1, fv_run, fv_step
-from pbal.errors import CFLError, GridEscapeError
+from pbal.reference import compare_l1, fv_run
+from pbal.errors import GridEscapeError
 from pbal.integrator import Trajectory
 from pbal import dynamics, expressions, reference
 from pbal.expressions import bump, compile_expression
@@ -24,20 +25,26 @@ from conftest import benchmark_file_scenario, const, make_scenario, zero_field_s
 def test_zero_fields_state_unchanged():
     s = zero_field_scenario()
     cells = np.concatenate(([0.0, 0.0], np.ones(16), [0.0, 0.0]))
-    g = GridState(-1.0, 0.1, cells, 0.0)
-    g2 = fv_step(g, s, 0.05)
+    rho0 = InitialDensity.from_blocks([(-0.8, 0.8, 1.0)])
+    gtraj = fv_run(rho0, s, GridConfig(x_left=-1.0, x_right=1.0, j=20), 0.05,
+                   snapshot_times=[0.0, 0.05])
+    g, g2 = gtraj.snapshots
+    assert np.allclose(g.cells, cells)
     assert np.allclose(g2.cells, g.cells)
     assert g2.t == pytest.approx(0.05)
 
 
 def test_pure_growth_exponential():
-    # f = rho, zero velocity: forward Euler compounds (1 + dt) per step
+    # f = rho, zero velocity: forward Euler compounds (1 + dt) per step, and
+    # with no speed each step runs to the next of the equispaced snapshots
     src = Source(f=lambda t, x, rho: rho, c_f=1.0, drho_f_bound=const(1.0))
     s = make_scenario(source=src)
-    g = GridState(-1.0, 0.25, np.array([0.0, 1.0, 2.0, 0.0]) * 0.1, 0.0)
+    rho0 = InitialDensity.from_blocks([(-0.75, -0.5, 0.1), (-0.5, -0.25, 0.2)])
     dt = 1e-3
-    for _ in range(1000):
-        g = fv_step(g, s, dt)
+    gtraj = fv_run(rho0, s, GridConfig(x_left=-1.0, x_right=0.0, j=4), 1.0,
+                   snapshot_times=np.linspace(0.0, 1.0, 1001))
+    assert gtraj.steps == 1000
+    g = gtraj.snapshots[-1]
     assert np.allclose(g.cells, np.array([0.0, 1.0, 2.0, 0.0]) * 0.1 * np.e,
                        rtol=2 * dt)
 
@@ -55,14 +62,6 @@ def test_transport_shift_with_smearing():
     assert dists[2] < dists[1] < dists[0]  # grid self-convergence
 
 
-def test_cfl_violation_reports_required_dt():
-    s = builtin_catalog("transport")
-    g = GridState(-1.0, 0.01, np.ones(50), 0.0)
-    with pytest.raises(CFLError) as exc:
-        fv_step(g, s, 1.0)
-    assert exc.value.dt_required == pytest.approx(0.45 * 0.01 / 1.0)
-
-
 def test_mass_conservation_many_steps():
     s = builtin_catalog("transport")
     rho0 = InitialDensity.from_blocks([(0.0, 1.0, 1.0)])
@@ -70,9 +69,26 @@ def test_mass_conservation_many_steps():
     g = initial_grid(rho0, grid)
     m0 = float(np.sum(g.cells) * g.dx)
     dt = 0.45 * g.dx  # speed 1
-    for _ in range(1000):
-        g = fv_step(g, s, dt)
+    gtraj = fv_run(rho0, s, grid, 1000 * dt)
+    assert gtraj.steps == 1000
+    g = gtraj.snapshots[-1]
     assert float(np.sum(g.cells) * g.dx) == pytest.approx(m0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end, times", [
+    (1.0, [-0.25, 0.5, 1.0]), (1.0, [0.5, 1.5]), (1.0, [0.5, np.nan]), (np.nan, None),
+], ids=["before-start", "after-end", "NaN-time", "NaN-end"])
+def test_fv_run_checks_its_snapshot_times_as_integrate_does(t_end, times):
+    # fv_run stepped back to t = -0.25 in a negative-dt Euler step, and
+    # returned only the t = 0.5 snapshot for a late or NaN stop or a NaN t_end
+    rho0 = InitialDensity.from_blocks([(0.0, 1.0, 1.0)])
+    grid = GridConfig(x_left=-1.0, x_right=4.0, j=400)
+    s = builtin_catalog("transport")
+    cfg = SolverConfig(t_end=t_end, snapshot_times=times)
+    with pytest.raises(ValueError) as expected:
+        cfg.resolved()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        fv_run(rho0, s, grid, t_end, snapshot_times=times)
 
 
 def test_positivity_under_cfl():
@@ -287,12 +303,9 @@ def test_grid_state_from_outside_keeps_its_checks(bad):
         GridState(0.0, 0.5, cells, 0.0)
 
 
-def _step_as_first_written(g, s, dt, U_if, speed, f):
+def _step_as_first_written(g, s, dt, U_if, f):
     """``reference._step`` with a fresh array for the padded density, every
     flux term and the update, and a validated ``GridState``."""
-    dt_max = np.inf if speed == 0.0 else reference.CFL * g.dx / speed
-    if dt > dt_max * (1 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds CFL limit", dt_required=dt_max)
     rho_ext = np.concatenate(([0.0], g.cells, [0.0]))
     vr = np.asarray(s.congestion.v(rho_ext), dtype=float)
     if vr.ndim == 0:
@@ -321,8 +334,8 @@ def test_fv_run_equals_the_first_step_cell_for_cell(tmp_path, monkeypatch, which
     grid = GridConfig(x_left=-4.0, x_right=4.0, j=800)
     times = np.linspace(0.0, 0.5, 6)
     reused = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
-    monkeypatch.setattr(reference, "_step", lambda g, s, dt, U, speed, f, buffers:
-                        _step_as_first_written(g, s, dt, U, speed, f))
+    monkeypatch.setattr(reference, "_step", lambda g, s, dt, U, f, buffers:
+                        _step_as_first_written(g, s, dt, U, f))
     fresh = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
     assert reused.steps == fresh.steps > 0
     for a, b in zip(reused.snapshots, fresh.snapshots, strict=True):

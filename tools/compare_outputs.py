@@ -6,13 +6,15 @@ Each tree is a directory holding ``src/pbal``; ``git archive REV | tar -x -C
 DIR`` makes one of a revision.  The commands are the benchmark's three
 workloads on seed-1 inputs 0-2 (their commands and inputs as
 ``perfbench/run.py`` of this checkout makes them), ``run``, ``audit`` and
-``validate`` (J = 1000) of the four catalog scenarios at N = 200, and ``run``
-and ``audit`` at N = 200 of ``UNFIXED_FIELD``, the one kind of run the
-catalog lacks: no source, so the masses are fixed, but a U that moves.  Each
-command runs once per tree, one at a time, in a fresh process with that
-tree's ``src`` on the path, in a directory of its own under
-``DIR/parent`` or ``DIR/change``; its standard output and exit code go to
-``stdout.txt`` there.
+``validate`` (J = 1000) of the four catalog scenarios at N = 200, and at
+N = 200 of two scenario files for what the catalog lacks: ``run`` and
+``audit`` of ``UNFIXED_FIELD`` (no source, so the masses are fixed, but a U
+that moves), and ``run``, ``audit`` and ``validate`` of ``EXP_KERNEL`` (a
+kernel with no polynomial pieces, which the particles convolve in difference
+form and the oracle by FFT).  Each command runs once per tree, one at a time,
+in a fresh process with that tree's ``src`` on the path, in a directory of
+its own under ``DIR/parent`` or ``DIR/change``; its standard output and exit
+code go to ``stdout.txt`` there.
 
 Every file under a command's ``out`` directory and its ``stdout.txt`` is
 compared with its namesake in the other tree, and one line is printed per
@@ -54,6 +56,18 @@ UNFIXED_FIELD = {
     "metadata": {"name": "unfixed_field", "branch": "v_decays",
                  "initial": {"blocks": [[-0.75, 0.0, 0.9], [0.0, 0.65, 0.5]]}},
 }
+# repulsive_source with W = exp(-|x|) in place of W = -|x|
+EXP_KERNEL = {
+    "congestion": {"v": "1/(1 + r)", "v_sup": 1.0, "vprime_bound": "1"},
+    "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+    "potential": {"W": "exp(-abs(x))", "dxW_neg": "exp(x)", "dxW_pos": "-exp(-x)"},
+    "source": {"f": "rho*bump(x)", "c_f": 0.5, "drho_f_bound": "1",
+               "eta_mass": "2*r*(1 - bump(min(abs(X), 1)))"},
+    "metadata": {"name": "exp_kernel", "branch": "w_repulsive",
+                 "initial": {"blocks": [[-2.0 / 3.0, 2.0 / 3.0, 0.75]]}},
+}
+FILES = {"unfixed_field": (UNFIXED_FIELD, ("run", "audit")),
+         "exp_kernel": (EXP_KERNEL, ("run", "audit", "validate"))}
 
 
 def commands(work: Path):
@@ -65,19 +79,19 @@ def commands(work: Path):
             cwd = work / f"{workload}-{index}"
             cwd.mkdir(parents=True)
             out.append((cwd, make(cwd, SEED, index)[0]))
-    for name in CATALOG:
-        for command in ("run", "audit", "validate"):
+    runs = [(name, None, ("run", "audit", "validate")) for name in CATALOG]
+    runs += [(name, doc, kinds) for name, (doc, kinds) in FILES.items()]
+    for name, doc, kinds in runs:
+        for command in kinds:
             cwd = work / f"{command}-{name}"
             cwd.mkdir(parents=True)
+            scenario = name
+            if doc is not None:
+                scenario = str(cwd / f"{name}.json")
+                Path(scenario).write_text(json.dumps(doc, indent=2) + "\n")
             extra = ["--j", str(CATALOG_J)] if command == "validate" else []
-            out.append((cwd, [command, "--scenario", name, "--n", str(CATALOG_N),
+            out.append((cwd, [command, "--scenario", scenario, "--n", str(CATALOG_N),
                               "--out", str(cwd / "out"), *extra]))
-    for command in ("run", "audit"):
-        cwd = work / f"{command}-unfixed_field"
-        cwd.mkdir(parents=True)
-        (cwd / "unfixed_field.json").write_text(json.dumps(UNFIXED_FIELD, indent=2) + "\n")
-        out.append((cwd, [command, "--scenario", str(cwd / "unfixed_field.json"),
-                          "--n", str(CATALOG_N), "--out", str(cwd / "out")]))
     return out
 
 
