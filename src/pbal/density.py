@@ -4,6 +4,11 @@ A particle state is ``N+1`` strictly sorted positions ``x_0 .. x_N`` carrying
 ``N`` positive masses ``q_1 .. q_N``; the associated density is constant equal
 to ``q_i / (x_i - x_{i-1})`` on each gap and zero outside.  All distances
 (L1, W1) are computed exactly on merged breakpoint partitions.
+
+A state record (``ParticleSystem``, ``PiecewiseDensity``, and the oracle's
+``reference.GridState``) takes each array by one rule, ``_readonly``: it keeps
+a read-only float array that owns its data, and keeps one read-only copy of
+anything else.  So the states of a run without a source all hold ``p0.q``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ def collision_gap(x, gaps):
 
 
 def _readonly(a):
+    """``a`` when a read-only float array owning its data, else a read-only copy."""
+    if type(a) is np.ndarray and a.dtype == float and not a.flags.writeable and a.flags.owndata:
+        return a
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr

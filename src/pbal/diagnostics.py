@@ -297,8 +297,13 @@ def check_bounds(traj: Trajectory, env: EnvelopeCurves, s: Scenario) -> BoundsRe
     """Compare every snapshot against the envelope curves, each up to 1e-6
     relative.  ``rows`` holds the values and bounds; ``records`` each check's
     failures (ok=False: findings, not errors), else its least margin after the
-    first snapshot, where the envelopes start (margins 0), the earliest on ties."""
+    first snapshot, where the envelopes start (margins 0), the earliest on ties.
+    A snapshot after the envelopes' last sample raises ``ValueError``, since a
+    curve read past its samples would hold its last value."""
     ts = traj.times
+    if ts[-1] > env.S.ts[-1]:
+        raise ValueError(f"the snapshots run to t = {ts[-1]:.6g} but the envelopes "
+                         f"end at t = {env.S.ts[-1]:.6g}")
     Q = np.array([env.Q(p.t) for p in traj.snapshots])
     x0, xN, mass, rho_max, tv = _snapshot_columns(traj.snapshots)
     col = {"t": ts, "mass": mass, "mass_lo": env.q0 / Q, "mass_hi": env.q0 * Q,

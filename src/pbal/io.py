@@ -1,7 +1,8 @@
 """Serialization: snapshot CSVs, run manifests, reports and SVG plots.
 
 All floating-point output uses the shortest round-trip format so identical
-runs produce byte-identical files.
+runs produce byte-identical files.  Text files are written a line at a
+time as their rows are formatted, so no file is ever held in memory whole.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ def _fmt(x):
 
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _write_json(path, obj):
@@ -28,25 +29,25 @@ def _write_json(path, obj):
 
 def write_particle_csv(traj, path):
     """One record per cell per snapshot: t,i,x_left,x_right,q,rho."""
-    lines = ["t,i,x_left,x_right,q,rho"]
-    for p in traj.snapshots:
-        t, x, q, rho = _fmt(p.t), p.x, p.q, p.heights
-        lines.extend(",".join((t, str(i + 1), _fmt(x[i]), _fmt(x[i + 1]), _fmt(q[i]), _fmt(rho[i])))
-                     for i in range(p.n))
-    _write_lines(path, lines)
+    def rows():
+        yield "t,i,x_left,x_right,q,rho"
+        for p in traj.snapshots:
+            t, x, q, rho = _fmt(p.t), p.x, p.q, p.heights
+            yield from (",".join((t, str(i + 1), _fmt(x[i]), _fmt(x[i + 1]), _fmt(q[i]), _fmt(rho[i])))
+                        for i in range(p.n))
+    _write_lines(path, rows())
 
 
 def write_grid_csv(gtraj, path):
     """Same schema with the cell index replacing the particle index."""
-    lines = ["t,j,x_left,x_right,q,rho"]
-    for g in gtraj.snapshots:
-        edges = g.interfaces
-        for j in range(g.j):
-            lines.append(",".join((
-                _fmt(g.t), str(j + 1), _fmt(edges[j]), _fmt(edges[j + 1]),
-                _fmt(g.cells[j] * g.dx), _fmt(g.cells[j]),
-            )))
-    _write_lines(path, lines)
+    def rows():
+        yield "t,j,x_left,x_right,q,rho"
+        for g in gtraj.snapshots:
+            t, edges, cells = _fmt(g.t), g.interfaces, g.cells
+            yield from (",".join((t, str(j + 1), _fmt(edges[j]), _fmt(edges[j + 1]),
+                                  _fmt(cells[j] * g.dx), _fmt(cells[j])))
+                        for j in range(g.j))
+    _write_lines(path, rows())
 
 
 def write_manifest(path, **fields):
@@ -73,10 +74,10 @@ def density_polyline(p):
 
 def write_density_svg(traj, path):
     """Static 720 x 360 SVG (margin 40), one polyline of the reconstruction per snapshot."""
-    outlines = [density_polyline(p) for p in traj.snapshots]
-    x_min = min(float(np.min(xs)) for xs, _ in outlines)
-    x_max = max(float(np.max(xs)) for xs, _ in outlines)
-    y_max = max(max(float(np.max(ys)) for _, ys in outlines), 1e-12)
+    snaps = traj.snapshots
+    x_min = min(float(p.x[0]) for p in snaps)
+    x_max = max(float(p.x[-1]) for p in snaps)
+    y_max = max(max(float(np.max(p.heights)) for p in snaps), 1e-12)
     sx = 640 / max(x_max - x_min, 1e-12)
     sy = 280 / y_max
 
@@ -86,18 +87,15 @@ def write_density_svg(traj, path):
     def py(y):
         return 320 - y * sy
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="360" viewBox="0 0 720 360">',
-        '<rect width="720" height="360" fill="white"/>',
-        '<line x1="40" y1="320" x2="680" y2="320" stroke="black"/>',
-    ]
-    n = max(len(outlines) - 1, 1)
-    for k, (xs, ys) in enumerate(outlines):
-        shade = int(220 * (1 - k / n))
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline fill="none" stroke="rgb({shade},{shade // 2},{255 - shade})" '
-            f'stroke-width="1.2" points="{pts}"/>'
-        )
-    parts.append("</svg>")
-    _write_lines(path, parts)
+    def lines():
+        yield '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="360" viewBox="0 0 720 360">'
+        yield '<rect width="720" height="360" fill="white"/>'
+        yield '<line x1="40" y1="320" x2="680" y2="320" stroke="black"/>'
+        n = max(len(snaps) - 1, 1)
+        for k, p in enumerate(snaps):
+            shade = int(220 * (1 - k / n))
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(*density_polyline(p)))
+            yield (f'<polyline fill="none" stroke="rgb({shade},{shade // 2},{255 - shade})" '
+                   f'stroke-width="1.2" points="{pts}"/>')
+        yield "</svg>"
+    _write_lines(path, lines())

@@ -9,7 +9,10 @@ by the same O(J) prefix moments, and other kernels by FFT.  What the lattice
 holds fixed is evaluated once per run: the kernel spectrum, and the parts of V
 and f that read only x (``expressions.bind``).  ``fv_run``, the one entry
 point, checks its snapshot times as ``integrate`` does, and a step whose
-cells are not finite raises ``NumericalFailureError``.
+cells are not finite raises ``NumericalFailureError``.  ``GridState`` takes its
+cells by the state records' one rule, ``density._readonly``; a step builds its
+state around its own read-only cells without the constructor, whose
+non-negativity check it has just made.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, expressions
-from .density import PiecewiseDensity
+from .density import PiecewiseDensity, _readonly
 from .errors import GridEscapeError, NumericalFailureError
 from .initial import InitialDensity
 from .integrator import snapshot_schedule
@@ -37,12 +40,8 @@ class GridState:
     t: float
 
     def __post_init__(self):
-        arr = np.asarray(self.cells, dtype=float)
-        if arr.flags.writeable or arr.base is not None:  # keep only a read-only owner
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
-        if not np.all(arr >= 0):
+        object.__setattr__(self, "cells", _readonly(self.cells))
+        if not np.all(self.cells >= 0):
             raise ValueError("cell averages must be non-negative numbers")
 
     @property

@@ -8,6 +8,7 @@ from pbal.density import (ParticleSystem, PiecewiseDensity, cdf, l1_distance,
                           total_variation, w1_distance)
 from pbal.errors import DegenerateStateError, MassMismatchError
 from pbal.initial import InitialDensity
+from pbal.reference import GridState
 
 from conftest import random_particles
 
@@ -382,3 +383,34 @@ def test_l1_bitwise_equals_the_searched_midpoints(a, b):
 def test_nan_breakpoint_rejected():
     with pytest.raises(ValueError, match="strictly increasing"):
         block([0.0, np.nan, 1.0], [1.0, 1.0])
+
+
+# ------------------------------------------------------------ array ownership
+
+_RECORDS = {
+    "ParticleSystem": (lambda a: ParticleSystem(0.0, [0.0, 1.0, 2.0, 3.0], a), "q"),
+    "PiecewiseDensity": (lambda a: PiecewiseDensity([0.0, 1.0, 2.0, 3.0], a), "heights"),
+    "GridState": (lambda a: GridState(0.0, 0.5, a, 0.0), "cells"),
+}
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("record", _RECORDS)
+def test_a_record_keeps_a_read_only_owner_and_copies_anything_else(record):
+    make, name = _RECORDS[record]
+    owner = _read_only(np.array([1.0, 2.0, 3.0]))
+    assert getattr(make(owner), name) is owner
+    writable = np.array([1.0, 2.0, 3.0])
+    view = _read_only(np.array([0.5, 1.0, 2.0, 3.0]))[1:]
+    ints = _read_only(np.array([1, 2, 3]))
+    copies = [getattr(make(a), name) for a in (writable, view, ints, [1.0, 2.0, 3.0])]
+    writable[0] = 5.0  # its copy does not see it
+    for got, a in zip(copies, (writable, view, ints)):
+        assert got is not a
+    for got in copies:
+        assert got.tolist() == [1.0, 2.0, 3.0] and got.dtype == float
+        assert got.flags.owndata and not got.flags.writeable

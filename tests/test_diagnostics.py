@@ -768,3 +768,14 @@ def test_good_v_constant_density_clean():
     v_sel = upwind_arrays(p.heights, s, U)
     out = dg.good_v_violations_state(0.0, p.x, p.q, U, v_sel, s.congestion.v)
     assert out == []
+
+
+def test_check_bounds_refuses_snapshots_past_the_envelopes():
+    # a Curve read past its last sample holds that sample: S(1) would read
+    # S(0.3) = 1.966 against 6.103, and flag both support checks at t = 1
+    s = builtin_catalog("repulsive_source")
+    p0 = quantile_init(builtin_initial("repulsive_source"), 200)
+    traj = integrate(p0, s, SolverConfig(t_end=1.0))
+    with pytest.raises(ValueError, match=r"t = 1 .* t = 0\.3$"):
+        dg.check_bounds(traj, dg.compute_envelopes(s, p0, 0.3), s)
+    assert dg.check_bounds(traj, dg.compute_envelopes(s, p0, 1.0), s).ok

@@ -452,3 +452,27 @@ def test_integrate_refuses_times_before_p0_t():
     assert np.array_equal(traj.times, [0.5, 0.75, 1.0])
     for snap in traj.snapshots:  # transport moves every particle at speed 1
         assert np.allclose(snap.x, p0.x + (snap.t - 0.5), atol=1e-12)
+
+
+def _states(traj):
+    """Every stored state and snapshot of ``traj``, each object once."""
+    return list({id(p): p for p in traj.steps + traj.snapshots}.values())
+
+
+def test_a_source_free_run_keeps_its_masses_once():
+    p0 = quantile_init(builtin_initial("attractive_congested"), 200)
+    traj = integrate(p0, builtin_catalog("attractive_congested"),
+                     SolverConfig(t_end=1.0, store_steps=True))
+    assert len(traj.steps) > len(traj.snapshots)
+    for p in traj.steps + traj.snapshots:
+        assert p.q is p0.q
+
+
+def test_with_a_source_each_state_owns_its_masses():
+    p0 = quantile_init(builtin_initial("repulsive_source"), 200)
+    traj = integrate(p0, builtin_catalog("repulsive_source"),
+                     SolverConfig(t_end=1.0, store_steps=True))
+    states = _states(traj)
+    assert len({id(p.q) for p in states} | {id(p0.q)}) == len(states) + 1
+    for p in states:
+        assert p.q.flags.owndata and not p.q.flags.writeable
