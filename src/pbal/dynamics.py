@@ -5,7 +5,10 @@ evaluated through exact W-primitive differences (no quadrature, no special
 handling of the gradient kink at 0), the congestion factor ``v_i`` taken from
 the cell the velocity points toward, and cell masses fed by the source
 integral over the cell, by the cell rule (one Gauss rule on panels from one
-splitter) that the audit also uses.
+splitter) that the audit also uses.  The rule is the 4-node Gauss-Legendre
+rule, its nodes and weights held as literal data, and a kernel's polynomial
+pieces are evaluated by ``expressions.polyval``: nothing here loads
+``numpy.polynomial``.
 
 Without a source the masses are the same at every state of a run, and with
 a constant V and a kernel with constant gradient pieces (``field_is_fixed``)
@@ -18,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .density import ParticleSystem, cell_index, step_cdf_arrays
+from .expressions import polyval
 from .scenario import Scenario
 
 # The cell rule, for the source integrals here and the audit's panels: the
@@ -28,9 +31,13 @@ from .scenario import Scenario
 # CELL_CAP, a wider cell or gap being split by ``cell_panels``.  The rule on a
 # panel of width w errs by w^9 (4!)^4 / (9 (8!)^3) times the integrand's
 # eighth derivative somewhere in the panel, so by at most CELL_CAP^9 / 1.78e9
-# max|g^(8)|, below 1e-20 max|g^(8)|.
+# max|g^(8)|, below 1e-20 max|g^(8)|.  The nodes and weights are held as
+# data: the floats ``numpy.polynomial.legendre.leggauss(4)`` returns.
 CELL_CAP = 1.0 / 16.0
-GL4_NODES, GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+GL4_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                      0.33998104358485626, 0.8611363115940526])
+GL4_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                        0.6521451548625464, 0.34785484513745357])
 
 
 def cell_panels(a, b, cap):
@@ -83,7 +90,7 @@ def _prefix_moment(x, rho, y, m, shift, cum, cell):
 
 
 def _poly(coef, Y):
-    return coef[0] if len(coef) == 1 else P.polyval(Y, coef)
+    return coef[0] if len(coef) == 1 else polyval(Y, coef)
 
 
 def _moment_convolution(x, rho, chain, y, gaps, cell, sums=None):

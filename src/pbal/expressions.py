@@ -10,7 +10,8 @@ that overflows (``9**9**9``) is a format error, not a hang.  ``constant`` is
 the value of a body folded to a number, else None; ``bind`` fixes a variable
 to an array, evaluating once every part that reads only it.
 ``piecewise_polynomial`` reads the one-sided polynomial pieces of an
-expression, when it has them, as coefficient data.
+expression, when it has them, as coefficient data, and ``polyval`` is the one
+evaluator of such coefficients.
 """
 
 from __future__ import annotations
@@ -341,3 +342,14 @@ def piecewise_polynomial(text, var):
     if not np.all(np.isfinite(neg + pos)):
         return None
     return tuple(neg), tuple(pos)
+
+
+def polyval(x, c):
+    """The polynomial of ascending coefficients ``c`` at ``x`` (an array or a
+    scalar), by the Horner steps of ``numpy.polynomial.polynomial.polyval``
+    in its order, so with its bits: ``c[-1] + x*0``, then ``c[k] + out*x`` for
+    k from high to low."""
+    out = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + out * x
+    return out

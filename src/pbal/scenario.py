@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import expressions
 from .errors import ScenarioFormatError, UnknownScenarioError
@@ -97,7 +96,8 @@ class Potential:
         if (self.dxW_neg is None, self.dxW_pos is None) != (self.pieces is not None,) * 2:
             raise ValueError("dxW_neg and dxW_pos are given exactly when W has no pieces")
         for name, coef in zip(("dxW_neg", "dxW_pos"), self.pieces or ()):
-            object.__setattr__(self, name, functools.partial(P.polyval, c=_derivative(coef)))
+            object.__setattr__(self, name,
+                               functools.partial(expressions.polyval, c=_derivative(coef)))
 
     # The chains of dxW * rhobar and of (the absolutely continuous part of)
     # dx2W * rhobar, None without pieces, each built on first use and kept.
@@ -140,7 +140,18 @@ class Scenario:
     source: Source
     no_collapse_branch: Branch
     name: str = "custom"
-    fingerprint: str = field(default="", compare=False)
+    text: Optional[str] = field(default=None, compare=False, repr=False)  # a file's, if any
+
+    @functools.cached_property
+    def fingerprint(self):
+        """A manifest's ``scenario_hash``: the first 16 hex digits of the
+        SHA-256 of the file's ``text``, computed on first read (``hashlib``
+        maps OpenSSL, which nothing else needs); without a text, the name."""
+        if self.text is None:
+            return self.name
+        import hashlib
+
+        return hashlib.sha256(self.text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -379,8 +390,9 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
     never silently defaulted); model functions are expression
     strings in the documented grammar (variables: r for congestion and the
     radial envelopes, t/x for advection, x for the potential, t/x/rho for the
-    source, t/r/X for ``source.eta_mass``).  The scenario's fingerprint is a
-    hash of the file's text.
+    source, t/r/X for ``source.eta_mass``).  The scenario keeps the file's
+    text, and its ``fingerprint`` hashes that text only when read, which only
+    ``run``'s manifest does.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -388,15 +400,13 @@ def load_scenario(path) -> tuple[Scenario, Optional[InitialDensity]]:
         doc = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
-
-    import hashlib
-
-    return _build(doc, path, hashlib.sha256(raw.encode()).hexdigest()[:16])
+    return _build(doc, path, raw)
 
 
-def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
-    """The scenario and initial density of a parsed document; errors name
-    ``path: section.key``."""
+def _build(doc, path, text=None) -> tuple[Scenario, Optional[InitialDensity]]:
+    """The scenario and initial density of a parsed document, the scenario
+    keeping ``text``, a file's (None for a catalog entry), for its
+    fingerprint; errors name ``path: section.key``."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
     _reject_unknown(path, "top level", doc, SCHEMA)
@@ -436,6 +446,9 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
     if source.c_f == 0.0:  # no source: the dynamics, the oracle and the envelopes skip f
         points = tuple(np.array(default_sample_grid()).T)
         _check(path, "source.f", "source.c_f = 0", source.f, points, np.zeros(points[0].size), 0.0)
+    name = meta.get("name", "custom")
+    if not isinstance(name, str):
+        raise ScenarioFormatError(f"{path}: metadata.name must be a string, got {expressions._quote(name)}")
     branch_txt = str(meta.get("branch", "w_repulsive")).lower()
     try:
         branch = Branch(branch_txt)
@@ -450,8 +463,8 @@ def _build(doc, path, fingerprint) -> tuple[Scenario, Optional[InitialDensity]]:
         potential=potential,
         source=source,
         no_collapse_branch=branch,
-        name=str(meta.get("name", "custom")),
-        fingerprint=fingerprint,
+        name=name,
+        text=text,
     )
 
     init_cfg = meta.get("initial")
@@ -533,7 +546,7 @@ def catalog_entry(name: str) -> tuple[Scenario, InitialDensity]:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; valid names: {', '.join(CATALOG_NAMES)}"
         ) from None
-    return _build(doc, f"catalog scenario {name!r}", name)
+    return _build(doc, f"catalog scenario {name!r}")
 
 
 def builtin_catalog(name: str) -> Scenario:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -377,6 +379,45 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
     mentions = [str(p) for p in (SRC / "pbal").rglob("*.py") if "scipy" in p.read_text()]
     assert mentions == []
+
+
+_QUADRATIC_POTENTIAL = {"W": "0.5*x**2 - abs(x)"}
+# After main(argv), or the import alone: the modules loaded that a command
+# should not need (OpenSSL through hashlib, and numpy.polynomial).
+_LOADED = ("import sys; from pbal.cli import main; rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+           "print(rc, *sorted(m for m in sys.modules if m in ('hashlib', '_hashlib') "
+           "or m.split('.')[:2] == ['numpy', 'polynomial']))")
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ((), []),
+    (("validate", "--n", "20", "--j", "200"), []),
+    (("audit", "--n", "20"), []),
+    (("sweep", "--n", "20", "40"), []),
+    # the one reader of the fingerprint: run's manifest on a scenario file
+    (("run", "--n", "20"), ["_hashlib", "hashlib"]),
+])
+def test_a_command_loads_only_what_it_reads(tmp_path, command, loaded):
+    path = _with_potential(tmp_path, _QUADRATIC_POTENTIAL)
+    argv = [*command, "--scenario", str(path), "--out", str(tmp_path / "out")] if command else []
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True,
+                         text=True, check=True, cwd=tmp_path).stdout.splitlines()[-1].split()
+    assert out[0] in ("0", "1") and out[1:] == loaded
+
+
+def test_package_imports_no_numpy_polynomial():
+    # the run-time check above covers the paths its commands take; this, every line
+    uses = re.compile(r"^\s*(from|import) numpy\.polynomial|\bnp\.polynomial\b", re.M)
+    assert [str(p) for p in (SRC / "pbal").rglob("*.py") if uses.search(p.read_text())] == []
+
+
+def test_run_manifest_hashes_the_scenario_file_text(tmp_path):
+    path = _with_potential(tmp_path, _QUADRATIC_POTENTIAL)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--n", "20", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario_hash"] == hashlib.sha256(path.read_text().encode()).hexdigest()[:16]
 
 
 def _file_scenario(tmp_path, **sections):

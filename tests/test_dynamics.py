@@ -561,6 +561,12 @@ def _rule_bound(degree, lo, hi):
     return (hi - lo) ** 9 / 1.78e9 * d8
 
 
+def test_cell_rule_is_leggauss_4():
+    # held as literals so that the package never loads numpy.polynomial
+    g, w = np.polynomial.legendre.leggauss(4)
+    assert np.array_equal(dynamics.GL4_NODES, g) and np.array_equal(dynamics.GL4_WEIGHTS, w)
+
+
 @pytest.mark.parametrize("degree", range(16))
 def test_cell_rule_exact_for_polynomials(degree):
     # 4 nodes integrate degree <= 7 exactly on every panel; with each panel

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from pbal import (SolverConfig, builtin_catalog, builtin_initial, integrate, quantile_init,
                   scenario_validate)
+from pbal.cli import main
 from pbal.initial import InitialDensity
 from pbal.scenario import load_scenario
 from pbal.errors import ScenarioFormatError, UnknownScenarioError
+from pbal import expressions
 from pbal.expressions import bind, bump, bump_and_prime, compile_expression, piecewise_polynomial
 from pbal.scenario import SCHEMA, Branch, CATALOG_NAMES, default_sample_grid
 
@@ -160,6 +162,29 @@ def test_constant_expressions_report_their_value():
 ])
 def test_piecewise_polynomial_table(text, pieces):
     assert piecewise_polynomial(text, "x") == pieces
+
+
+def _same_bits(a, b):
+    """Equal shapes and bits, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a.view(np.int64)[~nan], b.view(np.int64)[~nan]))
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats()
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.lists(_EDGE_FLOATS, min_size=1, max_size=expressions.MAX_DEGREE + 1),
+       x=_EDGE_FLOATS | st.lists(_EDGE_FLOATS, max_size=8).map(np.array))
+def test_polyval_is_bitwise_numpys(c, x):
+    from numpy.polynomial import polynomial as P
+
+    with np.errstate(all="ignore"):
+        got, want = expressions.polyval(x, c), P.polyval(x, c)
+    assert np.ndim(got) == np.ndim(want)
+    assert _same_bits(got, want)
 
 
 def test_bump_shape():
@@ -504,6 +529,18 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         path.write_text(json.dumps(dict(SCENARIO_DOC, **bad)))
         with pytest.raises(ScenarioFormatError, match="unknown key"):
             load_scenario(path)
+
+
+@pytest.mark.parametrize("name", [5, None, ["a"], True])
+def test_metadata_name_must_be_a_string(tmp_path, capsys, name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(SCENARIO_DOC, metadata=dict(SCENARIO_DOC["metadata"], name=name))))
+    with pytest.raises(ScenarioFormatError, match=f"{path}: metadata.name must be a string"):
+        load_scenario(path)
+    assert main(["run", "--scenario", str(path), "--n", "20", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "metadata.name" in captured.err
 
 
 def test_load_scenario_malformed(tmp_path):

@@ -6,12 +6,15 @@ Each tree is a directory holding ``src/pbal``; ``git archive REV | tar -x -C
 DIR`` makes one of a revision.  The commands are the benchmark's three
 workloads on seed-1 inputs 0-2 (their commands and inputs as
 ``perfbench/run.py`` of this checkout makes them), ``run``, ``audit`` and
-``validate`` (J = 1000) of the four catalog scenarios at N = 200, and at
-N = 200 of two scenario files for what the catalog lacks: ``run`` and
-``audit`` of ``UNFIXED_FIELD`` (no source, so the masses are fixed, but a U
-that moves), and ``run``, ``audit`` and ``validate`` of ``EXP_KERNEL`` (a
+``validate`` (J = 1000) of the four catalog scenarios at N = 200, ``run
+--plot`` of ``PLOTTED`` at N = 200 (the one command writing ``density.svg``),
+and at N = 200 of three scenario files for what the catalog lacks: ``run``
+and ``audit`` of ``UNFIXED_FIELD`` (no source, so the masses are fixed, but a
+U that moves), and ``run``, ``audit`` and ``validate`` of ``EXP_KERNEL`` (a
 kernel with no polynomial pieces, which the particles convolve in difference
-form and the oracle by FFT).  Each command runs once per tree, one at a time,
+form and the oracle by FFT) and of ``QUADRATIC_KERNEL`` (polynomial pieces of
+degree 2, so a moment chain of more than one term, evaluated by
+``expressions.polyval``).  Each command runs once per tree, one at a time,
 in a fresh process with that tree's ``src`` on the path, in a directory of
 its own under ``DIR/parent`` or ``DIR/change``; its standard output and exit
 code go to ``stdout.txt`` there, and its peak RSS (``os.wait4``) is kept.
@@ -68,8 +71,19 @@ EXP_KERNEL = {
     "metadata": {"name": "exp_kernel", "branch": "w_repulsive",
                  "initial": {"blocks": [[-2.0 / 3.0, 2.0 / 3.0, 0.75]]}},
 }
+# attractive_congested with W = x^2/2 - |x| in place of W = |x|
+QUADRATIC_KERNEL = {
+    "congestion": {"v": "max(1 - r, 0)", "v_sup": 1.0, "vprime_bound": "1", "decay_g": "2*r"},
+    "advection": {"V": "0", "dxV": "0", "F": "2", "G": "1", "lambda": "1"},
+    "potential": {"W": "0.5*x**2 - abs(x)"},
+    "source": {"f": "0*(x + rho)", "c_f": 0.0},
+    "metadata": {"name": "quadratic_kernel", "branch": "v_decays",
+                 "initial": {"blocks": [[-0.75, 0.0, 0.9], [0.0, 0.65, 0.5]]}},
+}
 FILES = {"unfixed_field": (UNFIXED_FIELD, ("run", "audit")),
-         "exp_kernel": (EXP_KERNEL, ("run", "audit", "validate"))}
+         "exp_kernel": (EXP_KERNEL, ("run", "audit", "validate")),
+         "quadratic_kernel": (QUADRATIC_KERNEL, ("run", "audit", "validate"))}
+PLOTTED = "repulsive_source"
 
 
 def commands(work: Path):
@@ -83,15 +97,20 @@ def commands(work: Path):
             out.append((cwd, make(cwd, SEED, index)[0]))
     runs = [(name, None, ("run", "audit", "validate")) for name in CATALOG]
     runs += [(name, doc, kinds) for name, (doc, kinds) in FILES.items()]
+    runs += [(PLOTTED, None, ("plot",))]
     for name, doc, kinds in runs:
-        for command in kinds:
-            cwd = work / f"{command}-{name}"
+        for kind in kinds:
+            cwd = work / f"{kind}-{name}"
             cwd.mkdir(parents=True)
             scenario = name
             if doc is not None:
                 scenario = str(cwd / f"{name}.json")
                 Path(scenario).write_text(json.dumps(doc, indent=2) + "\n")
-            extra = ["--j", str(CATALOG_J)] if command == "validate" else []
+            command, extra = kind, []
+            if kind == "validate":
+                extra = ["--j", str(CATALOG_J)]
+            elif kind == "plot":
+                command, extra = "run", ["--plot"]
             out.append((cwd, [command, "--scenario", scenario, "--n", str(CATALOG_N),
                               "--out", str(cwd / "out"), *extra]))
     return out
