@@ -60,10 +60,11 @@ def write_report(path, records):
 
 
 def write_envelope_csv(path, rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write_lines(path, lines)
+    def lines():
+        yield ",".join(header)
+        for row in rows:
+            yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+    _write_lines(path, lines())
 
 
 def density_polyline(p):

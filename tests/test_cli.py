@@ -381,6 +381,36 @@ def test_cli_import_loads_no_scipy():
     assert mentions == []
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(first_import, caller):
+    """OpenBLAS's thread count (``None`` when the BLAS reports none) and the
+    three thread variables, read in a fresh process after ``first_import``
+    with only the ``caller``'s thread variables set."""
+    code = (f"import os, {first_import}; from perfbench.machine import _blas; "
+            f"print(_blas()['threads'], *(os.environ.get(v) for v in {_THREAD_VARS!r}))")
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(caller, PYTHONPATH=os.pathsep.join((str(SRC), str(SRC.parent))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    return (None if out[0] == "None" else int(out[0])), out[1:]
+
+
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}])
+def test_numpy_loads_with_one_blas_thread_unless_the_caller_sizes_it(caller):
+    threads, seen = _blas_threads("pbal.cli", caller)
+    # the variable pbal sets for the load is gone again; the caller's stay
+    assert seen == [caller.get(v, "None") for v in _THREAD_VARS]
+    if threads is None:  # a BLAS that reports no thread count
+        return
+    if caller:
+        # the caller's count, as OpenBLAS caps it at the CPUs it finds
+        assert threads == _blas_threads("numpy", caller)[0]
+    else:
+        assert threads == 1
+
+
 _QUADRATIC_POTENTIAL = {"W": "0.5*x**2 - abs(x)"}
 # After main(argv), or the import alone: the modules loaded that a command
 # should not need (OpenSSL through hashlib, and numpy.polynomial).

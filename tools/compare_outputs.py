@@ -17,16 +17,18 @@ degree 2, so a moment chain of more than one term, evaluated by
 ``expressions.polyval``).  Each command runs once per tree, one at a time,
 in a fresh process with that tree's ``src`` on the path, in a directory of
 its own under ``DIR/parent`` or ``DIR/change``; its standard output and exit
-code go to ``stdout.txt`` there, and its peak RSS (``os.wait4``) is kept.
+code go to ``stdout.txt`` there, and its peak RSS and CPU seconds (user plus
+system, both from ``os.wait4``) are kept.
 
 Every file under a command's ``out`` directory and its ``stdout.txt`` is
 compared with its namesake in the other tree, and one line is printed per
 file: ``identical``, or the largest absolute and relative difference over
 the numbers of the two files when the text around the numbers agrees.  JSON
 files are compared as sorted dumps without ``wall_clock_s``.  Then one line
-per command gives its peak RSS in the parent and the change, so a change that
-leaves the outputs alone still shows what it did to memory.  The exit code
-is 0 when every file is identical, else 1.
+per command gives its peak RSS and CPU seconds in the parent and the change,
+so a change that leaves the outputs alone still shows what it did to memory
+and to its CPU time.  The exit code is 0 when every file is identical,
+else 1.
 """
 
 from __future__ import annotations
@@ -117,20 +119,21 @@ def commands(work: Path):
 
 
 def run_tree(tree: Path, work: Path):
-    """Run every command in ``tree``; ``{directory name: peak RSS in MB}``."""
+    """Run every command in ``tree``; ``{directory name: (peak RSS in MB, CPU
+    seconds)}``."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
-    rss = {}
+    usages = {}
     for cwd, argv in commands(work):
         with subprocess.Popen([sys.executable, "-c", _MAIN, *argv], cwd=cwd, env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                               text=True) as proc:
             text = proc.stdout.read()
-            # wait4 gives this child's own peak RSS, in KB on Linux
+            # wait4 gives this child's own peak RSS (in KB on Linux) and CPU time
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
         (cwd / "stdout.txt").write_text(f"exit {proc.returncode}\n{text}")
-        rss[cwd.name] = usage.ru_maxrss / 1024
-    return rss
+        usages[cwd.name] = (usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime)
+    return usages
 
 
 def _without(doc, keys):
@@ -198,13 +201,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         work = args.work if args.work is not None else Path(tmp)
-        rss = {side: run_tree(getattr(args, side), work / side) for side in ("parent", "change")}
+        usages = {side: run_tree(getattr(args, side), work / side)
+                  for side in ("parent", "change")}
         verdicts = compare_dirs(work / "parent", work / "change")
     for rel, verdict in verdicts:
         print(f"{rel}: {verdict}")
-    for name, before in rss["parent"].items():
-        after = rss["change"][name]
-        print(f"{name}: peak RSS {before:.1f} -> {after:.1f} MB ({after / before:.2f}x)")
+    for name, (rss_p, cpu_p) in usages["parent"].items():
+        rss_c, cpu_c = usages["change"][name]
+        print(f"{name}: peak RSS {rss_p:.1f} -> {rss_c:.1f} MB ({rss_c / rss_p:.2f}x), "
+              f"CPU {cpu_p:.3f} -> {cpu_c:.3f} s")
     same = sum(verdict == "identical" for _, verdict in verdicts)
     print(f"{same} of {len(verdicts)} files identical")
     return 0 if same == len(verdicts) else 1
