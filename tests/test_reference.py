@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -11,15 +13,16 @@ from pbal import SolverConfig, builtin_catalog, builtin_initial
 from pbal.density import ParticleSystem, l1_distance, to_density
 from pbal.initial import InitialDensity
 from pbal.reference import compare_l1, fv_run
-from pbal.errors import GridEscapeError
-from pbal.integrator import Trajectory
+from pbal.errors import GridEscapeError, NumericalFailureError
+from pbal.integrator import Trajectory, snapshot_schedule
 from pbal import dynamics, expressions, reference
 from pbal.expressions import bump, compile_expression
 from pbal.reference import (GridConfig, GridState, _flux_mirrored, grid_to_density,
                             initial_grid, interface_velocity, kernel_spectrum)
-from pbal.scenario import CATALOG_NAMES, Potential, Source
+from pbal.scenario import _CATALOG, CATALOG_NAMES, Potential, Source, load_scenario
 
-from conftest import benchmark_file_scenario, const, make_scenario, zero_field_scenario
+from conftest import (benchmark_file_scenario, const, make_scenario, unfixed_field_scenario,
+                      zero_field_scenario)
 
 
 def test_zero_fields_state_unchanged():
@@ -211,18 +214,14 @@ def test_fv_run_cached_spectrum_matches_per_step(monkeypatch):
     assert len(built) == 1  # once per run
 
     # the per-step run ignores everything fv_run fixes: the spectrum and the bound V
-    velocity = reference.interface_velocity
-    monkeypatch.setattr(reference, "interface_velocity",
-                        lambda g, s, spectrum=None, *, V=None: velocity(g, s))
-    per_step = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
-    assert len(built) == 2 + per_step.steps  # fv_run's unused one, then one per step
-    assert cached.steps == per_step.steps
-    assert len(cached.snapshots) == len(per_step.snapshots) == 5
-    for a, b in zip(cached.snapshots, per_step.snapshots):
+    per_step, steps = _full_lattice_run(rho0, s, grid, 0.5, times, fixed=False)
+    assert len(built) == 1 + steps  # one per step
+    assert cached.steps == steps
+    assert len(cached.snapshots) == len(per_step) == 5
+    for a, b in zip(cached.snapshots, per_step):
         assert a.t == b.t and np.array_equal(a.cells, b.cells)
 
     # a potential with pieces is convolved by prefix moments: no spectrum at all
-    monkeypatch.setattr(reference, "interface_velocity", velocity)
     spectra = []
     monkeypatch.setattr(reference, "kernel_spectrum",
                         lambda *a: spectra.append(original(*a)) or spectra[-1])
@@ -304,8 +303,9 @@ def test_grid_state_from_outside_keeps_its_checks(bad):
 
 
 def _step_as_first_written(g, s, dt, U_if, f):
-    """``reference._step`` with a fresh array for the padded density, every
-    flux term and the update, and a validated ``GridState``."""
+    """One step of the whole lattice with a fresh array for the padded
+    density, every flux term and the update, checked as ``fv_run`` checks a
+    step, and a validated ``GridState``."""
     rho_ext = np.concatenate(([0.0], g.cells, [0.0]))
     vr = np.asarray(s.congestion.v(rho_ext), dtype=float)
     if vr.ndim == 0:
@@ -316,15 +316,53 @@ def _step_as_first_written(g, s, dt, U_if, f):
     if s.source.c_f != 0.0:
         new = new + dt * np.asarray(f(g.t, g.cells), dtype=float)
     new = np.maximum(new, 0.0)
-    assert np.all(np.isfinite(new)) and new[0] == new[-1] == 0.0
+    peak = float(np.max(new))
+    if not np.isfinite(peak):
+        raise NumericalFailureError(f"finite-volume cells not finite at t = {g.t + dt:.6g}")
+    for edge, cell in (("left", new[0]), ("right", new[-1])):
+        if cell > 1e-10 * max(peak, 1e-300):
+            raise GridEscapeError(f"support reached the {edge} grid boundary at "
+                                  f"t = {g.t + dt:.6g}; enlarge the domain")
     return GridState(x_left=g.x_left, dx=g.dx, cells=new, t=g.t + dt)
+
+
+def _full_lattice_run(rho0, s, grid, t_end, times, fixed=True):
+    """``(snapshots, steps)`` of ``fv_run`` as one loop over the whole lattice:
+    every step takes U and the CFL speed at all J+1 interfaces and steps
+    every cell by ``_step_as_first_written``.  ``fixed=False`` also builds
+    the kernel spectrum and evaluates V on every step, where ``fv_run`` does
+    both once per run."""
+    targets = list(snapshot_schedule(t_end, times))
+    state = initial_grid(rho0, grid)
+    spectrum = reference.kernel_spectrum(s, state.dx, state.j) if fixed else None
+    V = expressions.bind(s.advection.V, 1, state.interfaces) if fixed else None
+    f = expressions.bind(s.source.f, 1, state.centers)
+    snapshots, steps = [], 0
+    while targets and abs(targets[0] - state.t) <= 1e-14:
+        snapshots.append(state)
+        targets.pop(0)
+    while state.t < t_end * (1 - 1e-15):
+        U_if = interface_velocity(state, s, spectrum, V=V)
+        speed = float(np.max(np.abs(U_if))) * s.congestion.v_sup
+        dt = t_end - state.t if speed == 0.0 else reference.CFL * state.dx / speed
+        next_stop = targets[0] if targets else t_end
+        dt = min(dt, next_stop - state.t)
+        state = _step_as_first_written(state, s, dt, U_if, f)
+        steps += 1
+        if abs(state.t - next_stop) <= 1e-13 * max(1.0, next_stop):
+            state = GridState(state.x_left, state.dx, state.cells, next_stop)
+            if targets:
+                snapshots.append(state)
+                targets.pop(0)
+    return snapshots, steps
 
 
 @pytest.mark.parametrize("which", ["repulsive_source", "file-source", "benchmark_file",
                                    "attractive_congested"])
-def test_fv_run_equals_the_first_step_cell_for_cell(tmp_path, monkeypatch, which):
-    # fv_run's steps work in buffers it reuses; the float operations and
-    # their order are those of the step as first written
+def test_fv_run_equals_the_first_step_cell_for_cell(tmp_path, which):
+    # fv_run steps a window of its cells in buffers it reuses; the float
+    # operations and their order are those of the step as first written,
+    # applied to every cell of the lattice
     if which == "benchmark_file":
         s, rho0 = benchmark_file_scenario(tmp_path)
     else:
@@ -334,11 +372,9 @@ def test_fv_run_equals_the_first_step_cell_for_cell(tmp_path, monkeypatch, which
     grid = GridConfig(x_left=-4.0, x_right=4.0, j=800)
     times = np.linspace(0.0, 0.5, 6)
     reused = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
-    monkeypatch.setattr(reference, "_step", lambda g, s, dt, U, f, buffers:
-                        _step_as_first_written(g, s, dt, U, f))
-    fresh = fv_run(rho0, s, grid, 0.5, snapshot_times=times)
-    assert reused.steps == fresh.steps > 0
-    for a, b in zip(reused.snapshots, fresh.snapshots, strict=True):
+    fresh, steps = _full_lattice_run(rho0, s, grid, 0.5, times)
+    assert reused.steps == steps > 0
+    for a, b in zip(reused.snapshots, fresh, strict=True):
         assert a.t == b.t and a.cells.tobytes() == b.cells.tobytes()
     # every stored array is its own read-only owner of finite, non-negative cells
     cells = [g.cells for g in reused.snapshots]
@@ -348,12 +384,107 @@ def test_fv_run_equals_the_first_step_cell_for_cell(tmp_path, monkeypatch, which
         assert np.all(np.isfinite(c)) and np.all(c >= 0.0)
 
 
+def _with(tmp_path, name, **changes):
+    """``(scenario, initial density)`` of catalog scenario ``name`` with the
+    document's sections updated by ``changes``, loaded from a file."""
+    doc = copy.deepcopy(_CATALOG[name])
+    for section, keys in changes.items():
+        doc[section].update(keys)
+    path = tmp_path / f"{name}_changed.json"
+    path.write_text(json.dumps(doc))
+    return load_scenario(path)
+
+
+def _window_cases(tmp_path):
+    """``{id: (scenario, initial density, grid, t_end)}``: every way ``fv_run``
+    takes U, its speed and the window.  A source that is nonzero on empty
+    cells (``bump(x)`` reaches beyond the initial block, a scalar rate
+    everywhere) widens the window to the whole lattice; ``f = rho`` returns
+    the very cells the step overwrites."""
+    grid = GridConfig(x_left=-4.0, x_right=4.0, j=800)
+    cases = {name: (builtin_catalog(name), builtin_initial(name), grid, 1.0)
+             for name in CATALOG_NAMES}  # transport has vacuum inside its support
+    cases["benchmark_file"] = (*benchmark_file_scenario(tmp_path), grid, 1.0)
+    cases["fft-kernel"] = (*_with(tmp_path, "repulsive_source", potential={
+        "W": "exp(-abs(x))", "dxW_neg": "exp(x)", "dxW_pos": "-exp(-x)"}), grid, 1.0)
+    cases["moving-V"] = (*unfixed_field_scenario(tmp_path), grid, 1.0)
+    cases["two-term-chain"] = (*_with(tmp_path, "attractive_congested",
+                                      potential={"W": "0.5*x**2 - abs(x)"}), grid, 1.0)
+    cases["source-in-vacuum"] = (*_with(tmp_path, "repulsive_source", source={
+        "f": "rho*bump(x) + 0.05*bump(x)", "c_f": 0.5}), grid, 1.0)
+    cases["identity-source"] = (*_with(tmp_path, "transport", source={
+        "f": "rho", "c_f": 1.0, "drho_f_bound": "1"}), grid, 1.0)  # f returns its rho
+    cases["scalar-source"] = (make_scenario(V=const(1.0), source=Source(
+        f=lambda t, x, rho: 0.05, c_f=1.0, drho_f_bound=const(0.0))),
+        builtin_initial("transport"), grid, 0.5)
+    s = builtin_catalog("transport")
+    cases["grid-escape"] = (s, InitialDensity.from_blocks([(0.0, 1.0, 1.0)]),
+                            GridConfig(x_left=-0.5, x_right=1.2, j=60), 1.0)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["attractive_congested", "growth_transport",
+                                  "repulsive_source", "transport", "benchmark_file",
+                                  "fft-kernel", "moving-V", "two-term-chain",
+                                  "source-in-vacuum", "identity-source", "scalar-source",
+                                  "grid-escape"])
+def test_fv_run_window_equals_the_full_lattice_loop(tmp_path, case):
+    # stepping only the cells that can hold mass changes no bit: the same
+    # steps, the same snapshots, or the same error at the same time
+    s, rho0, grid, t_end = _window_cases(tmp_path)[case]
+    times = np.linspace(0.0, t_end, 5)
+    try:
+        full, steps = _full_lattice_run(rho0, s, grid, t_end, times)
+    except GridEscapeError as error:
+        assert case in ("grid-escape", "scalar-source")  # the latter fills the edge cells
+        with pytest.raises(GridEscapeError, match=f"^{re.escape(str(error))}$"):
+            fv_run(rho0, s, grid, t_end, snapshot_times=times)
+        return
+    window = fv_run(rho0, s, grid, t_end, snapshot_times=times)
+    assert window.steps == steps > 0
+    for a, b in zip(window.snapshots, full, strict=True):
+        assert a.t == b.t and a.cells.tobytes() == b.cells.tobytes()
+
+
+@pytest.mark.parametrize("case", ["benchmark_file", "transport", "fft-kernel", "moving-V",
+                                  "two-term-chain"])
+def test_interface_velocity_window_is_the_whole_lattice_sliced(tmp_path, case):
+    # for cells that are +0 outside the window, U on the window's interfaces
+    # has the bits of U on the whole lattice, whatever path computes it
+    s, rho0, grid, _ = _window_cases(tmp_path)[case]
+    g = initial_grid(rho0, grid)
+    held = np.flatnonzero(g.cells)
+    for lo, hi in ((held[0], held[-1] + 1), (held[0] - 7, held[-1] + 30), (0, g.j)):
+        U = interface_velocity(g, s, window=(lo, hi))
+        assert U.tobytes() == interface_velocity(g, s)[lo:hi + 1].tobytes()
+
+
+def test_fv_run_window_fails_as_the_full_lattice_on_an_infinite_speed():
+    # a V infinite at an empty interface makes dt = 0 and the full step NaN;
+    # a V that reads x keeps the window on the whole lattice, so the run
+    # fails at the same time with the same message
+    grid = GridConfig(x_left=-4.0, x_right=4.0, j=800)
+    pole = float(initial_grid(builtin_initial("transport"), grid).interfaces[10])
+    s = make_scenario(V=lambda t, x: 1.0 / (np.asarray(x) - pole))
+    rho0 = builtin_initial("transport")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError) as full:
+            _full_lattice_run(rho0, s, grid, 1.0, [0.0, 1.0])
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(str(full.value))}$"):
+            fv_run(rho0, s, grid, 1.0, snapshot_times=[0.0, 1.0])
+
+
 def test_grid_escape_raises():
+    # mass moves one cell per step at speed 1, so the last cell first holds
+    # mass at the end of step k, k cells after the last one that held it
     s = builtin_catalog("transport")
     rho0 = InitialDensity.from_blocks([(0.0, 1.0, 1.0)])
     grid = GridConfig(x_left=-0.5, x_right=1.2, j=60)
-    with pytest.raises(GridEscapeError):
+    with pytest.raises(GridEscapeError, match="right grid boundary") as error:
         fv_run(rho0, s, grid, 1.0, snapshot_times=[0.0, 1.0])
+    k = grid.j - 1 - np.flatnonzero(initial_grid(rho0, grid).cells)[-1]
+    t = float(re.search(r"at t = (\S+);", str(error.value)).group(1))
+    assert k == 7 and t == pytest.approx(k * reference.CFL * grid.dx, rel=1e-5)
 
 
 def test_compare_l1_transport_calibrated():

@@ -8,17 +8,17 @@ workloads on seed-1 inputs 0-2 (their commands and inputs as
 ``perfbench/run.py`` of this checkout makes them), ``run``, ``audit`` and
 ``validate`` (J = 1000) of the four catalog scenarios at N = 200, ``run
 --plot`` of ``PLOTTED`` at N = 200 (the one command writing ``density.svg``),
-and at N = 200 of three scenario files for what the catalog lacks: ``run``
-and ``audit`` of ``UNFIXED_FIELD`` (no source, so the masses are fixed, but a
-U that moves), and ``run``, ``audit`` and ``validate`` of ``EXP_KERNEL`` (a
-kernel with no polynomial pieces, which the particles convolve in difference
-form and the oracle by FFT) and of ``QUADRATIC_KERNEL`` (polynomial pieces of
-degree 2, so a moment chain of more than one term, evaluated by
-``expressions.polyval``).  Each command runs once per tree, one at a time,
-in a fresh process with that tree's ``src`` on the path, in a directory of
-its own under ``DIR/parent`` or ``DIR/change``; its standard output and exit
-code go to ``stdout.txt`` there, and its peak RSS and CPU seconds (user plus
-system, both from ``os.wait4``) are kept.
+and ``run``, ``audit`` and ``validate`` at N = 200 of three scenario files
+for what the catalog lacks: ``UNFIXED_FIELD`` (no source, so the masses are
+fixed, but a U that moves, which the oracle takes over its whole lattice),
+``EXP_KERNEL`` (a kernel with no polynomial pieces, which the particles
+convolve in difference form and the oracle by FFT) and ``QUADRATIC_KERNEL``
+(polynomial pieces of degree 2, so a moment chain of more than one term,
+evaluated by ``expressions.polyval``).  Each command runs once per tree,
+one at a time, in a fresh process with that tree's ``src`` on the path, in a
+directory of its own under ``DIR/parent`` or ``DIR/change``; its standard
+output and exit code go to ``stdout.txt`` there, and its peak RSS and CPU
+seconds (user plus system, both from ``os.wait4``) are kept.
 
 Every file under a command's ``out`` directory and its ``stdout.txt`` is
 compared with its namesake in the other tree, and one line is printed per
@@ -82,7 +82,7 @@ QUADRATIC_KERNEL = {
     "metadata": {"name": "quadratic_kernel", "branch": "v_decays",
                  "initial": {"blocks": [[-0.75, 0.0, 0.9], [0.0, 0.65, 0.5]]}},
 }
-FILES = {"unfixed_field": (UNFIXED_FIELD, ("run", "audit")),
+FILES = {"unfixed_field": (UNFIXED_FIELD, ("run", "audit", "validate")),
          "exp_kernel": (EXP_KERNEL, ("run", "audit", "validate")),
          "quadratic_kernel": (QUADRATIC_KERNEL, ("run", "audit", "validate"))}
 PLOTTED = "repulsive_source"
