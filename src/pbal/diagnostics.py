@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics
 from .density import (ParticleSystem, l1_distance,  # noqa: F401
                       to_density, total_variation, w1_distance)  # perfbench's tracer wraps both
-from .expressions import bump, bump_and_prime
+from .expressions import bump, bump_and_prime, bump_kernel
 from .integrator import Trajectory, solve_scalar_ode
 from .scenario import Branch, Scenario
 
@@ -401,7 +401,11 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
     """Sorted nodes of ``dynamics``' cell rule on [x_lo, x_hi]: each gap between
     x_lo, the particles inside and x_hi split by ``dynamics.cell_panels`` into
     panels no wider than min(w_max, CELL_CAP).  Every node lies inside its gap,
-    so one search per gap, at its left end, finds the cell of all its nodes."""
+    so one search per gap, at its left end, finds the cell of all its nodes.
+
+    Returns the nodes and their weights; each gap's node count, height (0.0
+    outside the particles) and m(height) = height v(height); and U, dxU and f
+    at the nodes."""
     inner = p.x[(p.x > x_lo) & (p.x < x_hi)]
     pts = np.concatenate(([x_lo], inner, [x_hi]))  # sorted and distinct: x_lo < x_hi
     a, b = pts[:-1], pts[1:]
@@ -412,15 +416,17 @@ def _snapshot_quadrature(p: ParticleSystem, s: Scenario, x_lo, x_hi, w_max):
 
     gaps = np.diff(p.x)
     rho = p.q / gaps
-    idx = np.repeat(np.searchsorted(p.x, a, side="right") - 1, g.size * m)
+    counts = g.size * m
+    idx = np.searchsorted(p.x, a, side="right") - 1
     inside = (idx >= 0) & (idx < rho.size)
-    cell = np.clip(idx, 0, rho.size - 1)
-    rho_at = np.where(inside, rho[cell], 0.0)
+    idx = np.clip(idx, 0, rho.size - 1)
+    height = np.where(inside, rho[idx], 0.0)
+    cell, rho_at = np.repeat(idx, counts), np.repeat(height, counts)
     U = dynamics.u_field_arrays(p.t, p.x, rho, s, nodes, gaps=gaps, cell=cell)
     dxU = dynamics.dxU_field_arrays(p.t, p.x, rho, s, nodes, rho_at, gaps=gaps, cell=cell)
     fvals = np.asarray(s.source.f(p.t, nodes, rho_at), dtype=float)
-    mrho = rho_at * np.asarray(s.congestion.v(rho_at), dtype=float)
-    return nodes, weights, rho_at, U, dxU, fvals, mrho
+    m_height = height * np.asarray(s.congestion.v(height), dtype=float)
+    return nodes, weights, counts, height, m_height, U, dxU, fvals
 
 
 def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> EntropyResidualReport:
@@ -429,14 +435,20 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     Space integrals take ``dynamics``' cell rule on cell-exact panels no
     wider than min(ell)/32 or ``dynamics.CELL_CAP``; the time integral is the
     trapezoid over the stored snapshots (at least ``MIN_SNAPSHOTS``).  The
-    constants ``cs`` must be distinct.
+    test functions' centres and widths must be finite, and the constants
+    ``cs`` finite and distinct.
 
     With phi = b_t(t) b_x(x) the space integral at one snapshot is
     b_t' (A_c . b_x) + b_t (B_c . b_x' + C_c . b_x), where the weighted node
     vectors A_c = |rho - c|, B_c = sgn (m(rho) - m(c)) U and
-    C_c = sgn (f - m(c) dxU) carry all the dependence on c.  Test functions
-    sharing a spatial bump share its dot products, taken over the nodes of
-    the bump's support only.
+    C_c = sgn (f - m(c) dxU) carry all the dependence on c.  The height rho,
+    sgn = sgn(rho - c), |rho - c| and sgn (m(rho) - m(c)) are constant on a
+    gap, so they are formed once per gap and repeated to its nodes; U, dxU,
+    f and the weights are per node.  Test functions sharing a spatial bump
+    share its dot products, taken over the nodes of the bump's support only,
+    where the bump takes no mask when both end nodes lie strictly inside it.
+    Each test function's series over the snapshots is formed from its
+    bump's dot products after the last snapshot.
     """
     times = traj.times
     if times.size < MIN_SNAPSHOTS:
@@ -449,6 +461,8 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     if not phis or not cs:
         raise ValueError("need at least one test function and one entropy constant")
     for tf in phis:
+        if not (math.isfinite(tf.t0) and math.isfinite(tf.x0)):
+            raise ValueError(f"test function centres must be finite, got {tf}")
         if not (0.0 < tf.tau < math.inf and 0.0 < tf.ell < math.inf):
             raise ValueError(f"test function widths must be finite and positive, got {tf}")
     cs = [float(c) for c in cs]
@@ -476,50 +490,61 @@ def entropy_residual(traj: Trajectory, s: Scenario, phis=None, cs=None) -> Entro
     bt, bt_p = bump_and_prime(ut)
     bt_p = bt_p / tau
     live = (bt != 0.0) | (bt_p != 0.0)
-    # distinct spatial bumps and the test functions that use each
+    # distinct spatial bumps, the bump of each test function, and the
+    # snapshots at which some test function of a bump is live
     groups = {}
     for j, tf in enumerate(phis):
         groups.setdefault((tf.x0, tf.ell), []).append(j)
     x0 = np.array([key[0] for key in groups])
     ell = np.array([key[1] for key in groups])
-    members = [np.array(js) for js in groups.values()]
+    group_of = np.empty(len(phis), dtype=np.intp)
+    for g, js in enumerate(groups.values()):
+        group_of[js] = g
+    busy = np.array([live[:, js].any(axis=1) for js in groups.values()])
 
-    theta = np.zeros((len(phis), c_arr.size, times.size))
+    # each bump's A_c . b_x and B_c . b_x' + C_c . b_x at every snapshot,
+    # +0.0 where none of its test functions is live
+    Abx = np.zeros((x0.size, c_arr.size, times.size))
+    rest = np.zeros_like(Abx)
     for k, p in enumerate(traj.snapshots):
-        if not live[k].any():
+        if not busy[:, k].any():
             continue
-        nodes, wts, rho_at, U, dxU, fvals, mrho = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)
+        nodes, wts, counts, height, m_height, U, dxU, fvals = _snapshot_quadrature(
+            p, s, x_lo, x_hi, w_max)
         # the bits of |rho - c| wts, sgn (mrho - mc) U wts and
-        # sgn (f - mc dxU) wts, built in place
-        A = rho_at - c_arr
+        # sgn (f - mc dxU) wts at the nodes, built in place
+        A = height - c_arr
         sgn = np.sign(A)
-        np.abs(A, out=A)
-        A *= wts
-        B = mrho - mc
+        B = m_height - mc
         B *= sgn
+        B = np.repeat(B, counts, axis=1)
         B *= U
         B *= wts
+        A = np.repeat(np.abs(A, out=A), counts, axis=1)
+        A *= wts
         C = mc * dxU
         np.subtract(fvals, C, out=C)
-        C *= sgn
+        C *= np.repeat(sgn, counts, axis=1)
         C *= wts
         starts = np.searchsorted(nodes, x0 - ell, side="left")
         stops = np.searchsorted(nodes, x0 + ell, side="right")
-        for g, js in enumerate(members):
-            if not live[k, js].any():
-                continue
+        for g in np.flatnonzero(busy[:, k]):
             sl = slice(starts[g], stops[g])
             u = (nodes[sl] - x0[g]) / ell[g]
-            bx, bx_p = bump_and_prime(u)
-            bx_p = bx_p / ell[g]
-            Abx = A[:, sl] @ bx
-            rest = B[:, sl] @ bx_p + C[:, sl] @ bx
-            theta[js, :, k] = bt_p[k, js, None] * Abx + bt[k, js, None] * rest
+            # the nodes are sorted, so the end nodes bound the rest
+            inside = u.size and -1.0 < u[0] and u[-1] < 1.0
+            bx, bx_p = bump_kernel(u) if inside else bump_and_prime(u)
+            bx_p /= ell[g]
+            Abx[g, :, k] = A[:, sl] @ bx
+            rest[g, :, k] = B[:, sl] @ bx_p + C[:, sl] @ bx
 
     residuals = {}
-    for j in range(len(phis)):
+    for j, g in enumerate(group_of):
+        # where no test function of the bump is live, Abx and rest hold
+        # +0.0, and bt_p * 0.0 + bt * 0.0 = (+-0.0) + (+0.0) is +0.0 too
+        theta = bt_p[:, j] * Abx[g] + bt[:, j] * rest[g]
         for ci, c in enumerate(cs):
-            residuals[(j, c)] = float(np.trapezoid(theta[j, ci], times))
+            residuals[(j, c)] = float(np.trapezoid(theta[ci], times))
     values = list(residuals.values())
     # min() and max() pass a NaN through or drop it depending on its position
     res_neg = max(0.0, -min(values)) if all(map(math.isfinite, values)) else math.nan

@@ -31,28 +31,37 @@ def bump(s):
 
 
 def bump_and_prime(s, prime=True):
-    """``(bump(s), bump'(s))``, or ``(bump(s),)`` when not ``prime``, by one pass
-    of in-place operations: on |s| < 1 exp(1 - 1/(1 - s^2)) and
-    e * (-2 s / (1 - s^2)^2) by the float operations of these formulas;
-    exactly 0.0 elsewhere, NaN and inf included."""
+    """``(bump(s), bump'(s))``, or ``(bump(s),)`` when not ``prime``:
+    ``bump_kernel``'s formulas on |s| < 1, exactly 0.0 elsewhere, NaN and inf
+    included."""
     s = np.asarray(s, dtype=float)
     x = s.reshape(s.shape or 1)  # so that every ufunc below returns an array
     inside = np.abs(x) < 1.0
-    # -0.0 outside keeps every step finite (1 - ss^2 = 1) and makes -2 ss/.. +0.0
-    ss = np.where(inside, x, -0.0)
+    # -0.0 outside keeps every step finite (1 - ss^2 = 1) and makes the prime
+    # +0.0 there, e^0 * (-2 ss/..) = 1 * +0.0
+    out = bump_kernel(np.where(inside, x, -0.0), prime)
+    # fresh: zeroing in place raised the peak RSS of validate
+    out = (np.where(inside, out[0], 0.0),) + out[1:]
+    return tuple(float(a[0]) for a in out) if s.ndim == 0 else out
+
+
+def bump_kernel(ss, prime=True):
+    """exp(1 - 1/(1 - ss^2)) and, when ``prime``, its derivative
+    e * (-2 ss / (1 - ss^2)^2), by the float operations of these formulas in
+    one pass of in-place operations on the float array ``ss``, which it
+    overwrites.  Every entry must lie strictly inside (-1, 1), or be -0.0
+    where the caller masks the bump itself."""
     one = np.multiply(ss, ss, out=None if prime else ss)
     np.subtract(1.0, one, out=one)
     b = np.divide(1.0, one, out=None if prime else one)
     np.subtract(1.0, b, out=b)
     np.exp(b, out=b)
-    b = np.where(inside, b, 0.0)  # fresh: zeroing in place raised the peak RSS of validate
-    out = (b,)
-    if prime:
-        np.multiply(ss, -2.0, out=ss)
-        np.multiply(one, one, out=one)
-        np.divide(ss, one, out=ss)
-        out += (np.multiply(b, ss, out=ss),)
-    return tuple(float(a[0]) for a in out) if s.ndim == 0 else out
+    if not prime:
+        return (b,)
+    np.multiply(ss, -2.0, out=ss)
+    np.multiply(one, one, out=one)
+    np.divide(ss, one, out=ss)
+    return b, np.multiply(b, ss, out=ss)
 
 
 def finite_float(value, what):

@@ -1,8 +1,11 @@
 """Serialization: snapshot CSVs, run manifests, reports and SVG plots.
 
-All floating-point output uses the shortest round-trip format so identical
-runs produce byte-identical files.  Text files are written a line at a
-time as their rows are formatted, so no file is ever held in memory whole.
+CSV floats are written with 17 significant digits (``.17g``), which
+round-trips every double but is not the shortest form: 0.1 is written as
+0.10000000000000001.  JSON floats take Python's shortest round-trip repr and
+SVG coordinates two decimals, so identical runs produce byte-identical
+files.  Text files are written a line at a time as their rows are
+formatted, so no file is ever held in memory whole.
 """
 
 from __future__ import annotations

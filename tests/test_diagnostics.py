@@ -11,15 +11,15 @@ from pbal import SolverConfig, builtin_catalog, builtin_initial, integrate, quan
 from pbal import diagnostics as dg
 from pbal.density import (ParticleSystem, l1_distance, pushforward_affine, to_density,
                           total_variation, w1_distance)
-from pbal.expressions import compile_expression
+from pbal.expressions import bump_and_prime, bump_kernel, compile_expression
 from pbal.initial import InitialDensity
 from pbal.diagnostics import _snapshot_quadrature
 from pbal import dynamics
 from pbal.dynamics import dxU_field_arrays, u_field_arrays, upwind_arrays
 from pbal.scenario import Branch, Source
 
-from conftest import (catalog_run, const, make_scenario, quadratic_potential, random_particles,
-                      zero_field_scenario)
+from conftest import (benchmark_file_scenario, catalog_run, const, make_scenario,
+                      quadratic_potential, random_particles, zero_field_scenario)
 
 
 # ------------------------------------------------------------------ envelopes
@@ -539,6 +539,162 @@ def test_entropy_matches_loop_oracle(name):
     assert rep.res_neg == max(0.0, -min(rep.residuals.values()))
 
 
+def _per_group_entropy_residual(traj, s, phis, cs):
+    """Reference: the per-node quadrature terms and the per-group loop that
+    wrote each test function's integrand into one (phis, c, snapshots) array,
+    in the float order that ``entropy_residual`` keeps."""
+    times = traj.times
+    x_lo = min(tf.x_support[0] for tf in phis)
+    x_hi = max(tf.x_support[1] for tf in phis)
+    w_max = min(tf.ell for tf in phis) / 32.0
+    c_arr = np.array(cs)[:, None]
+    mc = c_arr * np.array([float(s.congestion.v(c)) for c in cs])[:, None]
+    tau = np.array([tf.tau for tf in phis])
+    bt, bt_p = bump_and_prime((times[:, None] - np.array([tf.t0 for tf in phis])) / tau)
+    bt_p = bt_p / tau
+    live = (bt != 0.0) | (bt_p != 0.0)
+    groups = {}
+    for j, tf in enumerate(phis):
+        groups.setdefault((tf.x0, tf.ell), []).append(j)
+    x0 = np.array([key[0] for key in groups])
+    ell = np.array([key[1] for key in groups])
+    members = [np.array(js) for js in groups.values()]
+    theta = np.zeros((len(phis), c_arr.size, times.size))
+    for k, p in enumerate(traj.snapshots):
+        if not live[k].any():
+            continue
+        inner = p.x[(p.x > x_lo) & (p.x < x_hi)]
+        pts = np.concatenate(([x_lo], inner, [x_hi]))
+        mid, half, m = dynamics.cell_panels(pts[:-1], pts[1:], min(w_max, dynamics.CELL_CAP))
+        g = dynamics.GL4_NODES
+        nodes = (mid[:, None] + half[:, None] * g).ravel()
+        wts = (half[:, None] * dynamics.GL4_WEIGHTS).ravel()
+        gaps = np.diff(p.x)
+        rho = p.q / gaps
+        idx = np.repeat(np.searchsorted(p.x, pts[:-1], side="right") - 1, g.size * m)
+        inside = (idx >= 0) & (idx < rho.size)
+        cell = np.clip(idx, 0, rho.size - 1)
+        rho_at = np.where(inside, rho[cell], 0.0)
+        U = u_field_arrays(p.t, p.x, rho, s, nodes, gaps=gaps, cell=cell)
+        dxU = dxU_field_arrays(p.t, p.x, rho, s, nodes, rho_at, gaps=gaps, cell=cell)
+        fvals = np.asarray(s.source.f(p.t, nodes, rho_at), dtype=float)
+        mrho = rho_at * np.asarray(s.congestion.v(rho_at), dtype=float)
+        A = rho_at - c_arr
+        sgn = np.sign(A)
+        np.abs(A, out=A)
+        A *= wts
+        B = mrho - mc
+        B *= sgn
+        B *= U
+        B *= wts
+        C = mc * dxU
+        np.subtract(fvals, C, out=C)
+        C *= sgn
+        C *= wts
+        starts = np.searchsorted(nodes, x0 - ell, side="left")
+        stops = np.searchsorted(nodes, x0 + ell, side="right")
+        for gi, js in enumerate(members):
+            if not live[k, js].any():
+                continue
+            sl = slice(starts[gi], stops[gi])
+            bx, bx_p = bump_and_prime((nodes[sl] - x0[gi]) / ell[gi])
+            bx_p = bx_p / ell[gi]
+            Abx = A[:, sl] @ bx
+            rest = B[:, sl] @ bx_p + C[:, sl] @ bx
+            theta[js, :, k] = bt_p[k, js, None] * Abx + bt[k, js, None] * rest
+    residuals = {(j, c): float(np.trapezoid(theta[j, ci], times))
+                 for j in range(len(phis)) for ci, c in enumerate(cs)}
+    values = list(residuals.values())
+    res_neg = max(0.0, -min(values)) if all(map(math.isfinite, values)) else math.nan
+    return residuals, res_neg
+
+
+def _edge_test_function(traj, s, phis, k, side):
+    """A test function of the narrowest spatial width of ``phis``, its time
+    bump centred on snapshot ``k``, whose support's ``side`` end (-1 or 1)
+    falls exactly on a quadrature node of that snapshot, so that u = side
+    there; it leaves the quadrature of ``phis`` as it is."""
+    x_lo = min(tf.x_support[0] for tf in phis)
+    x_hi = max(tf.x_support[1] for tf in phis)
+    ell = min(tf.ell for tf in phis)
+    nodes = _snapshot_quadrature(traj.snapshots[k], s, x_lo, x_hi, ell / 32.0)[0]
+    for i in range(nodes.size // 3, nodes.size):
+        x0 = float(nodes[i] - side * ell)
+        end = np.searchsorted(nodes, x0 + side * ell, side="left" if side < 0 else "right")
+        if (nodes[i] - x0) / ell == side and end == i + (side > 0) \
+                and x_lo <= x0 - ell and x0 + ell <= x_hi:
+            return dg.TestFunction(t0=float(traj.times[k]), tau=0.1, x0=x0, ell=ell)
+    raise AssertionError("no node to put a support end on")
+
+
+def _benchmark_file_run(tmp_path, n):
+    s, initial = benchmark_file_scenario(tmp_path)
+    p0 = quantile_init(initial, n)
+    return s, integrate(p0, s, SolverConfig(t_end=0.5, snapshot_times=np.linspace(0, 0.5, 65)))
+
+
+@pytest.mark.parametrize("name", ["attractive_congested", "growth_transport", "repulsive_source",
+                                  "transport", "benchmark_file"])
+def test_entropy_residual_is_bitwise_the_per_group_loop(name, tmp_path, monkeypatch):
+    if name == "benchmark_file":
+        s, traj = _benchmark_file_run(tmp_path, 40)
+    else:
+        s, traj = builtin_catalog(name), catalog_run(name, 40, t_end=0.5, k_snapshots=65)
+    times, k = traj.times, 32
+    # the default grid; then custom test functions and constants: a wide
+    # bump, bumps whose support ends fall on a node, a time bump live at
+    # few snapshots sharing its spatial bump with one live at others, and
+    # 0, a cell height and a constant above every height
+    grids = [(dg.default_phi_grid(traj), dg._c_grid(traj.snapshots))]
+    xs = traj.snapshots[0].x
+    phis = dg.default_phi_grid(traj, n_time=2, n_space=2) + [
+        dg.TestFunction(t0=0.25, tau=0.2, x0=float(xs[-1]), ell=2.0 * float(xs[-1] - xs[0]))]
+    base = phis[-1]
+    edges = [_edge_test_function(traj, s, phis, k, side) for side in (-1, 1)]
+    short = dataclasses.replace(base, t0=float(times[k]), tau=float(times[2]))
+    r_max = max(float(np.max(p.heights)) for p in traj.snapshots)
+    assert r_max < 2.5
+    grids.append((phis + edges + [short], [0.0, float(traj.snapshots[0].heights[5]), 2.5]))
+    # which bump arguments reach ±1 and so take the masked formulas
+    masked_ends, kernel_calls = [], []
+
+    def spy_masked(u, prime=True):
+        if np.ndim(u) == 1 and np.size(u):
+            masked_ends.append((float(u[0]), float(u[-1])))
+        return bump_and_prime(u, prime)
+
+    def spy_kernel(u, prime=True):
+        kernel_calls.append(np.size(u))
+        return bump_kernel(u, prime)
+
+    monkeypatch.setattr(dg, "bump_and_prime", spy_masked)
+    monkeypatch.setattr(dg, "bump_kernel", spy_kernel)
+    for phis, cs in grids:
+        rep = dg.entropy_residual(traj, s, phis=phis, cs=cs)
+        ref, res_neg = _per_group_entropy_residual(traj, s, phis, [float(c) for c in cs])
+        assert list(rep.residuals) == list(ref)
+        assert [np.float64(v).tobytes() for v in rep.residuals.values()] == \
+            [np.float64(v).tobytes() for v in ref.values()]
+        assert np.float64(rep.res_neg).tobytes() == np.float64(res_neg).tobytes()
+    assert any(lo == -1.0 for lo, _ in masked_ends) and any(hi == 1.0 for _, hi in masked_ends)
+    assert kernel_calls and min(kernel_calls) > 0
+    # no support can hold no node: its 2 ell spans at least 64 panels, each
+    # no wider than min(ell)/32 and holding 4 nodes
+    assert all(lo >= -1.0 and hi <= 1.0 for lo, hi in masked_ends)
+
+
+@pytest.mark.parametrize("centre", ["t0", "x0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_entropy_rejects_non_finite_centres(centre, value):
+    # t0 = nan passed the support check and gave residual 0.0 and res_neg
+    # 0.0; a non-finite x0 failed inside the quadrature after RuntimeWarnings
+    traj = catalog_run("attractive_congested", 50, t_end=1.0, k_snapshots=65)
+    phi = dataclasses.replace(dg.TestFunction(t0=0.5, tau=0.3, x0=0.0, ell=0.5), **{centre: value})
+    with pytest.raises(ValueError, match="test function centres must be finite") as info:
+        dg.entropy_residual(traj, builtin_catalog("attractive_congested"), phis=[phi], cs=[0.5])
+    assert repr(phi) in str(info.value)
+
+
 def test_quadrature_nodes_match_linspace_panels():
     traj = catalog_run("attractive_congested", 24, t_end=0.5, k_snapshots=65)
     s = builtin_catalog("attractive_congested")
@@ -594,7 +750,8 @@ def test_quadrature_cells_match_node_search(potential):
         rho = p.q / np.diff(p.x)
         for x_lo, x_hi, w_max in ((-1.3, 1.1, 0.037), (float(p.x[3]), float(p.x[-5]), 0.011),
                                   (float(p.x[0]), float(p.x[-1]), 0.02), (-3.0, 3.0, 5.0)):
-            nodes, _, rho_at, U = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)[:4]
+            nodes, _, counts, height, _, U = _snapshot_quadrature(p, s, x_lo, x_hi, w_max)[:6]
+            rho_at = np.repeat(height, counts)
             idx = np.searchsorted(p.x, nodes, side="right") - 1
             inside = (idx >= 0) & (idx < rho.size)
             assert np.array_equal(rho_at, np.where(inside, rho[np.clip(idx, 0, rho.size - 1)], 0.0))

@@ -8,7 +8,9 @@ workloads on seed-1 inputs 0-2 (their commands and inputs as
 ``perfbench/run.py`` of this checkout makes them), ``run``, ``audit`` and
 ``validate`` (J = 1000) of the four catalog scenarios at N = 200, ``run
 --plot`` of ``PLOTTED`` at N = 200 (the one command writing ``density.svg``),
-and ``run``, ``audit`` and ``validate`` at N = 200 of three scenario files
+``audit`` of ``GRID_AUDITED`` at N = 200 on the non-default test grid
+``GRID`` (a constant above every height among its entropy constants), and
+``run``, ``audit`` and ``validate`` at N = 200 of three scenario files
 for what the catalog lacks: ``UNFIXED_FIELD`` (no source, so the masses are
 fixed, but a U that moves, which the oracle takes over its whole lattice),
 ``EXP_KERNEL`` (a kernel with no polynomial pieces, which the particles
@@ -86,6 +88,7 @@ FILES = {"unfixed_field": (UNFIXED_FIELD, ("run", "audit", "validate")),
          "exp_kernel": (EXP_KERNEL, ("run", "audit", "validate")),
          "quadratic_kernel": (QUADRATIC_KERNEL, ("run", "audit", "validate"))}
 PLOTTED = "repulsive_source"
+GRID_AUDITED, GRID = "attractive_congested", ("--phi-grid", "2x3", "--c-grid", "0,0.45,2.5")
 
 
 def commands(work: Path):
@@ -99,7 +102,7 @@ def commands(work: Path):
             out.append((cwd, make(cwd, SEED, index)[0]))
     runs = [(name, None, ("run", "audit", "validate")) for name in CATALOG]
     runs += [(name, doc, kinds) for name, (doc, kinds) in FILES.items()]
-    runs += [(PLOTTED, None, ("plot",))]
+    runs += [(PLOTTED, None, ("plot",)), (GRID_AUDITED, None, ("grid-audit",))]
     for name, doc, kinds in runs:
         for kind in kinds:
             cwd = work / f"{kind}-{name}"
@@ -113,6 +116,8 @@ def commands(work: Path):
                 extra = ["--j", str(CATALOG_J)]
             elif kind == "plot":
                 command, extra = "run", ["--plot"]
+            elif kind == "grid-audit":
+                command, extra = "audit", list(GRID)
             out.append((cwd, [command, "--scenario", scenario, "--n", str(CATALOG_N),
                               "--out", str(cwd / "out"), *extra]))
     return out
